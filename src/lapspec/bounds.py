@@ -27,11 +27,21 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .graphs import GraphError, GraphErrorKind, WeightedGraph, require_connected
+from .graphs import (
+    GraphError,
+    GraphErrorKind,
+    WeightedGraph,
+    _neighbor_lists,
+    bridged_triangles,
+    complete_graph,
+    is_bipartite,
+    looped_pair,
+    require_connected,
+)
 from .neighborhood import (
     map_eigenvalues,
     neighborhood_cheeger,
@@ -41,6 +51,9 @@ from .neighborhood import (
 from .partitions import (
     OddWalkFamily,
     TriPartition,
+    cheeger_exact,
+    default_odd_walk_family,
+    dual_cheeger_exact,
     xi_product_bound,
 )
 from .spectral import Spectrum, spectrum
@@ -149,15 +162,7 @@ def dual_cheeger_bounds(hbar: float) -> BoundReport:
 
 
 def cheeger_bounds_of(g: WeightedGraph, *, cap: int | None = None) -> BoundReport:
-    from .partitions import cheeger_exact
-
     return cheeger_bounds(cheeger_exact(g, cap=cap).value)
-
-
-def dual_cheeger_bounds_of(g: WeightedGraph, *, cap: int | None = None) -> BoundReport:
-    from .partitions import dual_cheeger_exact
-
-    return dual_cheeger_bounds(dual_cheeger_exact(g, cap=cap).value)
 
 
 def combined_lower(g: WeightedGraph, witness: TriPartition, h: float) -> BoundReport:
@@ -203,7 +208,7 @@ def localized_upper(g: WeightedGraph, s: Spectrum, h: float) -> BoundReport:
 def hop_diameter(g: WeightedGraph) -> int:
     """Largest number of edges on a shortest path between any two vertices."""
     require_connected(g)
-    nbrs = [np.nonzero(g.weights[i] > 0)[0] for i in range(g.n)]
+    nbrs = _neighbor_lists(g)
     diam = 0
     for start in range(g.n):
         dist = np.full(g.n, -1)
@@ -282,11 +287,7 @@ def clustering_constants(g: WeightedGraph) -> ClusteringConstants:
 
     alpha = (w * tri_edge).sum(axis=1) / g.degrees
 
-    c0 = math.inf
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if adj[i, j]:
-                c0 = min(c0, 0.5 * (alpha[i] + alpha[j]))
+    c0 = (0.5 * (alpha[:, None] + alpha[None, :]))[adj].min()
 
     w_sq = math.inf
     for i in range(g.n):
@@ -321,13 +322,6 @@ def clustering_upper(g: WeightedGraph) -> BoundReport:
 
 # ---------------------------------------------------------------------------
 # odd-walk congestion bounds
-
-
-def hbar_upper_from_xi(xi: float) -> float:
-    """``hbar <= 1 - 1/xi`` from a family of odd closed walks."""
-    if xi <= 0:
-        raise ValueError("congestion must be positive")
-    return 1.0 - 1.0 / xi
 
 
 def odd_walk_upper(g: WeightedGraph, fam: OddWalkFamily) -> BoundReport:
@@ -391,34 +385,6 @@ def walk_bound_comparison(g: WeightedGraph, fam: OddWalkFamily) -> WalkBoundComp
 # neighborhood-graph bounds (constant-level)
 
 
-def neighborhood_lower_generic(l: int, a_l: float) -> BoundReport:
-    """Bounds on the base spectrum from any lower bound ``a_l <= lambda_1[l]``.
-
-    Even l: all nonzero eigenvalues lie in
-    ``[1-(1-a_l)^{1/l}, 1+(1-a_l)^{1/l}]``.  Odd l: lower bound only.
-    """
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    if l % 2 == 0:
-        ok = a_l <= 1.0
-        r = (1.0 - a_l) ** (1.0 / l) if ok else None
-        return BoundReport(
-            name="neighborhood_lower_generic",
-            target=TARGET_SANDWICH,
-            lower=None if r is None else 1.0 - r,
-            upper=None if r is None else 1.0 + r,
-            conditions=(("A[l] <= 1", ok),),
-            inputs={"l": float(l), "a_l": a_l},
-        )
-    r = _real_odd_root(1.0 - a_l, l)
-    return BoundReport(
-        name="neighborhood_lower_generic",
-        target=TARGET_LAMBDA1,
-        lower=1.0 - r,
-        inputs={"l": float(l), "a_l": a_l},
-    )
-
-
 def neighborhood_sandwich_from(l: int, h_l: float) -> BoundReport:
     """Apply the Cheeger lower bound on the l-th neighborhood graph.
 
@@ -429,18 +395,12 @@ def neighborhood_sandwich_from(l: int, h_l: float) -> BoundReport:
     if not 0.0 <= h_l <= 1.0:
         raise ValueError(f"Cheeger constant must lie in [0, 1], got {h_l}")
     r = (1.0 - h_l * h_l) ** (1.0 / (2 * l))
-    if l % 2 == 0:
-        return BoundReport(
-            name="neighborhood_sandwich",
-            target=TARGET_SANDWICH,
-            lower=1.0 - r,
-            upper=1.0 + r,
-            inputs={"l": float(l), "h_l": h_l},
-        )
+    even = l % 2 == 0
     return BoundReport(
         name="neighborhood_sandwich",
-        target=TARGET_LAMBDA1,
+        target=TARGET_SANDWICH if even else TARGET_LAMBDA1,
         lower=1.0 - r,
+        upper=1.0 + r if even else None,
         inputs={"l": float(l), "h_l": h_l},
     )
 
@@ -570,10 +530,6 @@ def gap_around_one(g: WeightedGraph, l: int, *, cap: int | None = None) -> Bound
     return gap_around_one_from(l, cc.h_big)
 
 
-def neighborhood_dual_upper(g: WeightedGraph, l: int, *, cap: int | None = None) -> BoundReport:
-    return neighborhood_dual_upper_from(l, neighborhood_dual_cheeger(g, l, cap=cap).value)
-
-
 # ---------------------------------------------------------------------------
 # eigenvalue identities
 
@@ -681,8 +637,6 @@ class ImprovementReport:
 def improvement_predicates(
     g: WeightedGraph, l: int, *, cap: int | None = None
 ) -> ImprovementReport:
-    from .partitions import cheeger_exact
-
     s = spectrum(g)
     lam1, lam_max = s.lambda_1, s.lambda_max
     h = cheeger_exact(g, cap=cap).value
@@ -778,19 +732,11 @@ class CurveRow:
     lambda_max: float | None
 
 
-_FAMILIES = ("looped_pair", "bridged_triangles", "complete")
-
-
-def _family_graph(family: str, param: float) -> WeightedGraph:
-    from . import graphs
-
-    if family == "looped_pair":
-        return graphs.looped_pair(param)
-    if family == "bridged_triangles":
-        return graphs.bridged_triangles(param)
-    if family == "complete":
-        return graphs.complete_graph(int(param))
-    raise ValueError(f"unknown family {family!r}; choose from {_FAMILIES}")
+_FAMILIES = {
+    "looped_pair": looped_pair,
+    "bridged_triangles": bridged_triangles,
+    "complete": lambda param: complete_graph(int(param)),
+}
 
 
 def bound_curves(family: str, params, l_list) -> list[CurveRow]:
@@ -800,11 +746,11 @@ def bound_curves(family: str, params, l_list) -> list[CurveRow]:
     the rest of the table is still produced.
     """
     if family not in _FAMILIES:
-        raise ValueError(f"unknown family {family!r}; choose from {_FAMILIES}")
+        raise ValueError(f"unknown family {family!r}; choose from {tuple(_FAMILIES)}")
     rows = []
     for param in params:
         try:
-            g = _family_graph(family, param)
+            g = _FAMILIES[family](param)
             s = spectrum(g)
             lam1, lam_max = s.lambda_1, s.lambda_max
         except (GraphError, ValueError):
@@ -815,26 +761,21 @@ def bound_curves(family: str, params, l_list) -> list[CurveRow]:
             continue
         for l in l_list:
             try:
-                h_l = neighborhood_cheeger(g, l).value
-                lower = 1.0 - (1.0 - h_l * h_l) ** (1.0 / (2 * l))
-                if l % 2 == 1:
-                    up_h = 1.0 - _real_odd_root(1.0 - 2.0 * h_l, l)
-                    applicable = True
-                else:
-                    if 2.0 * h_l <= 1.0:
-                        up_h = 1.0 - (1.0 - 2.0 * h_l) ** (1.0 / l)
-                        # for even l the claim is a disjunction; it bounds
-                        # lambda_1 only when that branch actually holds
-                        applicable = lam1 <= up_h + 1e-12
-                    else:
-                        up_h = None
-                        applicable = False
+                gl = neighborhood_graph(g, l)
+                h_l = cheeger_exact(gl, check_connected=False).value
+                upper_or = neighborhood_upper_or_from(l, h_l)
+                # for even l the claim is a disjunction; it bounds lambda_1
+                # only when that branch actually holds
+                applicable = upper_or.applicable and (
+                    l % 2 == 1 or lam1 <= upper_or.upper + 1e-12
+                )
+                lower = neighborhood_sandwich_from(l, h_l).lower
                 up_hbar = None
                 if l % 2 == 1:
-                    hbar_l = neighborhood_dual_cheeger(g, l).value
-                    up_hbar = 1.0 + (1.0 - (1.0 - hbar_l) ** 2) ** (1.0 / (2 * l))
+                    hbar_l = dual_cheeger_exact(gl, check_connected=False).value
+                    up_hbar = neighborhood_dual_upper_from(l, hbar_l).upper
                 rows.append(
-                    CurveRow(param, l, lower, up_h, applicable, up_hbar, lam1, lam_max)
+                    CurveRow(param, l, lower, upper_or.upper, applicable, up_hbar, lam1, lam_max)
                 )
             except (GraphError, ValueError):
                 rows.append(
@@ -856,25 +797,24 @@ def curves_to_csv(rows: list[CurveRow]) -> str:
         "lambda1,lambdaMax"
     ]
     for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    cell(r.param),
-                    str(r.l),
-                    cell(r.lower),
-                    cell(r.upper_from_h),
-                    cell(r.upper_from_h_applicable),
-                    cell(r.upper_from_hbar),
-                    cell(r.lambda1),
-                    cell(r.lambda_max),
-                ]
-            )
-        )
+        # CurveRow fields are in CSV column order
+        lines.append(",".join([cell(r.param), str(r.l), *map(cell, astuple(r)[2:])]))
     return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
-#
+# every report at once
+
+
+def _capped(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, or ``None`` when a size cap refuses it."""
+    try:
+        return fn(*args, **kwargs)
+    except GraphError as err:
+        if err.kind is not GraphErrorKind.SIZE_CAP_EXCEEDED:
+            raise
+        return None
+
 
 def all_bound_reports(
     g: WeightedGraph,
@@ -885,35 +825,14 @@ def all_bound_reports(
 ) -> list[BoundReport]:
     """Every bound report computable for ``g`` at the given orders.
 
-    Reports whose enumerations exceed a size cap are skipped; other errors
-    propagate.
+    Each ``Gamma[l]`` and each constant is computed once.  Reports whose
+    constants exceed a size cap are skipped; other errors propagate.
     """
-    from .graphs import is_bipartite
-    from .partitions import cheeger_exact, default_odd_walk_family, dual_cheeger_exact
+    s = spectrum(g)
+    h_res = _capped(cheeger_exact, g, cap=cap_h)
+    hbar_res = _capped(dual_cheeger_exact, g, cap=cap_hbar)
 
     reports: list[BoundReport] = []
-    s = spectrum(g)
-
-    def _try(fn):
-        try:
-            reports.append(fn())
-        except GraphError as err:
-            if err.kind is not GraphErrorKind.SIZE_CAP_EXCEEDED:
-                raise
-
-    h_res = None
-    try:
-        h_res = cheeger_exact(g, cap=cap_h)
-    except GraphError as err:
-        if err.kind is not GraphErrorKind.SIZE_CAP_EXCEEDED:
-            raise
-    hbar_res = None
-    try:
-        hbar_res = dual_cheeger_exact(g, cap=cap_hbar)
-    except GraphError as err:
-        if err.kind is not GraphErrorKind.SIZE_CAP_EXCEEDED:
-            raise
-
     if h_res is not None:
         reports.append(cheeger_bounds(h_res.value))
     if hbar_res is not None:
@@ -929,10 +848,16 @@ def all_bound_reports(
         reports.append(odd_walk_upper(g, fam))
         reports.append(poincare_upper(g, fam))
     for l in l_list:
-        _try(lambda l=l: neighborhood_sandwich(g, l, cap=cap_h))
-        _try(lambda l=l: neighborhood_upper_or(g, l, cap=cap_h))
-        _try(lambda l=l: neighborhood_interval(g, l, cap=cap_hbar))
-        _try(lambda l=l: gap_around_one(g, l))
-        if l % 2 == 1:
-            _try(lambda l=l: neighborhood_dual_upper(g, l, cap=cap_hbar))
+        gl = neighborhood_graph(g, l)
+        h_l = _capped(cheeger_exact, gl, cap=cap_h, check_connected=False)
+        hbar_l = _capped(dual_cheeger_exact, gl, cap=cap_hbar, check_connected=False)
+        cc = clustering_constants(gl)
+        if h_l is not None:
+            reports.append(neighborhood_sandwich_from(l, h_l.value))
+            reports.append(neighborhood_upper_or_from(l, h_l.value))
+        if hbar_l is not None:
+            reports.append(neighborhood_interval_from(l, hbar_l.value))
+        reports.append(gap_around_one_from(l, cc.h_big))
+        if hbar_l is not None and l % 2 == 1:
+            reports.append(neighborhood_dual_upper_from(l, hbar_l.value))
     return reports

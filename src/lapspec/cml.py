@@ -20,8 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import neighborhood_dual_upper_from, neighborhood_sandwich_from
 from .graphs import WeightedGraph, require_connected
 from .neighborhood import neighborhood_cheeger, neighborhood_dual_cheeger
+from .partitions import cheeger_exact, dual_cheeger_exact
 from .spectral import Spectrum, spectrum
 
 #: Initial conditions are drawn this close to the synchronized orbit.
@@ -229,20 +231,18 @@ def ratio_bounds(
     cap_h: int | None = None,
     cap_hbar: int | None = None,
 ) -> RatioBounds:
-    from .partitions import cheeger_exact, dual_cheeger_exact
-
     h = cheeger_exact(g, cap=cap_h).value
     hbar = dual_cheeger_exact(g, cap=cap_hbar).value
     uppers: dict[int, float] = {}
     lowers: dict[int, float] = {}
     for l in l_list:
-        h_l = neighborhood_cheeger(g, l, cap=cap_h).value
-        lowers[l] = 1.0 - (1.0 - h_l * h_l) ** (1.0 / (2 * l))
+        sandwich = neighborhood_sandwich_from(l, neighborhood_cheeger(g, l, cap=cap_h).value)
+        lowers[l] = sandwich.lower
         if l % 2 == 0:
-            uppers[l] = 1.0 + (1.0 - h_l * h_l) ** (1.0 / (2 * l))
+            uppers[l] = sandwich.upper
         else:
             hbar_l = neighborhood_dual_cheeger(g, l, cap=cap_hbar).value
-            uppers[l] = 1.0 + (1.0 - (1.0 - hbar_l) ** 2) ** (1.0 / (2 * l))
+            uppers[l] = neighborhood_dual_upper_from(l, hbar_l).upper
     best_lower = max(lowers.values())
     if best_lower <= 0:
         raise ValueError("no positive lower bound for lambda_1 at these l")

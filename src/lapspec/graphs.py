@@ -31,6 +31,7 @@ class GraphErrorKind(Enum):
     SIZE_CAP_EXCEEDED = "SizeCapExceeded"
     NOT_BIPARTITE = "NotBipartite"
     NO_ODD_WALK = "NoOddWalk"
+    NON_FINITE_WEIGHT = "NonFiniteWeight"
 
 
 class GraphError(Exception):
@@ -66,16 +67,22 @@ class WeightedGraph:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (self.n, self.n):
             raise ValueError(f"weight matrix shape {w.shape} != ({self.n}, {self.n})")
+        if not np.isfinite(w).all():
+            raise GraphError(GraphErrorKind.NON_FINITE_WEIGHT, "edge weights must be finite")
         if not np.array_equal(w, w.T):
             raise GraphError(GraphErrorKind.ASYMMETRIC_INPUT, "weight matrix is not symmetric")
         if (w < 0).any():
             raise GraphError(GraphErrorKind.NEGATIVE_WEIGHT, "edge weights must be nonnegative")
-        d = w.sum(axis=1)
+        with np.errstate(over="ignore"):  # an overflowing volume is rejected below
+            d = w.sum(axis=1)
+            volume = d.sum()
         if (d <= 0).any():
             bad = int(np.argmin(d))
             raise GraphError(
                 GraphErrorKind.ZERO_DEGREE_VERTEX, f"vertex {bad} has zero degree"
             )
+        if not np.isfinite(volume):
+            raise GraphError(GraphErrorKind.NON_FINITE_WEIGHT, "total volume overflows")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         d.setflags(write=False)
@@ -339,8 +346,30 @@ def graph_to_dict(g: WeightedGraph) -> dict:
     return {"n": g.n, "edges": [[i, j, w] for i, j, w in g.edges()]}
 
 
-def graph_from_dict(data: dict) -> WeightedGraph:
-    return build_graph(int(data["n"]), [tuple(e) for e in data["edges"]])
+def _is_int(v) -> bool:
+    """A JSON integer (``bool`` excluded)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_edge_row(e) -> bool:
+    return (
+        isinstance(e, list) and len(e) == 3 and _is_int(e[0]) and _is_int(e[1])
+        and (_is_int(e[2]) or isinstance(e[2], float))
+    )
+
+
+def graph_from_dict(data) -> WeightedGraph:
+    """Inverse of :func:`graph_to_dict`; a malformed document raises ``ValueError``."""
+    n, edges = (data.get("n"), data.get("edges")) if isinstance(data, dict) else (None, None)
+    if not (_is_int(n) and n >= 1 and isinstance(edges, list) and all(map(_is_edge_row, edges))):
+        raise ValueError(
+            "graph JSON must be an object with a positive integer 'n' and a list 'edges'"
+            " of [i, j, w] rows: integers i, j and a number w"
+        )
+    try:
+        return build_graph(n, edges)
+    except OverflowError:
+        raise ValueError("graph JSON has an edge weight beyond the float range") from None
 
 
 def parse_edge_list(text: str) -> WeightedGraph:

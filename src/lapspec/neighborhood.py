@@ -25,7 +25,9 @@ from .spectral import spectrum
 #: Entries below this fraction of the largest weight are snapped to zero.
 TRUNCATION_REL_TOL = 1e-14
 
-#: Above this power, the walk matrix is raised by binary exponentiation.
+#: Above this power, the walk matrix is raised by ``np.linalg.matrix_power``
+#: (binary exponentiation); up to it, one product per step, whose rounding
+#: the output bytes of small orders depend on.
 REPEATED_SQUARING_THRESHOLD = 64
 
 
@@ -42,15 +44,7 @@ def neighborhood_graph(g: WeightedGraph, l: int) -> WeightedGraph:
         for _ in range(power):
             acc = acc @ walk
     else:
-        mp = np.eye(g.n)
-        base = walk
-        e = power
-        while e:
-            if e & 1:
-                mp = mp @ base
-            base = base @ base
-            e >>= 1
-        acc = g.weights @ mp
+        acc = g.weights @ np.linalg.matrix_power(walk, power)
     acc = 0.5 * (acc + acc.T)
     acc[acc < TRUNCATION_REL_TOL * acc.max()] = 0.0
     return WeightedGraph(n=g.n, weights=acc)

@@ -25,6 +25,8 @@ from .graphs import (
     GraphError,
     GraphErrorKind,
     WeightedGraph,
+    _is_int,
+    _neighbor_lists,
     require_connected,
 )
 
@@ -81,6 +83,31 @@ def _effective_cap(n: int, cap: int | None, hard: int, what: str) -> None:
         )
 
 
+def _first_max(start: int, stop: int, score) -> tuple[float, int]:
+    """Largest ``score`` over the codes ``start .. stop - 1``, first in code order.
+
+    ``score`` maps an int64 array of consecutive codes to their values; it
+    is called on chunks of ``_CHUNK`` codes.  Returns ``(value, code)``.
+    """
+    best_val, best_code = -np.inf, -1
+    for lo in range(start, stop, _CHUNK):
+        codes = np.arange(lo, min(lo + _CHUNK, stop), dtype=np.int64)
+        vals = score(codes)
+        k = int(np.argmax(vals))
+        if vals[k] > best_val:
+            best_val, best_code = float(vals[k]), int(codes[k])
+    return best_val, best_code
+
+
+def _bits(codes: np.ndarray, k: int) -> np.ndarray:
+    """Membership rows: bit i of each code as a float, for i < k."""
+    return ((codes[:, None] >> np.arange(k, dtype=np.int64)) & 1).astype(float)
+
+
+def _side(mask: int, k: int) -> set[int]:
+    return {i for i in range(k) if (mask >> i) & 1}
+
+
 def cheeger_exact(
     g: WeightedGraph, *, cap: int | None = None, check_connected: bool = True
 ) -> CheegerResult:
@@ -99,27 +126,20 @@ def cheeger_exact(
     d = g.degrees[: n - 1]
     w = g.weights[: n - 1, : n - 1]
     total = g.volume
-    shifts = np.arange(n - 1, dtype=np.int64)
 
-    best_val = np.inf
-    best_mask = 0
-    for start in range(1, 1 << (n - 1), _CHUNK):
-        codes = np.arange(start, min(start + _CHUNK, 1 << (n - 1)), dtype=np.int64)
-        memb = ((codes[:, None] >> shifts) & 1).astype(float)
+    def neg_ratio(codes):
+        memb = _bits(codes, n - 1)
         vol = memb @ d
         internal = ((memb @ w) * memb).sum(axis=1)
         boundary = vol - internal
-        vals = boundary / np.minimum(vol, total - vol)
-        k = int(np.argmin(vals))
-        if vals[k] < best_val:
-            best_val = float(vals[k])
-            best_mask = int(codes[k])
+        return -(boundary / np.minimum(vol, total - vol))
 
-    side = {i for i in range(n - 1) if (best_mask >> i) & 1}
+    # Negation is exact, so the first maximizer of -ratio is the first minimizer.
+    neg_best, mask = _first_max(1, 1 << (n - 1), neg_ratio)
     # On float-valued weight matrices (e.g. walk graphs) the rounded sums can
     # push the quotient an ulp past the mathematical ceiling h <= 1.
     return CheegerResult(
-        value=min(best_val, 1.0), witness=Bipartition.of(g, side), method="exact"
+        value=min(-neg_best, 1.0), witness=Bipartition.of(g, _side(mask, n - 1)), method="exact"
     )
 
 
@@ -142,34 +162,19 @@ def dual_cheeger_exact(
     w = g.weights
     pow3 = 3 ** np.arange(n, dtype=np.int64)
 
-    best_val = -np.inf
-    best_code = -1
-    for start in range(0, 3**n, _CHUNK):
-        codes = np.arange(start, min(start + _CHUNK, 3**n), dtype=np.int64)
+    def ratio(codes):
         digits = (codes[:, None] // pow3) % 3
         ind1 = (digits == 1).astype(float)
         ind2 = (digits == 2).astype(float)
-        nz = digits != 0
-        has = nz.any(axis=1)
-        first = np.argmax(nz, axis=1)
-        first_label = digits[np.arange(len(codes)), first]
-        valid = (
-            has
-            & (first_label == 1)
-            & ind1.any(axis=1)
-            & ind2.any(axis=1)
-        )
-        if not valid.any():
-            continue
+        # the first non-V3 label is 1 (so V1 is nonempty) and V2 is nonempty
+        first_label = digits[np.arange(len(codes)), np.argmax(digits != 0, axis=1)]
+        valid = (first_label == 1) & ind2.any(axis=1)
         cross = ((ind1 @ w) * ind2).sum(axis=1)
         vols = (ind1 + ind2) @ d
         with np.errstate(invalid="ignore", divide="ignore"):
-            vals = np.where(valid, 2.0 * cross / vols, -np.inf)
-        k = int(np.argmax(vals))
-        if vals[k] > best_val:
-            best_val = float(vals[k])
-            best_code = int(codes[k])
+            return np.where(valid, 2.0 * cross / vols, -np.inf)
 
+    best_val, best_code = _first_max(0, 3**n, ratio)
     digits = [(best_code // int(p)) % 3 for p in pow3]
     v1 = {i for i, t in enumerate(digits) if t == 1}
     v2 = {i for i, t in enumerate(digits) if t == 2}
@@ -235,23 +240,14 @@ def balance_ratio_exact(
     n = g.n
     d = g.degrees[: n - 1]
     total = g.volume
-    shifts = np.arange(n - 1, dtype=np.int64)
 
-    best_val = -np.inf
-    best_mask = 0
-    for start in range(1, 1 << (n - 1), _CHUNK):
-        codes = np.arange(start, min(start + _CHUNK, 1 << (n - 1)), dtype=np.int64)
-        memb = ((codes[:, None] >> shifts) & 1).astype(float)
-        vol = memb @ d
-        vals = np.minimum(vol, total - vol) / np.maximum(vol, total - vol)
-        k = int(np.argmax(vals))
-        if vals[k] > best_val:
-            best_val = float(vals[k])
-            best_mask = int(codes[k])
+    def balance(codes):
+        vol = _bits(codes, n - 1) @ d
+        return np.minimum(vol, total - vol) / np.maximum(vol, total - vol)
 
-    side = {i for i in range(n - 1) if (best_mask >> i) & 1}
+    best_val, mask = _first_max(1, 1 << (n - 1), balance)
     return CheegerResult(
-        value=best_val, witness=Bipartition.of(g, side), method="exact"
+        value=best_val, witness=Bipartition.of(g, _side(mask, n - 1)), method="exact"
     )
 
 
@@ -327,6 +323,8 @@ class OddWalkFamily:
                 raise ValueError(f"walk {i} must start and end at vertex {i}")
             if (len(walk) - 1) % 2 == 0:
                 raise ValueError(f"walk {i} has even length {len(walk) - 1}")
+            if not all(0 <= v < g.n for v in walk):
+                raise ValueError(f"walk {i} visits a vertex outside 0..{g.n - 1}")
             for a, b in zip(walk, walk[1:]):
                 if g.weights[a, b] <= 0:
                     raise ValueError(f"walk {i} uses missing edge ({a}, {b})")
@@ -353,8 +351,14 @@ def walk_family_to_dict(fam: OddWalkFamily) -> dict:
     return {"walks": [list(w) for w in fam.walks]}
 
 
-def walk_family_from_dict(data: dict) -> OddWalkFamily:
-    return OddWalkFamily(walks=tuple(tuple(int(v) for v in w) for w in data["walks"]))
+def walk_family_from_dict(data) -> OddWalkFamily:
+    """Inverse of :func:`walk_family_to_dict`; a malformed document raises ``ValueError``."""
+    walks = data.get("walks") if isinstance(data, dict) else None
+    if not isinstance(walks, list) or not all(
+        isinstance(w, list) and all(_is_int(v) for v in w) for w in walks
+    ):
+        raise ValueError("walk JSON must be an object whose 'walks' is a list of vertex lists")
+    return OddWalkFamily(walks=tuple(tuple(w) for w in walks))
 
 
 def default_odd_walk_family(g: WeightedGraph) -> OddWalkFamily:
@@ -364,7 +368,7 @@ def default_odd_walk_family(g: WeightedGraph) -> OddWalkFamily:
     ``(vertex, parity)`` and a walk from ``(i, 0)`` to ``(i, 1)`` projects to
     a closed odd walk at i.  Bipartite graphs have none.
     """
-    nbrs = [np.nonzero(g.weights[i] > 0)[0] for i in range(g.n)]
+    nbrs = _neighbor_lists(g)
     walks = []
     for i in range(g.n):
         # state id = vertex + parity * n

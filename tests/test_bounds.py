@@ -204,6 +204,25 @@ def test_clustering_constants_k5():
     assert abs(cc.h_big - want) < 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(seeds)
+def test_clustering_c0_matches_edge_loop(seed):
+    # reference: the minimum over edges i < j of the endpoints' mean triangle fraction
+    g = _random_graph(seed, n_max=9, weighted=True, allow_loops=True)
+    adj = g.weights > 0
+    np.fill_diagonal(adj, False)
+    tri_edge = adj & ((adj.astype(int) @ adj.astype(int)) > 0)
+    if not tri_edge.any():
+        return
+    alpha = (g.weights * tri_edge).sum(axis=1) / g.degrees
+    want = math.inf
+    for i in range(g.n):
+        for j in range(i + 1, g.n):
+            if adj[i, j]:
+                want = min(want, 0.5 * (alpha[i] + alpha[j]))
+    assert clustering_constants(g).c0 == want
+
+
 def test_clustering_trivial_without_triangles():
     cc = clustering_constants(path_graph(4))
     assert (cc.c0, cc.w_tri, cc.d_bar) == (0.0, 0.0, 0.0)
@@ -302,6 +321,36 @@ def test_all_reports_skips_capped_enumerations():
     assert "cheeger" not in names
     assert "dual_cheeger" not in names
     assert "clustering_upper" in names
+
+
+def test_all_reports_compute_each_constant_once(monkeypatch):
+    import lapspec.bounds
+    import lapspec.neighborhood
+    import lapspec.partitions
+    from lapspec.neighborhood import neighborhood_graph
+
+    originals = {
+        fn.__name__: fn for fn in (neighborhood_graph, cheeger_exact, dual_cheeger_exact)
+    }
+    calls = dict.fromkeys(originals, 0)
+
+    def counting(name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return originals[name](*args, **kwargs)
+
+        return wrapper
+
+    for mod in (lapspec.bounds, lapspec.neighborhood, lapspec.partitions):
+        for attr, value in list(vars(mod).items()):
+            for name, fn in originals.items():
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counting(name))
+    g = _twin_spike_graph()
+    assert not is_bipartite(g)
+    all_bound_reports(g, (2, 3))
+    # Gamma[2] and Gamma[3] once each; h and hbar of g, Gamma[2], Gamma[3]
+    assert calls == {"neighborhood_graph": 2, "cheeger_exact": 3, "dual_cheeger_exact": 3}
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import tempfile
+import warnings
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lapspec.cli import main
 from lapspec.graphs import complete_graph, cycle_graph, write_graph
@@ -273,3 +280,88 @@ def test_edge_list_input(capsys, tmp_path):
     code, out, _ = _run(capsys, "spectrum", "--input", str(path))
     assert code == 0
     assert json.loads(out)["n"] == 3
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"n": 3}, {"n": 2, "edges": [[0, 1, "x"]]}, [1, 2], {"n": 0, "edges": []}],
+)
+def test_malformed_graph_json_exit_2(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "spectrum", "--input", str(path))
+    assert code == 2
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize("weight", ["1e400", "nan", "inf"])
+def test_non_finite_weight_exit_1(capsys, tmp_path, weight):
+    path = tmp_path / "g.txt"
+    path.write_text(f"a b 1\nb c {weight}\n")
+    code, out, err = _run(capsys, "spectrum", "--input", str(path))
+    assert code == 1
+    assert err.startswith("error[NonFiniteWeight]")
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "walks",
+    [
+        [1],
+        {},
+        {"walks": [[0, -1, 1, 0], [1, 2, 0, 1], [2, 0, 1, 2]]},
+        {"walks": [[0, 7, 1, 0], [1, 2, 0, 1], [2, 0, 1, 2]]},
+    ],
+)
+def test_malformed_walks_file_exit_2(capsys, tmp_path, walks):
+    graph = tmp_path / "k3.json"
+    write_graph(complete_graph(3), graph)
+    path = tmp_path / "walks.json"
+    path.write_text(json.dumps(walks))
+    code, _, err = _run(capsys, "constants", "--input", str(graph), "--walks", str(path))
+    assert code == 2
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+# Integers stay <= 12: a graph's n sizes the dense n x n matrix build_graph allocates.
+_json_docs = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.floats() | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "edges", "x"]), kids, max_size=3),
+    max_leaves=16,
+)
+_json_scalars = st.integers(-1, 12) | st.floats() | st.text(max_size=2)
+_graph_docs = st.fixed_dictionaries(
+    {
+        "n": st.integers(-1, 12),
+        "edges": st.lists(st.lists(_json_scalars, min_size=2, max_size=4), max_size=12),
+    }
+)
+_edge_lines = st.lists(
+    st.tuples(
+        st.sampled_from("abcdef"),
+        st.sampled_from("abcdef"),
+        st.sampled_from(["1", "0.25", "0", "-1", "1e308", "1e400", "nan", "inf", "x"]),
+    ).map(" ".join),
+    max_size=10,
+).map("\n".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of((_json_docs | _graph_docs).map(json.dumps), _edge_lines, st.text(max_size=30)),
+    st.sampled_from(["g.json", "g.txt"]),
+)
+def test_arbitrary_input_exits_cleanly(text, name):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(text)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["spectrum", "--input", str(path)])
+    assert code in (0, 1, 2)
+    assert [str(w.message) for w in caught] == []
+    assert err.getvalue().count("\n") == (0 if code == 0 else 1)

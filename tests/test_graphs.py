@@ -39,6 +39,20 @@ def test_negative_weight_rejected():
     assert exc.value.kind is GraphErrorKind.NEGATIVE_WEIGHT
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_weight_rejected_before_symmetry(bad):
+    # the matrix is asymmetric as well; the non-finite entry is named
+    with pytest.raises(GraphError) as exc:
+        from_matrix(np.array([[0.0, bad], [1.0, 0.0]]))
+    assert exc.value.kind is GraphErrorKind.NON_FINITE_WEIGHT
+
+
+def test_overflowing_volume_rejected():
+    with pytest.raises(GraphError) as exc:
+        build_graph(3, [(0, 1, 1e308), (1, 2, 1e308)])
+    assert exc.value.kind is GraphErrorKind.NON_FINITE_WEIGHT
+
+
 def test_zero_degree_vertex_rejected():
     w = np.zeros((3, 3))
     w[0, 1] = w[1, 0] = 1.0
@@ -156,6 +170,25 @@ def test_dict_roundtrip():
     g = bridged_triangles(0.5)
     g2 = graph_from_dict(graph_to_dict(g))
     assert np.array_equal(g.weights, g2.weights)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [1, 2],
+        {"n": 3},
+        {"n": "3", "edges": []},
+        {"n": 0, "edges": []},
+        {"n": 2, "edges": [[0, 1, "x"]]},
+        {"n": 2, "edges": [[0, 1]]},
+        {"n": 2, "edges": [[0, 1.0, 1.0]]},
+        {"n": 2, "edges": [[0, 1, True]]},
+        {"n": 2, "edges": [[0, 1, 10**400]]},
+    ],
+)
+def test_graph_from_dict_rejects_malformed(doc):
+    with pytest.raises(ValueError):
+        graph_from_dict(doc)
 
 
 def test_file_roundtrip(tmp_path):

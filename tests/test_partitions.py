@@ -238,6 +238,21 @@ def test_family_validation_rejects_even_walk():
         OddWalkFamily(walks=((0, 1, 0), (1, 2, 1), (2, 0, 2))).validate(g)
 
 
+@pytest.mark.parametrize("walk", [(0, -1, 1, 0), (0, 7, 1, 0)])
+def test_family_validation_rejects_out_of_range_vertex(walk):
+    g = complete_graph(3)
+    with pytest.raises(ValueError, match="outside"):
+        OddWalkFamily(walks=(walk, (1, 2, 0, 1), (2, 0, 1, 2))).validate(g)
+
+
+@pytest.mark.parametrize(
+    "data", [[1], {}, {"walks": 3}, {"walks": [1]}, {"walks": [[0, "a", 0]]}]
+)
+def test_walk_family_from_dict_rejects_malformed(data):
+    with pytest.raises(ValueError):
+        walk_family_from_dict(data)
+
+
 def test_family_roundtrip():
     g = complete_graph(3)
     fam = default_odd_walk_family(g)
