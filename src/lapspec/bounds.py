@@ -26,7 +26,6 @@ graph) compute those constants first.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -35,6 +34,7 @@ from .graphs import (
     GraphError,
     GraphErrorKind,
     WeightedGraph,
+    _bfs,
     _neighbor_lists,
     bridged_triangles,
     complete_graph,
@@ -131,6 +131,17 @@ def _real_odd_root(x: float, l: int) -> float:
     return math.copysign(abs(x) ** (1.0 / l), x)
 
 
+def _pull_back(x: float, l: int) -> float | None:
+    """The real l-th root ``r`` of ``x``, or ``None`` if there is none.
+
+    Transfers a bound on ``1 - lambda[l] = (1 - lambda)^l`` back to ``g``:
+    signed for odd l; for even l only ``x >= 0`` has a real root.
+    """
+    if l % 2 == 1:
+        return _real_odd_root(x, l)
+    return x ** (1.0 / l) if x >= 0 else None
+
+
 # ---------------------------------------------------------------------------
 # direct (l = 1) bounds
 
@@ -209,19 +220,7 @@ def hop_diameter(g: WeightedGraph) -> int:
     """Largest number of edges on a shortest path between any two vertices."""
     require_connected(g)
     nbrs = _neighbor_lists(g)
-    diam = 0
-    for start in range(g.n):
-        dist = np.full(g.n, -1)
-        dist[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in nbrs[v]:
-                if dist[u] < 0:
-                    dist[u] = dist[v] + 1
-                    queue.append(int(u))
-        diam = max(diam, int(dist.max()))
-    return diam
+    return max(max(_bfs(nbrs, start)[0]) for start in range(g.n))
 
 
 def diameter_variation_upper(g: WeightedGraph, s: Spectrum) -> BoundReport:
@@ -413,22 +412,20 @@ def neighborhood_upper_or_from(l: int, h_l: float) -> BoundReport:
     smallest nonzero eigenvalue is below ``1-(1-2h[l])^{1/l}`` or the
     largest is above ``1+(1-2h[l])^{1/l}``.
     """
+    r = _pull_back(1.0 - 2.0 * h_l, l)
     if l % 2 == 1:
-        r = _real_odd_root(1.0 - 2.0 * h_l, l)
         return BoundReport(
             name="neighborhood_upper_or",
             target=TARGET_LAMBDA1,
             upper=1.0 - r,
             inputs={"l": float(l), "h_l": h_l},
         )
-    ok = 2.0 * h_l <= 1.0
-    r = (1.0 - 2.0 * h_l) ** (1.0 / l) if ok else None
     return BoundReport(
         name="neighborhood_upper_or",
         target=TARGET_BRANCH_OR,
         upper=None if r is None else 1.0 - r,  # branch: lambda_1 <= upper
         lower=None if r is None else 1.0 + r,  # branch: lambda_max >= lower
-        conditions=(("2 h[l] <= 1", ok),),
+        conditions=(("2 h[l] <= 1", r is not None),),
         inputs={"l": float(l), "h_l": h_l},
     )
 
@@ -442,22 +439,20 @@ def neighborhood_interval_from(l: int, hbar_l: float) -> BoundReport:
     root, which turns into a strong bound precisely when
     ``2 hbar[l] > 1`` (for bipartite graphs it reaches 2 exactly).
     """
+    r = _pull_back(1.0 - 2.0 * hbar_l, l)
     if l % 2 == 1:
-        r = _real_odd_root(1.0 - 2.0 * hbar_l, l)
         return BoundReport(
             name="neighborhood_interval",
             target=TARGET_LAMBDA_MAX,
             lower=1.0 - r,
             inputs={"l": float(l), "hbar_l": hbar_l},
         )
-    ok = 2.0 * hbar_l <= 1.0
-    r = (1.0 - 2.0 * hbar_l) ** (1.0 / l) if ok else None
     return BoundReport(
         name="neighborhood_interval",
         target=TARGET_CONTAINS_SOME,
         lower=None if r is None else 1.0 - r,
         upper=None if r is None else 1.0 + r,
-        conditions=(("2 hbar[l] <= 1", ok),),
+        conditions=(("2 hbar[l] <= 1", r is not None),),
         inputs={"l": float(l), "hbar_l": hbar_l},
     )
 
@@ -470,22 +465,20 @@ def gap_around_one_from(l: int, h_big_l: float) -> BoundReport:
     ``1 -+ (h_big[l]-1)^{1/l}``; for odd l it is an upper bound for the
     largest eigenvalue.
     """
+    r = _pull_back(h_big_l - 1.0, l)
     if l % 2 == 1:
-        r = _real_odd_root(h_big_l - 1.0, l)
         return BoundReport(
             name="gap_around_one",
             target=TARGET_LAMBDA_MAX,
             upper=1.0 - r,
             inputs={"l": float(l), "h_big_l": h_big_l},
         )
-    ok = h_big_l >= 1.0
-    r = (h_big_l - 1.0) ** (1.0 / l) if ok else None
     return BoundReport(
         name="gap_around_one",
         target=TARGET_GAP_AROUND_ONE,
         lower=None if r is None else 1.0 - r,
         upper=None if r is None else 1.0 + r,
-        conditions=(("h_big[l] >= 1", ok),),
+        conditions=(("h_big[l] >= 1", r is not None),),
         inputs={"l": float(l), "h_big_l": h_big_l},
     )
 

@@ -23,6 +23,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .bounds import all_bound_reports, bound_curves, clustering_constants, curve
 from .cml import logistic_map, simulate_sync, spread_to_csv, tent_map
 from .graphs import (
     GraphError,
-    WeightedGraph,
     clustering_coefficient,
     graph_to_dict,
     is_bipartite,
@@ -136,10 +136,6 @@ def _parse_map(text: str):
     raise ValueError(f"unknown map kind {kind!r}; choose logistic or tent")
 
 
-def _read_input(path: str) -> WeightedGraph:
-    return read_graph(path)
-
-
 def _sorted(vertices) -> list[int]:
     return sorted(int(v) for v in vertices)
 
@@ -148,8 +144,8 @@ def _sorted(vertices) -> list[int]:
 # subcommand bodies
 
 
-def _cmd_spectrum(args) -> tuple[str, str]:
-    g = _read_input(args.input)
+def _cmd_spectrum(args) -> str:
+    g = read_graph(args.input)
     s = spectrum(g)
     payload = {
         "n": g.n,
@@ -160,11 +156,11 @@ def _cmd_spectrum(args) -> tuple[str, str]:
         "lambdaMax": s.lambda_max if g.n >= 2 else None,
         "rho": spectral_radius_rho(s) if g.n >= 2 else None,
     }
-    return _dump_json(payload), "json"
+    return _dump_json(payload)
 
 
-def _cmd_constants(args) -> tuple[str, str]:
-    g = _read_input(args.input)
+def _cmd_constants(args) -> str:
+    g = read_graph(args.input)
     h_res = cheeger_exact(g, cap=args.cap_h)
     hbar_res = dual_cheeger_exact(g, cap=args.cap_hbar)
     bal = balance_ratio_exact(g, cap=args.cap_h)
@@ -217,11 +213,11 @@ def _cmd_constants(args) -> tuple[str, str]:
         "clustering": {"c0": cc.c0, "w_tri": cc.w_tri, "d_bar": cc.d_bar, "h_big": cc.h_big},
         "clustering_coefficient": coefficient,
     }
-    return _dump_json(payload), "json"
+    return _dump_json(payload)
 
 
-def _cmd_bounds(args) -> tuple[str, str]:
-    g = _read_input(args.input)
+def _cmd_bounds(args) -> str:
+    g = read_graph(args.input)
     l_list = _parse_int_list(args.l_list)
     s = spectrum(g)
     reports = all_bound_reports(g, l_list, cap_h=args.cap_h, cap_hbar=args.cap_hbar)
@@ -230,43 +226,30 @@ def _cmd_bounds(args) -> tuple[str, str]:
         "lambdaMax": s.lambda_max if g.n >= 2 else None,
         "reports": [r.to_dict() for r in reports],
     }
-    return _dump_json(payload), "json"
+    return _dump_json(payload)
 
 
-def _cmd_neighborhood(args) -> tuple[str, str]:
-    g = _read_input(args.input)
+def _cmd_neighborhood(args) -> str:
+    g = read_graph(args.input)
     if args.l < 1:
         raise ValueError("--l must be >= 1")
-    return _dump_json(graph_to_dict(neighborhood_graph(g, args.l))), "json"
+    return _dump_json(graph_to_dict(neighborhood_graph(g, args.l)))
 
 
-def _cmd_curves(args) -> tuple[str, str]:
+def _cmd_curves(args) -> str:
     params = _parse_grid(args.grid)
     l_list = _parse_int_list(args.l_list)
     rows = bound_curves(args.family, params, l_list)
     if args.format == "json":
-        payload = {
-            "family": args.family,
-            "rows": [
-                {
-                    "param": r.param,
-                    "l": r.l,
-                    "lower": r.lower,
-                    "upper_from_h": r.upper_from_h,
-                    "upper_from_h_applicable": r.upper_from_h_applicable,
-                    "upper_from_hbar": r.upper_from_hbar,
-                    "lambda1": r.lambda1,
-                    "lambdaMax": r.lambda_max,
-                }
-                for r in rows
-            ],
-        }
-        return _dump_json(payload), "json"
-    return curves_to_csv(rows), "csv"
+        payload = {"family": args.family, "rows": [asdict(r) for r in rows]}
+        for row in payload["rows"]:
+            row["lambdaMax"] = row.pop("lambda_max")
+        return _dump_json(payload)
+    return curves_to_csv(rows)
 
 
-def _cmd_walk(args) -> tuple[str, str]:
-    g = _read_input(args.input)
+def _cmd_walk(args) -> str:
+    g = read_graph(args.input)
     if args.f is not None:
         f = np.array([float(p) for p in args.f.split(",")])
         if f.size != g.n:
@@ -283,12 +266,12 @@ def _cmd_walk(args) -> tuple[str, str]:
                 for r in reports
             ],
         }
-        return _dump_json(payload), "json"
-    return walk_reports_to_csv(reports), "csv"
+        return _dump_json(payload)
+    return walk_reports_to_csv(reports)
 
 
-def _cmd_cml(args) -> tuple[str, str]:
-    g = _read_input(args.input)
+def _cmd_cml(args) -> str:
+    g = read_graph(args.input)
     map_spec = _parse_map(args.map)
     report = simulate_sync(
         g,
@@ -302,7 +285,7 @@ def _cmd_cml(args) -> tuple[str, str]:
     )
     if args.spread_output is not None:
         _write_atomic(args.spread_output, spread_to_csv(report))
-    return _dump_json(report.to_dict()), "json"
+    return _dump_json(report.to_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +363,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        text, _fmt = _COMMANDS[args.command](args)
+        text = _COMMANDS[args.command](args)
     except GraphError as err:
         print(f"error[{err.kind.value}]: {err.message}", file=sys.stderr)
         return 1

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bounds import neighborhood_dual_upper_from, neighborhood_sandwich_from
 from .graphs import WeightedGraph, require_connected
-from .neighborhood import neighborhood_cheeger, neighborhood_dual_cheeger
+from .neighborhood import neighborhood_graph
 from .partitions import cheeger_exact, dual_cheeger_exact
 from .spectral import Spectrum, spectrum
 
@@ -236,12 +236,15 @@ def ratio_bounds(
     uppers: dict[int, float] = {}
     lowers: dict[int, float] = {}
     for l in l_list:
-        sandwich = neighborhood_sandwich_from(l, neighborhood_cheeger(g, l, cap=cap_h).value)
+        gl = neighborhood_graph(g, l)
+        at_one = gl is g  # l = 1: reuse h and hbar of g
+        h_l = h if at_one else cheeger_exact(gl, cap=cap_h, check_connected=False).value
+        sandwich = neighborhood_sandwich_from(l, h_l)
         lowers[l] = sandwich.lower
         if l % 2 == 0:
             uppers[l] = sandwich.upper
         else:
-            hbar_l = neighborhood_dual_cheeger(g, l, cap=cap_hbar).value
+            hbar_l = hbar if at_one else dual_cheeger_exact(gl, cap=cap_hbar, check_connected=False).value
             uppers[l] = neighborhood_dual_upper_from(l, hbar_l).upper
     best_lower = max(lowers.values())
     if best_lower <= 0:

@@ -17,7 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-#: Hard ceiling on vertex counts accepted by the generators.
+#: Hard ceiling on vertex counts: ``build_graph`` (behind the input readers
+#: and most generators) and ``complete_graph`` refuse larger graphs before
+#: allocating the dense ``n x n`` weight matrix.
 GENERATOR_SIZE_CAP = 10_000
 
 
@@ -159,8 +161,9 @@ def build_graph(n: int, edges, labels=None) -> WeightedGraph:
 
     Each unordered pair may appear once; ``(i, i, w)`` entries are loops.
     Weights must be strictly positive and every vertex must end up with
-    positive degree.
+    positive degree.  ``n`` above ``GENERATOR_SIZE_CAP`` is refused.
     """
+    _check_cap(n)
     w = np.zeros((n, n))
     seen = set()
     for i, j, weight in edges:
@@ -191,23 +194,35 @@ def from_matrix(weights: np.ndarray, labels=None) -> WeightedGraph:
 # connectivity / bipartiteness / clustering
 
 
-def _neighbor_lists(g: WeightedGraph) -> list[np.ndarray]:
-    return [np.nonzero(g.weights[i] > 0)[0] for i in range(g.n)]
+def _neighbor_lists(g: WeightedGraph) -> list[list[int]]:
+    """Ascending neighbour indices of every vertex (a loop lists the vertex itself)."""
+    return [np.nonzero(row > 0)[0].tolist() for row in g.weights]
+
+
+def _bfs(nbrs: list[list[int]], start: int) -> tuple[list[int], list[int]]:
+    """Breadth-first search over neighbour lists from ``start``.
+
+    Returns ``(dist, parent)``: the hop distance of every vertex and its
+    predecessor in the search tree, ``-1`` for unreached vertices (and for
+    the parent of ``start``).  Neighbours are visited in list order.
+    """
+    dist = [-1] * len(nbrs)
+    parent = [-1] * len(nbrs)
+    dist[start] = 0
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for u in nbrs[v]:
+            if dist[u] < 0:
+                dist[u] = dist[v] + 1
+                parent[u] = v
+                queue.append(u)
+    return dist, parent
 
 
 def is_connected(g: WeightedGraph) -> bool:
     """Breadth-first reachability of every vertex from vertex 0."""
-    seen = np.zeros(g.n, dtype=bool)
-    seen[0] = True
-    queue = deque([0])
-    nbrs = _neighbor_lists(g)
-    while queue:
-        v = queue.popleft()
-        for u in nbrs[v]:
-            if not seen[u]:
-                seen[u] = True
-                queue.append(int(u))
-    return bool(seen.all())
+    return min(_bfs(_neighbor_lists(g), 0)[0]) >= 0
 
 
 def require_connected(g: WeightedGraph) -> None:
@@ -222,23 +237,15 @@ def bipartition_of(g: WeightedGraph) -> tuple[frozenset[int], frozenset[int]] | 
     (for a connected graph).  A self-loop makes the graph non-bipartite.
     Disconnected graphs are colored component by component.
     """
-    if g.has_loops():
-        return None
-    color = np.full(g.n, -1, dtype=int)
+    color = np.full(g.n, -1)
     nbrs = _neighbor_lists(g)
     for start in range(g.n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in nbrs[v]:
-                if color[u] < 0:
-                    color[u] = 1 - color[v]
-                    queue.append(int(u))
-                elif color[u] == color[v]:
-                    return None
+        if color[start] < 0:
+            dist = np.array(_bfs(nbrs, start)[0])
+            color = np.where(dist >= 0, dist % 2, color)
+    i, j = np.nonzero(g.weights)  # a loop (i == j) is a conflict too
+    if (color[i] == color[j]).any():
+        return None
     return frozenset(np.nonzero(color == 0)[0].tolist()), frozenset(
         np.nonzero(color == 1)[0].tolist()
     )
@@ -277,7 +284,7 @@ def _check_cap(n: int) -> None:
     if n > GENERATOR_SIZE_CAP:
         raise GraphError(
             GraphErrorKind.SIZE_CAP_EXCEEDED,
-            f"generator size {n} exceeds cap {GENERATOR_SIZE_CAP}",
+            f"graph size {n} exceeds cap {GENERATOR_SIZE_CAP}",
         )
 
 
@@ -294,16 +301,13 @@ def complete_graph(n: int, weight: float = 1.0) -> WeightedGraph:
 def cycle_graph(n: int, weight: float = 1.0) -> WeightedGraph:
     if n < 3:
         raise ValueError("cycle graph needs n >= 3")
-    _check_cap(n)
-    edges = [(i, (i + 1) % n, weight) for i in range(n)]
-    return build_graph(n, edges)
+    return build_graph(n, ((i, (i + 1) % n, weight) for i in range(n)))
 
 
 def path_graph(n: int, weight: float = 1.0) -> WeightedGraph:
     if n < 2:
         raise ValueError("path graph needs n >= 2")
-    _check_cap(n)
-    return build_graph(n, [(i, i + 1, weight) for i in range(n - 1)])
+    return build_graph(n, ((i, i + 1, weight) for i in range(n - 1)))
 
 
 def looped_pair(c: float) -> WeightedGraph:

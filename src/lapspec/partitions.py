@@ -15,7 +15,6 @@ families of odd closed walks give computable upper bounds for ``hbar``.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,7 @@ from .graphs import (
     GraphError,
     GraphErrorKind,
     WeightedGraph,
+    _bfs,
     _is_int,
     _neighbor_lists,
     require_connected,
@@ -225,11 +225,6 @@ def dual_cheeger_greedy_lower(g: WeightedGraph) -> CheegerResult:
 # balance ratios
 
 
-def balance_ratio(g: WeightedGraph, subset) -> float:
-    """Volume balance ``min(vol U, vol U^c) / max(vol U, vol U^c)``."""
-    return Bipartition.of(g, subset).balance
-
-
 def balance_ratio_exact(
     g: WeightedGraph, *, cap: int | None = None
 ) -> CheegerResult:
@@ -368,31 +363,22 @@ def default_odd_walk_family(g: WeightedGraph) -> OddWalkFamily:
     ``(vertex, parity)`` and a walk from ``(i, 0)`` to ``(i, 1)`` projects to
     a closed odd walk at i.  Bipartite graphs have none.
     """
+    n = g.n
     nbrs = _neighbor_lists(g)
+    # state v + p * n: vertex v reached by a walk of parity p; each edge flips p
+    cover = [[u + n for u in vs] for vs in nbrs] + nbrs
     walks = []
-    for i in range(g.n):
-        # state id = vertex + parity * n
-        parent = {i: None}
-        queue = deque([i])
-        target = i + g.n
-        while queue and target not in parent:
-            state = queue.popleft()
-            v, parity = state % g.n, state // g.n
-            for u in nbrs[v]:
-                nxt = int(u) + (1 - parity) * g.n
-                if nxt not in parent:
-                    parent[nxt] = state
-                    queue.append(nxt)
-        if target not in parent:
+    for i in range(n):
+        parent = _bfs(cover, i)[1]
+        if parent[i + n] < 0:
             raise GraphError(
                 GraphErrorKind.NO_ODD_WALK,
                 "graph is bipartite: it has no odd closed walks",
             )
-        seq = []
-        state: int | None = target
-        while state is not None:
-            seq.append(state % g.n)
+        seq, state = [i], i + n
+        while state != i:
             state = parent[state]
+            seq.append(state % n)
         walks.append(tuple(reversed(seq)))
     return OddWalkFamily(walks=tuple(walks))
 

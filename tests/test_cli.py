@@ -305,6 +305,16 @@ def test_non_finite_weight_exit_1(capsys, tmp_path, weight):
     assert out == ""
 
 
+def test_oversized_graph_exit_1(capsys, tmp_path):
+    # refused before the dense n x n matrix is allocated
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 10_000_000, "edges": [[0, 1, 1.0]]}))
+    code, out, err = _run(capsys, "spectrum", "--input", str(path))
+    assert code == 1
+    assert err.startswith("error[SizeCapExceeded]") and err.count("\n") == 1
+    assert out == ""
+
+
 @pytest.mark.parametrize(
     "walks",
     [

@@ -201,6 +201,34 @@ def test_ratio_bounds_bracket(fixtures):
         assert set(rb.upper_candidates) == {1, 2, 3}
 
 
+def test_ratio_bounds_compute_each_constant_once(monkeypatch):
+    import lapspec.cml
+    import lapspec.neighborhood
+    from lapspec.neighborhood import neighborhood_graph
+    from lapspec.partitions import cheeger_exact, dual_cheeger_exact
+
+    originals = {
+        fn.__name__: fn for fn in (neighborhood_graph, cheeger_exact, dual_cheeger_exact)
+    }
+    calls = dict.fromkeys(originals, 0)
+
+    def counting(name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return originals[name](*args, **kwargs)
+
+        return wrapper
+
+    for mod in (lapspec.cml, lapspec.neighborhood):
+        for attr, value in list(vars(mod).items()):
+            for name, fn in originals.items():
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counting(name))
+    ratio_bounds(complete_graph(6))
+    # h and hbar of g serve l = 1; h of Gamma[2] and Gamma[3], hbar of Gamma[3]
+    assert calls == {"neighborhood_graph": 3, "cheeger_exact": 3, "dual_cheeger_exact": 2}
+
+
 # ---------------------------------------------------------------------------
 # direct simulation
 

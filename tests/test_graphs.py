@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lapspec.graphs import (
+    GENERATOR_SIZE_CAP,
     GraphError,
     GraphErrorKind,
     WeightedGraph,
@@ -229,3 +230,11 @@ def test_random_generator_always_connected(rng):
         g = random_connected_graph(rng, 8, weighted=True, allow_loops=True)
         assert is_connected(g)
         assert (g.degrees > 0).all()
+
+
+@pytest.mark.parametrize("make", [cycle_graph, path_graph, complete_graph])
+def test_generators_refuse_oversized_graphs(make):
+    # raised before the dense n x n matrix is allocated
+    with pytest.raises(GraphError) as exc:
+        make(GENERATOR_SIZE_CAP + 1)
+    assert exc.value.kind is GraphErrorKind.SIZE_CAP_EXCEEDED
