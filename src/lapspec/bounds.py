@@ -172,8 +172,8 @@ def dual_cheeger_bounds(hbar: float) -> BoundReport:
     )
 
 
-def cheeger_bounds_of(g: WeightedGraph, *, cap: int | None = None) -> BoundReport:
-    return cheeger_bounds(cheeger_exact(g, cap=cap).value)
+def cheeger_bounds_of(g: WeightedGraph) -> BoundReport:
+    return cheeger_bounds(cheeger_exact(g).value)
 
 
 def combined_lower(g: WeightedGraph, witness: TriPartition, h: float) -> BoundReport:
@@ -288,22 +288,18 @@ def clustering_constants(g: WeightedGraph) -> ClusteringConstants:
 
     c0 = (0.5 * (alpha[:, None] + alpha[None, :]))[adj].min()
 
-    w_sq = math.inf
-    for i in range(g.n):
-        if not in_tri[i]:
-            continue
-        for k in range(g.n):
-            if not tri_edge[i, k]:
-                continue
-            acc = 0.0
-            for l in range(g.n):
-                if adj[l, i] and adj[l, k]:
-                    acc += (g.degrees[i] / g.degrees[l]) * w[l, i] * w[l, k] / w[i, k]
-            w_sq = min(w_sq, acc)
+    # acc[i, k] = sum over common neighbours l (ascending) of
+    # (d_i / d_l) w_li w_lk / w_ik; each other l adds an exact 0.0
+    d = g.degrees
+    acc = np.zeros((g.n, g.n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for l in range(g.n):
+            term = ((d / d[l]) * w[l])[:, None] * w[l][None, :] / w
+            acc += np.where(adj[l][:, None] & adj[l][None, :], term, 0.0)
 
     return ClusteringConstants(
         c0=float(c0),
-        w_tri=math.sqrt(w_sq),
+        w_tri=math.sqrt(acc[tri_edge].min()),
         d_bar=float(g.degrees[in_tri].max()),
     )
 
@@ -506,19 +502,19 @@ def neighborhood_dual_upper_from(l: int, hbar_l: float) -> BoundReport:
 # neighborhood-graph bounds (graph-level)
 
 
-def neighborhood_sandwich(g: WeightedGraph, l: int, *, cap: int | None = None) -> BoundReport:
-    return neighborhood_sandwich_from(l, neighborhood_cheeger(g, l, cap=cap).value)
+def neighborhood_sandwich(g: WeightedGraph, l: int) -> BoundReport:
+    return neighborhood_sandwich_from(l, neighborhood_cheeger(g, l).value)
 
 
-def neighborhood_upper_or(g: WeightedGraph, l: int, *, cap: int | None = None) -> BoundReport:
-    return neighborhood_upper_or_from(l, neighborhood_cheeger(g, l, cap=cap).value)
+def neighborhood_upper_or(g: WeightedGraph, l: int) -> BoundReport:
+    return neighborhood_upper_or_from(l, neighborhood_cheeger(g, l).value)
 
 
-def neighborhood_interval(g: WeightedGraph, l: int, *, cap: int | None = None) -> BoundReport:
-    return neighborhood_interval_from(l, neighborhood_dual_cheeger(g, l, cap=cap).value)
+def neighborhood_interval(g: WeightedGraph, l: int) -> BoundReport:
+    return neighborhood_interval_from(l, neighborhood_dual_cheeger(g, l).value)
 
 
-def gap_around_one(g: WeightedGraph, l: int, *, cap: int | None = None) -> BoundReport:
+def gap_around_one(g: WeightedGraph, l: int) -> BoundReport:
     cc = clustering_constants(neighborhood_graph(g, l))
     return gap_around_one_from(l, cc.h_big)
 
@@ -576,15 +572,12 @@ def mean_offset_quotient(g: WeightedGraph, u: np.ndarray) -> float:
     return num / _edge_energy(g, u)
 
 
-def lambda_identity_check(
-    g: WeightedGraph, s: Spectrum | None = None, *, zero_tol: float = 1e-9
-) -> IdentityReport:
-    """Evaluate both identities on every eigenpair with ``lambda > zero_tol``."""
-    if s is None:
-        s = spectrum(g, check_connected=False)
+def lambda_identity_check(g: WeightedGraph) -> IdentityReport:
+    """Evaluate both identities on every eigenpair with ``lambda > 1e-9``."""
+    s = spectrum(g, check_connected=False)
     lams, pair_res, mean_res = [], [], []
     for lam, u in zip(s.eigenvalues, s.eigenfunctions):
-        if lam <= zero_tol:
+        if lam <= 1e-9:
             continue
         lams.append(float(lam))
         pair_res.append(abs(pair_spread_quotient(g, u) - (2.0 - lam)))
@@ -627,13 +620,11 @@ class ImprovementReport:
     some_improvement: bool
 
 
-def improvement_predicates(
-    g: WeightedGraph, l: int, *, cap: int | None = None
-) -> ImprovementReport:
+def improvement_predicates(g: WeightedGraph, l: int) -> ImprovementReport:
     s = spectrum(g)
     lam1, lam_max = s.lambda_1, s.lambda_max
-    h = cheeger_exact(g, cap=cap).value
-    h_l = neighborhood_cheeger(g, l, cap=cap).value
+    h = cheeger_exact(g).value
+    h_l = neighborhood_cheeger(g, l).value
     lam1_l = float(map_eigenvalues(s.eigenvalues, l)[1])
 
     even = l % 2 == 0

@@ -83,16 +83,18 @@ def _write_atomic(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lapspec-", suffix=".tmp")
+    tmp = None
     try:
+        directory = os.path.dirname(os.path.abspath(path))
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lapspec-", suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as err:  # name the requested path, not the temporary file
+        raise OSError(err.errno, err.strerror, path) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -112,6 +114,8 @@ def _parse_grid(text: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError(f"range must be start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValueError(f"range ends and step must be finite, got {text!r}")
         if step <= 0:
             raise ValueError("grid step must be positive")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -121,6 +125,8 @@ def _parse_grid(text: str) -> list[float]:
     values = [float(p) for p in text.split(",") if p.strip() != ""]
     if not values:
         raise ValueError("empty grid")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"grid values must be finite, got {text!r}")
     return values
 
 
@@ -129,6 +135,8 @@ def _parse_map(text: str):
     if not sep:
         raise ValueError("map must be kind:param, e.g. logistic:4")
     value = float(param)
+    if not math.isfinite(value):
+        raise ValueError(f"map parameter must be finite, got {param!r}")
     if kind == "logistic":
         return logistic_map(value)
     if kind == "tent":
@@ -222,8 +230,8 @@ def _cmd_bounds(args) -> str:
     s = spectrum(g)
     reports = all_bound_reports(g, l_list, cap_h=args.cap_h, cap_hbar=args.cap_hbar)
     payload = {
-        "lambda1": s.lambda_1 if g.n >= 2 else None,
-        "lambdaMax": s.lambda_max if g.n >= 2 else None,
+        "lambda1": s.lambda_1,
+        "lambdaMax": s.lambda_max,
         "reports": [r.to_dict() for r in reports],
     }
     return _dump_json(payload)
@@ -254,6 +262,8 @@ def _cmd_walk(args) -> str:
         f = np.array([float(p) for p in args.f.split(",")])
         if f.size != g.n:
             raise ValueError(f"--f needs {g.n} comma-separated values")
+        if not np.isfinite(f).all():
+            raise ValueError("--f values must be finite")
     else:
         f = np.zeros(g.n)
         f[0] = 1.0
@@ -261,10 +271,7 @@ def _cmd_walk(args) -> str:
     if args.format == "json":
         payload = {
             "rho": spectral_radius_rho(spectrum(g)),
-            "reports": [
-                {"t": r.t, "deviation": r.deviation, "bound_rho": r.bound_rho, "bound_hl": r.bound_hl}
-                for r in reports
-            ],
+            "reports": [asdict(r) for r in reports],
         }
         return _dump_json(payload)
     return walk_reports_to_csv(reports)
@@ -363,14 +370,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        text = _COMMANDS[args.command](args)
+        _write_atomic(args.output, _COMMANDS[args.command](args))
     except GraphError as err:
         print(f"error[{err.kind.value}]: {err.message}", file=sys.stderr)
         return 1
     except (ValueError, OSError, json.JSONDecodeError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
-    _write_atomic(args.output, text)
     return 0
 
 

@@ -103,13 +103,14 @@ def custom_map(points: Sequence[tuple[float, float]]) -> MapSpec:
     )
 
 
-def derivative_mismatch(map_spec: MapSpec, xs: np.ndarray, h: float = 1e-6) -> float:
+def derivative_mismatch(map_spec: MapSpec, xs: np.ndarray) -> float:
     """Largest gap between ``f_prime`` and a central difference of ``f``.
 
-    Sample points should stay away from kinks of piecewise maps.
+    The difference step is ``1e-6``; sample points should stay away from
+    kinks of piecewise maps.
     """
     xs = np.asarray(xs, dtype=float)
-    fd = (map_spec.f(xs + h) - map_spec.f(xs - h)) / (2.0 * h)
+    fd = (map_spec.f(xs + 1e-6) - map_spec.f(xs - 1e-6)) / 2e-6
     return float(np.abs(fd - map_spec.f_prime(xs)).max())
 
 
@@ -142,7 +143,7 @@ def step_cml(g: WeightedGraph, x: np.ndarray, map_spec: MapSpec, eps: float) -> 
     ``f(x_j) - f(x_i)``, so an exactly synchronized state produces coupling
     terms that are exactly zero and stays bit-identical across units.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be >= 0")
     fx = np.asarray(map_spec.f(np.asarray(x, dtype=float)), dtype=float)
     diff = fx[None, :] - fx[:, None]
@@ -224,31 +225,25 @@ class RatioBounds:
     lower_candidates: dict[int, float]
 
 
-def ratio_bounds(
-    g: WeightedGraph,
-    l_list: Sequence[int] = (1, 2, 3),
-    *,
-    cap_h: int | None = None,
-    cap_hbar: int | None = None,
-) -> RatioBounds:
-    h = cheeger_exact(g, cap=cap_h).value
-    hbar = dual_cheeger_exact(g, cap=cap_hbar).value
+def ratio_bounds(g: WeightedGraph) -> RatioBounds:
+    h = cheeger_exact(g).value
+    hbar = dual_cheeger_exact(g).value
     uppers: dict[int, float] = {}
     lowers: dict[int, float] = {}
-    for l in l_list:
+    for l in (1, 2, 3):
         gl = neighborhood_graph(g, l)
         at_one = gl is g  # l = 1: reuse h and hbar of g
-        h_l = h if at_one else cheeger_exact(gl, cap=cap_h, check_connected=False).value
+        h_l = h if at_one else cheeger_exact(gl, check_connected=False).value
         sandwich = neighborhood_sandwich_from(l, h_l)
         lowers[l] = sandwich.lower
         if l % 2 == 0:
             uppers[l] = sandwich.upper
         else:
-            hbar_l = hbar if at_one else dual_cheeger_exact(gl, cap=cap_hbar, check_connected=False).value
+            hbar_l = hbar if at_one else dual_cheeger_exact(gl, check_connected=False).value
             uppers[l] = neighborhood_dual_upper_from(l, hbar_l).upper
     best_lower = max(lowers.values())
     if best_lower <= 0:
-        raise ValueError("no positive lower bound for lambda_1 at these l")
+        raise ValueError("no positive lower bound for lambda_1 at l = 1, 2, 3")
     return RatioBounds(
         lower=hbar / h,
         upper=min(uppers.values()) / best_lower,
@@ -335,12 +330,14 @@ def simulate_sync(
     are seeded ``base_seed + trial`` for reproducibility.  ``mu`` may be
     passed to skip the internal exponent estimate.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if t_steps < 10:
         raise ValueError("t_steps must be >= 10")
+    if g.n < 2:
+        raise ValueError("synchronization needs at least two vertices")
     require_connected(g)
     s = spectrum(g)
     if mu is None:

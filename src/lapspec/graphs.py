@@ -97,12 +97,8 @@ class WeightedGraph:
 
     def edges(self) -> list[tuple[int, int, float]]:
         """Unordered positive-weight edges ``(i, j, w)`` with ``i <= j``, sorted."""
-        out = []
-        for i in range(self.n):
-            for j in range(i, self.n):
-                if self.weights[i, j] > 0:
-                    out.append((i, j, float(self.weights[i, j])))
-        return out
+        rows, cols = np.nonzero(np.triu(self.weights))
+        return list(zip(rows.tolist(), cols.tolist(), self.weights[rows, cols].tolist()))
 
     def has_loops(self) -> bool:
         return bool((np.diag(self.weights) > 0).any())
@@ -288,26 +284,26 @@ def _check_cap(n: int) -> None:
         )
 
 
-def complete_graph(n: int, weight: float = 1.0) -> WeightedGraph:
-    """K_n with a common edge weight."""
+def complete_graph(n: int) -> WeightedGraph:
+    """K_n with unit edge weights."""
     if n < 2:
         raise ValueError("complete graph needs n >= 2")
     _check_cap(n)
-    w = np.full((n, n), float(weight))
+    w = np.ones((n, n))
     np.fill_diagonal(w, 0.0)
     return WeightedGraph(n=n, weights=w)
 
 
-def cycle_graph(n: int, weight: float = 1.0) -> WeightedGraph:
+def cycle_graph(n: int) -> WeightedGraph:
     if n < 3:
         raise ValueError("cycle graph needs n >= 3")
-    return build_graph(n, ((i, (i + 1) % n, weight) for i in range(n)))
+    return build_graph(n, ((i, (i + 1) % n, 1.0) for i in range(n)))
 
 
-def path_graph(n: int, weight: float = 1.0) -> WeightedGraph:
+def path_graph(n: int) -> WeightedGraph:
     if n < 2:
         raise ValueError("path graph needs n >= 2")
-    return build_graph(n, ((i, i + 1, weight) for i in range(n - 1)))
+    return build_graph(n, ((i, i + 1, 1.0) for i in range(n - 1)))
 
 
 def looped_pair(c: float) -> WeightedGraph:

@@ -61,11 +61,9 @@ def neighborhood_cheeger(
     return cheeger_exact(neighborhood_graph(g, l), cap=cap, check_connected=False)
 
 
-def neighborhood_dual_cheeger(
-    g: WeightedGraph, l: int, *, cap: int | None = None
-) -> CheegerResult:
+def neighborhood_dual_cheeger(g: WeightedGraph, l: int) -> CheegerResult:
     """Exact dual Cheeger constant of the l-th neighborhood graph."""
-    return dual_cheeger_exact(neighborhood_graph(g, l), cap=cap, check_connected=False)
+    return dual_cheeger_exact(neighborhood_graph(g, l), check_connected=False)
 
 
 def map_eigenvalues(eigenvalues: np.ndarray, l: int) -> np.ndarray:

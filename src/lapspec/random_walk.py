@@ -63,12 +63,7 @@ def _hl_rate(g: WeightedGraph, l: int, *, cap: int | None = None) -> float:
 
 
 def walk_deviation(
-    g: WeightedGraph,
-    f: np.ndarray,
-    t: int,
-    l_even: int | None = None,
-    *,
-    cap: int | None = None,
+    g: WeightedGraph, f: np.ndarray, t: int, l_even: int | None = None
 ) -> WalkReport:
     """Apply ``P`` t times and compare the deviation with its decay bounds."""
     if t < 0:
@@ -84,7 +79,7 @@ def walk_deviation(
     rho = spectral_radius_rho(s)
     bound_hl = None
     if l_even is not None and bipartition_of(g) is None:
-        bound_hl = _hl_rate(g, l_even, cap=cap) ** t * norm_f
+        bound_hl = _hl_rate(g, l_even) ** t * norm_f
     return WalkReport(t=t, deviation=deviation, bound_rho=rho**t * norm_f, bound_hl=bound_hl)
 
 

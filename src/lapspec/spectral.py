@@ -81,14 +81,10 @@ def rayleigh_quotient(g: WeightedGraph, u) -> float:
 
 def _fix_signs(funcs: np.ndarray) -> np.ndarray:
     """Flip each eigenfunction so its first nonnegligible coordinate is positive."""
-    out = funcs.copy()
-    for k in range(out.shape[0]):
-        row = out[k]
-        big = np.nonzero(np.abs(row) > _SIGN_TOL * np.abs(row).max())[0]
-        lead = row[big[0]] if big.size else row[0]
-        if lead < 0:
-            out[k] = -row
-    return out
+    mag = np.abs(funcs)
+    big = mag > _SIGN_TOL * mag.max(axis=1, keepdims=True)
+    lead = funcs[np.arange(funcs.shape[0]), big.argmax(axis=1)]  # row[0] if none is big
+    return np.where(lead[:, None] < 0, -funcs, funcs)
 
 
 def spectrum(g: WeightedGraph, *, check_connected: bool = True) -> Spectrum:

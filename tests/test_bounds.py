@@ -207,20 +207,32 @@ def test_clustering_constants_k5():
 @settings(max_examples=40, deadline=None)
 @given(seeds)
 def test_clustering_c0_matches_edge_loop(seed):
-    # reference: the minimum over edges i < j of the endpoints' mean triangle fraction
+    # reference: the minimum over edges i < j of the endpoints' mean triangle
+    # fraction, and for w_tri the minimum over triangle edges (i, k) of a sum
+    # over common neighbours l in ascending order
     g = _random_graph(seed, n_max=9, weighted=True, allow_loops=True)
-    adj = g.weights > 0
+    w, d = g.weights, g.degrees
+    adj = w > 0
     np.fill_diagonal(adj, False)
     tri_edge = adj & ((adj.astype(int) @ adj.astype(int)) > 0)
     if not tri_edge.any():
         return
-    alpha = (g.weights * tri_edge).sum(axis=1) / g.degrees
+    alpha = (w * tri_edge).sum(axis=1) / d
     want = math.inf
     for i in range(g.n):
         for j in range(i + 1, g.n):
             if adj[i, j]:
                 want = min(want, 0.5 * (alpha[i] + alpha[j]))
-    assert clustering_constants(g).c0 == want
+    w_sq = math.inf
+    for i, k in zip(*np.nonzero(tri_edge)):
+        acc = 0.0
+        for l in range(g.n):
+            if adj[l, i] and adj[l, k]:
+                acc += (d[i] / d[l]) * w[l, i] * w[l, k] / w[i, k]
+        w_sq = min(w_sq, acc)
+    cc = clustering_constants(g)
+    assert cc.c0 == want
+    assert cc.w_tri == math.sqrt(w_sq)
 
 
 def test_clustering_trivial_without_triangles():

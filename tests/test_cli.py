@@ -274,6 +274,32 @@ def test_bad_grid_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--input", "{k5}", "--output", "{tmp}/missing/x.json"],
+        ["cml", "--input", "{k1}", "--eps", "0.5", "--steps", "10", "--trials", "1"],
+        ["curves", "--family", "complete", "--grid", "0:inf:1"],
+        ["curves", "--family", "complete", "--grid", "3,inf"],
+        ["cml", "--input", "{k5}", "--eps", "nan", "--steps", "10", "--trials", "1"],
+        ["cml", "--input", "{k5}", "--eps", "0.5", "--tol", "nan", "--steps", "10", "--trials", "1"],
+        ["cml", "--input", "{k5}", "--eps", "0.5", "--map", "logistic:inf", "--steps", "10"],
+        ["walk", "--input", "{k5}", "--f", "nan,0,0,0,0"],
+    ],
+    ids=["unwritable-output", "cml-one-vertex", "infinite-grid", "infinite-grid-value",
+         "nan-eps", "nan-tol", "infinite-map", "nan-start"],
+)
+def test_bad_flag_or_output_exit_2(capsys, tmp_path, k5_file, argv):
+    k1 = tmp_path / "k1.json"
+    k1.write_text(json.dumps({"n": 1, "edges": [[0, 0, 1.0]]}))
+    argv = [a.format(k5=k5_file, k1=k1, tmp=tmp_path) for a in argv]
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    if "--output" in argv:
+        assert str(tmp_path / "missing" / "x.json") in err and ".lapspec-" not in err
+
+
 def test_edge_list_input(capsys, tmp_path):
     path = tmp_path / "tri.txt"
     path.write_text("a b 1.0\nb c 1.0  # comment\na c 1.0\n")
