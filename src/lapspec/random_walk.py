@@ -23,7 +23,7 @@ from .graphs import (
     require_connected,
 )
 from .neighborhood import neighborhood_cheeger, neighborhood_graph
-from .spectral import Spectrum, degree_norm, spectrum, spectral_radius_rho
+from .spectral import degree_norm, spectrum, spectral_radius_rho
 
 
 def transition_apply(g: WeightedGraph, f: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GraphError, GraphErrorKind, WeightedGraph, require_connected
+from .graphs import WeightedGraph, require_connected
 
 _SIGN_TOL = 1e-12
 
