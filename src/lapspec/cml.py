@@ -143,8 +143,8 @@ def step_cml(g: WeightedGraph, x: np.ndarray, map_spec: MapSpec, eps: float) -> 
     ``f(x_j) - f(x_i)``, so an exactly synchronized state produces coupling
     terms that are exactly zero and stays bit-identical across units.
     """
-    if not eps >= 0:
-        raise ValueError("eps must be >= 0")
+    if not 0 <= eps < math.inf:
+        raise ValueError("eps must be finite and >= 0")
     fx = np.asarray(map_spec.f(np.asarray(x, dtype=float)), dtype=float)
     diff = fx[None, :] - fx[:, None]
     coupling = (g.weights * diff).sum(axis=1) / g.degrees
@@ -203,8 +203,11 @@ def sync_interval(mu: float, lambda_1: float, lambda_max: float) -> SyncInterval
 
 def transverse_stability_factor(s: Spectrum, eps: float, mu: float) -> float:
     """``max_{k>=1} |1 - eps lambda_k| e^mu``; < 1 means linearly stable."""
-    lams = s.eigenvalues[1:]
-    return float(np.abs(1.0 - eps * lams).max() * math.exp(mu))
+    try:
+        with np.errstate(over="raise"):
+            return float(np.abs(1.0 - eps * s.eigenvalues[1:]).max() * math.exp(mu))
+    except FloatingPointError:
+        raise ValueError(f"eps * lambda overflows for eps = {eps!r}") from None
 
 
 @dataclass(frozen=True)
@@ -330,8 +333,8 @@ def simulate_sync(
     are seeded ``base_seed + trial`` for reproducibility.  ``mu`` may be
     passed to skip the internal exponent estimate.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if t_steps < 10:

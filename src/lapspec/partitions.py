@@ -34,7 +34,13 @@ from .graphs import (
 CHEEGER_EXACT_CAP = 24
 DUAL_CHEEGER_EXACT_CAP = 14
 
+#: Codes per exact scoring call.  Part of every result: a product rounds
+#: differently at different shapes, so a code's value bits depend on its chunk.
 _CHUNK = 1 << 15
+#: Pairs per tile of the split pass.
+_TILE = 1 << 16
+#: Allowance for the rounding of a ratio in [0, 1], on each side of a comparison.
+_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -83,14 +89,14 @@ def _effective_cap(n: int, cap: int | None, hard: int, what: str) -> None:
         )
 
 
-def _first_max(start: int, stop: int, score) -> tuple[float, int]:
-    """Largest ``score`` over the codes ``start .. stop - 1``, first in code order.
+def _first_max(starts, stop: int, score) -> tuple[float, int]:
+    """Largest ``score`` over the chunks at ``starts``, first in code order.
 
-    ``score`` maps an int64 array of consecutive codes to their values; it
-    is called on chunks of ``_CHUNK`` codes.  Returns ``(value, code)``.
+    The chunk at ``lo`` holds the codes ``lo .. min(lo + _CHUNK, stop) - 1``;
+    ``score`` maps that int64 array to its values.  Returns ``(value, code)``.
     """
     best_val, best_code = -np.inf, -1
-    for lo in range(start, stop, _CHUNK):
+    for lo in starts:
         codes = np.arange(lo, min(lo + _CHUNK, stop), dtype=np.int64)
         vals = score(codes)
         k = int(np.argmax(vals))
@@ -99,9 +105,86 @@ def _first_max(start: int, stop: int, score) -> tuple[float, int]:
     return best_val, best_code
 
 
-def _bits(codes: np.ndarray, k: int) -> np.ndarray:
-    """Membership rows: bit i of each code as a float, for i < k."""
-    return ((codes[:, None] >> np.arange(k, dtype=np.int64)) & 1).astype(float)
+def _split_first_max(start: int, base: int, m: int, score, block, tol: float):
+    """``_first_max`` over all codes ``start .. base**m - 1``, scoring few chunks.
+
+    Digit i of a code (``base`` 2 or 3) is the label of vertex i.  A range
+    of one chunk is scored directly; a longer one first goes through the
+    split pass of ``_candidates``.
+    """
+    stop = base**m
+    starts = np.arange(start, stop, _CHUNK)
+    if len(starts) > 1:  # a function of its own, so the pass's arrays are freed first
+        starts = _candidates(starts, base, m, block, tol)
+    return _first_max(starts, stop, score)
+
+
+def _candidates(starts: np.ndarray, base: int, m: int, block, tol: float) -> np.ndarray:
+    """The chunk starts that can hold the first exact optimum.
+
+    The split pass scores every code approximately by splitting the digits
+    into a low block of ``k`` and a high block of ``m - k``: ``block(lo)``
+    gets every low labeling as a digit matrix and returns the ones to keep
+    and ``tile(hi)``, the ``(len(hi), kept)`` values of all (high, low) pairs.
+    Code = low + base**k * high, so a tile read row by row is in code order.
+    The pass keeps each chunk's largest value.  With ``|approximate - exact|
+    <= tol / 2`` for every code, the first chunk holding the exact optimum
+    is within ``tol`` of the best chunk and more than ``tol`` above no
+    earlier chunk.  The chunks that pass both tests (or whose maximum is
+    NaN) are returned, so their exact scores give the value bits and
+    witness of the scan over every chunk.
+    """
+    start = int(starts[0])
+    k = (m + 1) // 2
+    kept, tile = block(_digits(np.arange(base**k), base, k))
+    lows = np.flatnonzero(kept)
+    highs = _digits(np.arange(base ** (m - k)), base, m - k)
+    rows = _TILE // len(lows)
+    # code - base**k * h0 of each pair of a tile starting at high h0
+    offsets = (lows + base**k * np.arange(rows)[:, None]).ravel()
+    cmax = np.full(len(starts), -np.inf)
+    for h0 in range(0, len(highs), rows):
+        with np.errstate(all="ignore"):
+            vals = tile(highs[h0 : h0 + rows]).ravel()
+        first = base**k * h0 - start  # tile codes are first + start + rel
+        rel = offsets[: len(vals)]
+        vals[: np.searchsorted(rel, -first)] = -np.inf
+        c0, c1 = max(first + rel[0], 0) // _CHUNK, (first + rel[-1]) // _CHUNK
+        at = np.r_[0, np.searchsorted(rel, _CHUNK * np.arange(c0 + 1, c1 + 1) - first)]
+        cmax[c0 : c1 + 1] = np.maximum(cmax[c0 : c1 + 1], np.maximum.reduceat(vals, at))
+    earlier = np.maximum.accumulate(np.r_[-np.inf, cmax[:-1]])
+    return starts[~((cmax + tol < cmax.max()) | (cmax + tol <= earlier))]
+
+
+def _tolerance(g: WeightedGraph) -> float:
+    """Twice the largest gap between a code's split-pass and chunk values.
+
+    When every weight is a multiple of ``q = 2**-52`` times the power of two
+    at or above the total volume, every sum either side forms is a multiple
+    of q below ``2**53 q``, hence exact, and the two values are equal.
+    Otherwise both sides round ratios of sums of nonnegative terms.  For
+    ``hbar`` and the balance ratio that costs a few ulps.  The Cheeger
+    ratio ``(vol - internal) / min(vol, total - vol)`` cancels, and its
+    error grows like ``n * eps * total / d_min``.  Beyond 1 the pass cannot
+    tell chunks apart, and every chunk is scored.
+    """
+    total = g.volume
+    if not np.fmod(g.weights, 2.0 ** max(np.ceil(np.log2(total)) - 52, -1074)).any():
+        return 0.0
+    tol = 2 * (_TOL + 16 * g.n * np.finfo(float).eps * total / float(g.degrees.min()))
+    return tol if tol < 1 else np.inf
+
+
+def _digits(codes: np.ndarray, base: int, k: int) -> np.ndarray:
+    """Digit i of each code, the label of vertex i, for i < k."""
+    if base == 2:  # shifts are several times faster than division
+        return (codes[:, None] >> np.arange(k, dtype=np.int64)) & 1
+    return codes[:, None] // base ** np.arange(k, dtype=np.int64) % base
+
+
+def _first_label(digits: np.ndarray) -> np.ndarray:
+    """Each row's first nonzero digit; 0 for an all-zero row."""
+    return digits[np.arange(len(digits)), np.argmax(digits != 0, axis=1)]
 
 
 def _side(mask: int, k: int) -> set[int]:
@@ -114,8 +197,12 @@ def cheeger_exact(
     """Exact Cheeger constant by enumerating all bipartitions.
 
     Enumerates the 2^(n-1) - 1 proper subsets not containing the last
-    vertex (one representative per complementary pair) and keeps the first
-    minimizer in enumeration order as witness.
+    vertex (one representative per complementary pair), code ``sum 2^i``
+    over the members.  The witness is the first minimizer in code order
+    and the value is its ratio as scored in its chunk of ``_CHUNK`` codes.
+    Beyond one chunk (n > 16), a split pass scores every pair of low and
+    high labelings with ``internal = I_lo + I_hi + 2 L W_lh H^T`` and only
+    the chunks within a rounding tolerance of its best are scored.
     """
     if g.n < 2:
         raise ValueError("Cheeger constant needs at least two vertices")
@@ -128,14 +215,34 @@ def cheeger_exact(
     total = g.volume
 
     def neg_ratio(codes):
-        memb = _bits(codes, n - 1)
+        memb = _digits(codes, 2, n - 1).astype(float)
         vol = memb @ d
         internal = ((memb @ w) * memb).sum(axis=1)
         boundary = vol - internal
         return -(boundary / np.minimum(vol, total - vol))
 
+    def block(lo):
+        k = lo.shape[1]
+        a = lo.astype(float)
+        vol_lo = a @ d[:k]
+        # -boundary = internal - vol = (I - V)_lo + (I - V)_hi + 2 L W_lh H^T
+        neg_lo = ((a @ w[:k, :k]) * a).sum(axis=1) - vol_lo
+        cross_t = 2.0 * (a @ w[:k, k:]).T
+
+        def tile(hi):
+            b = hi.astype(float)
+            vol_hi = b @ d[k:]
+            val = b @ cross_t
+            val += (((b @ w[k:, k:]) * b).sum(axis=1) - vol_hi)[:, None]
+            val += neg_lo
+            vol = vol_hi[:, None] + vol_lo
+            val /= np.minimum(vol, total - vol, out=vol)
+            return val
+
+        return np.ones(len(lo), dtype=bool), tile
+
     # Negation is exact, so the first maximizer of -ratio is the first minimizer.
-    neg_best, mask = _first_max(1, 1 << (n - 1), neg_ratio)
+    neg_best, mask = _split_first_max(1, 2, n - 1, neg_ratio, block, _tolerance(g))
     # On float-valued weight matrices (e.g. walk graphs) the rounded sums can
     # push the quotient an ulp past the mathematical ceiling h <= 1.
     return CheegerResult(
@@ -148,9 +255,14 @@ def dual_cheeger_exact(
 ) -> CheegerResult:
     """Exact dual Cheeger constant by enumerating tripartitions.
 
-    Ternary enumeration over vertex labels (V3, V1, V2), halved by the
-    V1 <-> V2 swap symmetry: only labelings whose first non-V3 vertex is in
-    V1 are scored.  First maximizer in enumeration order wins.
+    Ternary enumeration over vertex labels (V3, V1, V2), code ``sum t_i 3^i``,
+    halved by the V1 <-> V2 swap symmetry: only labelings whose first non-V3
+    vertex is in V1 count.  The witness is the first maximizer in code order
+    and the value is its ratio as scored in its chunk of ``_CHUNK`` codes.
+    Beyond one chunk (n > 9), a split pass builds only the low labelings that
+    are all V3 or start with V1, scores every pair with ``cross = C_lo + C_hi
+    + [A1 W_lh, A2 W_lh] [B2, B1]^T``, and only the chunks within a rounding
+    tolerance of its best are scored.
     """
     if g.n < 2:
         raise ValueError("dual Cheeger constant needs at least two vertices")
@@ -160,27 +272,49 @@ def dual_cheeger_exact(
     n = g.n
     d = g.degrees
     w = g.weights
-    pow3 = 3 ** np.arange(n, dtype=np.int64)
 
     def ratio(codes):
-        digits = (codes[:, None] // pow3) % 3
+        digits = _digits(codes, 3, n)
         ind1 = (digits == 1).astype(float)
         ind2 = (digits == 2).astype(float)
         # the first non-V3 label is 1 (so V1 is nonempty) and V2 is nonempty
-        first_label = digits[np.arange(len(codes)), np.argmax(digits != 0, axis=1)]
-        valid = (first_label == 1) & ind2.any(axis=1)
+        valid = (_first_label(digits) == 1) & ind2.any(axis=1)
         cross = ((ind1 @ w) * ind2).sum(axis=1)
         vols = (ind1 + ind2) @ d
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(valid, 2.0 * cross / vols, -np.inf)
 
-    best_val, best_code = _first_max(0, 3**n, ratio)
-    digits = [(best_code // int(p)) % 3 for p in pow3]
-    v1 = {i for i, t in enumerate(digits) if t == 1}
-    v2 = {i for i, t in enumerate(digits) if t == 2}
+    def block(lo):
+        k = lo.shape[1]
+        kept = _first_label(lo) != 2  # all V3, or the first non-V3 label is 1
+        lo = lo[kept]
+        a1, a2 = (lo == 1).astype(float), (lo == 2).astype(float)
+        # 2 cross = 2 C_lo + 2 C_hi + [2 A1 W_lh, 2 A2 W_lh] [B2, B1]^T
+        cross_lo = 2.0 * ((a1 @ w[:k, :k]) * a2).sum(axis=1)
+        mixed_t = 2.0 * np.hstack([a1 @ w[:k, k:], a2 @ w[:k, k:]]).T
+        vol_lo = (a1 + a2) @ d[:k]
+        no2_lo = ~a2.any(axis=1)
+
+        def tile(hi):
+            b1, b2 = (hi == 1).astype(float), (hi == 2).astype(float)
+            val = np.hstack([b2, b1]) @ mixed_t
+            val += 2.0 * ((b1 @ w[k:, k:]) * b2).sum(axis=1)[:, None]
+            val += cross_lo
+            val /= (b1 + b2) @ d[k:][:, None] + vol_lo
+            # invalid: V2 empty, or all V3 below and the first high label 2
+            val[np.ix_(~b2.any(axis=1), no2_lo)] = -np.inf
+            val[_first_label(hi) != 1, 0] = -np.inf
+            return val
+
+        return kept, tile
+
+    best_val, best_code = _split_first_max(0, 3, n, ratio, block, _tolerance(g))
+    digits = _digits(np.array([best_code]), 3, n)[0]
     # same ulp guard as in cheeger_exact: hbar <= 1 holds mathematically
     return CheegerResult(
-        value=min(best_val, 1.0), witness=TriPartition.of(g, v1, v2), method="exact"
+        value=min(best_val, 1.0),
+        witness=TriPartition.of(g, np.flatnonzero(digits == 1), np.flatnonzero(digits == 2)),
+        method="exact",
     )
 
 
@@ -228,7 +362,11 @@ def dual_cheeger_greedy_lower(g: WeightedGraph) -> CheegerResult:
 def balance_ratio_exact(
     g: WeightedGraph, *, cap: int | None = None
 ) -> CheegerResult:
-    """Most balanced bipartition by full enumeration (same cap as ``cheeger_exact``)."""
+    """Most balanced bipartition by full enumeration (same cap as ``cheeger_exact``).
+
+    Same codes, witness rule and split pass as ``cheeger_exact``, with
+    ``vol = V_lo + V_hi`` across the block boundary.
+    """
     if g.n < 2:
         raise ValueError("balance ratio needs at least two vertices")
     _effective_cap(g.n, cap, CHEEGER_EXACT_CAP, "balance ratio")
@@ -237,10 +375,20 @@ def balance_ratio_exact(
     total = g.volume
 
     def balance(codes):
-        vol = _bits(codes, n - 1) @ d
+        vol = _digits(codes, 2, n - 1).astype(float) @ d
         return np.minimum(vol, total - vol) / np.maximum(vol, total - vol)
 
-    best_val, mask = _first_max(1, 1 << (n - 1), balance)
+    def block(lo):
+        k = lo.shape[1]
+        vol_lo = lo.astype(float) @ d[:k]
+
+        def tile(hi):
+            vol = (hi.astype(float) @ d[k:])[:, None] + vol_lo
+            return np.minimum(vol, total - vol) / np.maximum(vol, total - vol)
+
+        return np.ones(len(lo), dtype=bool), tile
+
+    best_val, mask = _split_first_max(1, 2, n - 1, balance, block, _tolerance(g))
     return CheegerResult(
         value=best_val, witness=Bipartition.of(g, _side(mask, n - 1)), method="exact"
     )

@@ -98,8 +98,13 @@ def walk_trajectory(
     f = np.asarray(f, dtype=float)
     s = spectrum(g)
     rho = spectral_radius_rho(s)
-    norm_f = degree_norm(g, f)
-    mean = equilibrium_projection(g, f)
+    # Every later deviation is at most norm_f, so these are the sums that can overflow.
+    try:
+        with np.errstate(over="raise"):
+            norm_f = degree_norm(g, f)
+            mean = equilibrium_projection(g, f)
+    except FloatingPointError:
+        raise ValueError("f is too large: its degree norm overflows") from None
     rate = None
     if l_even is not None and bipartition_of(g) is None:
         rate = _hl_rate(g, l_even, cap=cap)

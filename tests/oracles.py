@@ -73,6 +73,51 @@ def oracle_balance_ratio(g) -> Fraction:
     return best
 
 
+def oracle_cheeger_witness(g) -> frozenset:
+    """First minimizing subset in the library's code order.
+
+    Subsets exclude vertex n - 1 and are ordered by the binary number whose
+    bit i says vertex i is inside, from 1 to 2^(n-1) - 1.
+    """
+    w = frac_weights(g)
+    n = g.n
+    d = _degrees(w)
+    total = sum(d)
+    best, witness = None, None
+    for code in range(1, 2 ** (n - 1)):
+        inside = {i for i in range(n - 1) if code >> i & 1}
+        vol = sum(d[i] for i in inside)
+        cut = sum(w[i][j] for i in inside for j in range(n) if j not in inside)
+        val = Fraction(cut, 1) / min(vol, total - vol)
+        if best is None or val < best:
+            best, witness = val, frozenset(inside)
+    return witness
+
+
+def oracle_dual_cheeger_witness(g) -> tuple[frozenset, frozenset]:
+    """First maximizing ``(V1, V2)`` in the library's code order.
+
+    Labelings are ordered by the base-3 number whose digit i is vertex i's
+    label (0 = V3, 1 = V1, 2 = V2), and only those whose first vertex
+    outside V3 is in V1 count.
+    """
+    w = frac_weights(g)
+    n = g.n
+    d = _degrees(w)
+    best, witness = None, None
+    for code in range(3**n):
+        labels = [code // 3**i % 3 for i in range(n)]
+        v1 = [i for i in range(n) if labels[i] == 1]
+        v2 = [i for i in range(n) if labels[i] == 2]
+        if not v1 or not v2 or min(v2) < min(v1):
+            continue
+        cross = sum(w[i][j] for i in v1 for j in v2)
+        val = Fraction(2) * cross / (sum(d[i] for i in v1) + sum(d[i] for i in v2))
+        if best is None or val > best:
+            best, witness = val, (frozenset(v1), frozenset(v2))
+    return witness
+
+
 def oracle_neighborhood_weights(g, l):
     """W[l] = W (D^-1 W)^{l-1} in exact rational arithmetic."""
     w = frac_weights(g)

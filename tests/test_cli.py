@@ -285,9 +285,14 @@ def test_bad_grid_exit_2(capsys):
         ["cml", "--input", "{k5}", "--eps", "0.5", "--tol", "nan", "--steps", "10", "--trials", "1"],
         ["cml", "--input", "{k5}", "--eps", "0.5", "--map", "logistic:inf", "--steps", "10"],
         ["walk", "--input", "{k5}", "--f", "nan,0,0,0,0"],
+        ["walk", "--input", "{k5}", "--f", "1e308,1e308,0,0,0", "--steps", "2"],
+        ["cml", "--input", "{k5}", "--eps", "inf", "--steps", "10", "--trials", "1"],
+        ["cml", "--input", "{k5}", "--eps", "0.5", "--tol", "inf", "--steps", "10", "--trials", "1"],
+        ["cml", "--input", "{k5}", "--eps", "1e308", "--steps", "10", "--trials", "1"],
     ],
     ids=["unwritable-output", "cml-one-vertex", "infinite-grid", "infinite-grid-value",
-         "nan-eps", "nan-tol", "infinite-map", "nan-start"],
+         "nan-eps", "nan-tol", "infinite-map", "nan-start", "huge-start", "infinite-eps",
+         "infinite-tol", "overflowing-eps"],
 )
 def test_bad_flag_or_output_exit_2(capsys, tmp_path, k5_file, argv):
     k1 = tmp_path / "k1.json"

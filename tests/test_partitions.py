@@ -9,10 +9,12 @@ from conftest import random_connected_graph
 from lapspec.graphs import (
     GraphError,
     GraphErrorKind,
+    WeightedGraph,
     build_graph,
     complete_graph,
     cycle_graph,
     is_bipartite,
+    is_connected,
     path_graph,
 )
 from lapspec.partitions import (
@@ -30,7 +32,15 @@ from lapspec.partitions import (
     xi_constant,
     xi_product_bound,
 )
-from oracles import oracle_balance_ratio, oracle_cheeger, oracle_dual_cheeger
+from lapspec import partitions
+from lapspec.neighborhood import neighborhood_graph
+from oracles import (
+    oracle_balance_ratio,
+    oracle_cheeger,
+    oracle_cheeger_witness,
+    oracle_dual_cheeger,
+    oracle_dual_cheeger_witness,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -76,6 +86,93 @@ def test_balance_ratio_matches_oracle(fixtures):
         if g.n > 7:
             continue
         assert balance_ratio_exact(g).value == float(oracle_balance_ratio(g)), name
+
+
+def _assert_oracle_witnesses(g, name=None):
+    assert cheeger_exact(g).witness.side == oracle_cheeger_witness(g), name
+    tri = dual_cheeger_exact(g).witness
+    assert (tri.v1, tri.v2) == oracle_dual_cheeger_witness(g), name
+
+
+def test_witnesses_match_oracle_on_fixtures(fixtures):
+    for name, g in fixtures.items():
+        if g.n <= 7:
+            _assert_oracle_witnesses(g, name)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds)
+def test_witnesses_match_oracle_random(seed):
+    _assert_oracle_witnesses(_random_graph(seed, n_max=7, weighted=True, allow_loops=True))
+
+
+# ---------------------------------------------------------------------------
+# the split pass against the scan over every chunk
+
+
+def _scan_every_chunk(start, base, m, score, block, tol):
+    stop = base**m
+    return partitions._first_max(range(start, stop, partitions._CHUNK), stop, score)
+
+
+def _gnp(rng, n):
+    """A connected draw of G(n, 0.4)."""
+    while True:
+        a = np.triu(rng.random((n, n)) < 0.4, 1).astype(float)
+        a += a.T
+        if a.sum(axis=1).all():
+            g = WeightedGraph(n=n, weights=a)
+            if is_connected(g):
+                return g
+
+
+def _split_pass_graphs():
+    """Seeded graphs on which the split pass crosses several chunks and tiles.
+
+    h at n = 17 and 20 (2 and 16 chunks; 1 and 8 tiles), hbar at n = 10, 12
+    and 14 (2, 17 and 146 chunks; 1, 5 and 38 tiles).  Continuous weights and
+    Gamma[l] need the rounding tolerance; dyadic weights, K_n and C_n are
+    scored exactly and tie across many chunks; the ties of K_n and C_n
+    with weight 0.1 round apart.
+    """
+    rng = np.random.default_rng(20261018)
+    graphs = {}
+    for n in (12, 20):
+        looped = random_connected_graph(rng, n_min=n, n_max=n, allow_loops=True)
+        w = np.triu(looped.weights * rng.uniform(0.1, 10.0, size=(n, n)))
+        graphs[f"weighted-looped{n}"] = WeightedGraph(n=n, weights=w + np.triu(w, 1).T)
+        graphs[f"dyadic-looped{n}"] = random_connected_graph(
+            rng, n_min=n, n_max=n, weighted=True, allow_loops=True
+        )
+        graphs[f"K{n}"] = complete_graph(n)
+        graphs[f"0.1 K{n}"] = WeightedGraph(n=n, weights=0.1 * complete_graph(n).weights)
+        graphs[f"0.1 C{n}"] = WeightedGraph(n=n, weights=0.1 * cycle_graph(n).weights)
+        graphs[f"C{n}"] = cycle_graph(n)
+        graphs[f"C{n}[3]"] = neighborhood_graph(cycle_graph(n), 3)
+        g = _gnp(rng, n)
+        for l in (2, 3):
+            graphs[f"G({n}, 0.4)[{l}]"] = neighborhood_graph(g, l)
+    graphs["K10[2]"] = neighborhood_graph(complete_graph(10), 2)
+    graphs["K17"] = complete_graph(17)
+    graphs["G(14, 0.4)[3]"] = neighborhood_graph(_gnp(rng, 14), 3)
+    return graphs
+
+
+SPLIT_PASS_GRAPHS = _split_pass_graphs()
+
+
+@pytest.mark.parametrize("name", list(SPLIT_PASS_GRAPHS))
+def test_split_pass_bit_identical_to_every_chunk_scan(monkeypatch, name):
+    g = SPLIT_PASS_GRAPHS[name]
+    enumerators = (dual_cheeger_exact,) if g.n <= 14 else (cheeger_exact, balance_ratio_exact)
+    for fn in enumerators:
+        kw = {} if fn is balance_ratio_exact else {"check_connected": False}
+        fast = fn(g, **kw)
+        with monkeypatch.context() as m:
+            m.setattr(partitions, "_split_first_max", _scan_every_chunk)
+            full = fn(g, **kw)
+        assert fast.value.hex() == full.value.hex(), fn.__name__
+        assert fast.witness == full.witness, fn.__name__
 
 
 # ---------------------------------------------------------------------------
