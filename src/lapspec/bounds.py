@@ -716,10 +716,16 @@ class CurveRow:
     lambda_max: float | None
 
 
+def _complete_of_size(param: float) -> WeightedGraph:
+    if not float(param).is_integer():
+        raise ValueError(f"complete graph size must be an integer, got {param!r}")
+    return complete_graph(int(param))
+
+
 _FAMILIES = {
     "looped_pair": looped_pair,
     "bridged_triangles": bridged_triangles,
-    "complete": lambda param: complete_graph(int(param)),
+    "complete": _complete_of_size,
 }
 
 

@@ -104,7 +104,13 @@ def _parse_int_list(text: str) -> list[int]:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from err
     if not values:
         raise ValueError("empty list")
+    if min(values) < 1:
+        raise ValueError(f"walk lengths must be >= 1, got {text!r}")
     return values
+
+
+#: Most points a ``curves`` grid may have; each costs milliseconds.
+MAX_GRID_POINTS = 10_000
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -118,13 +124,18 @@ def _parse_grid(text: str) -> list[float]:
             raise ValueError(f"range ends and step must be finite, got {text!r}")
         if step <= 0:
             raise ValueError("grid step must be positive")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        span = (stop - start) / step
+        if span + 1 > MAX_GRID_POINTS:
+            raise ValueError(f"grid must have at most {MAX_GRID_POINTS} points, got {text!r}")
+        count = int(math.floor(span + 1e-9)) + 1
         if count < 1:
             raise ValueError("empty grid range")
         return [start + k * step for k in range(count)]
     values = [float(p) for p in text.split(",") if p.strip() != ""]
     if not values:
         raise ValueError("empty grid")
+    if len(values) > MAX_GRID_POINTS:
+        raise ValueError(f"grid must have at most {MAX_GRID_POINTS} points, got {len(values)}")
     if not all(map(math.isfinite, values)):
         raise ValueError(f"grid values must be finite, got {text!r}")
     return values
@@ -135,8 +146,6 @@ def _parse_map(text: str):
     if not sep:
         raise ValueError("map must be kind:param, e.g. logistic:4")
     value = float(param)
-    if not math.isfinite(value):
-        raise ValueError(f"map parameter must be finite, got {param!r}")
     if kind == "logistic":
         return logistic_map(value)
     if kind == "tent":

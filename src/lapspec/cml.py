@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import neighborhood_dual_upper_from, neighborhood_sandwich_from
-from .graphs import WeightedGraph, require_connected
+from .graphs import WeightedGraph
 from .neighborhood import neighborhood_graph
 from .partitions import cheeger_exact, dual_cheeger_exact
 from .spectral import Spectrum, spectrum
@@ -55,6 +55,8 @@ def logistic_map(a: float) -> MapSpec:
 
     At ``a = 4`` the map is chaotic with Lyapunov exponent exactly ln 2.
     """
+    if not 0.0 <= a <= 4.0:
+        raise ValueError(f"logistic parameter must lie in [0, 4], got {a!r}")
     return MapSpec(
         kind="logistic",
         f=lambda x: a * x * (1.0 - x),
@@ -67,7 +69,10 @@ def tent_map(s: float) -> MapSpec:
     """``f(x) = s min(x, 1-x)``; for ``s = 2`` the exponent is exactly ln 2.
 
     The derivative at the kink ``x = 1/2`` is taken from the right.
+    Keeps [0,1] invariant for ``0 <= s <= 2``.
     """
+    if not 0.0 <= s <= 2.0:
+        raise ValueError(f"tent parameter must lie in [0, 2], got {s!r}")
     return MapSpec(
         kind="tent",
         f=lambda x: s * np.minimum(x, 1.0 - x),
@@ -137,7 +142,7 @@ def lyapunov_exponent(
 
 
 def step_cml(g: WeightedGraph, x: np.ndarray, map_spec: MapSpec, eps: float) -> np.ndarray:
-    """One step of the lattice.
+    """One step of the lattice, for one state ``(n,)`` or a stack ``(..., n)``.
 
     The coupling is computed from the pairwise differences
     ``f(x_j) - f(x_i)``, so an exactly synchronized state produces coupling
@@ -146,8 +151,8 @@ def step_cml(g: WeightedGraph, x: np.ndarray, map_spec: MapSpec, eps: float) -> 
     if not 0 <= eps < math.inf:
         raise ValueError("eps must be finite and >= 0")
     fx = np.asarray(map_spec.f(np.asarray(x, dtype=float)), dtype=float)
-    diff = fx[None, :] - fx[:, None]
-    coupling = (g.weights * diff).sum(axis=1) / g.degrees
+    diff = fx[..., None, :] - fx[..., :, None]
+    coupling = (g.weights * diff).sum(axis=-1) / g.degrees
     return fx + eps * coupling
 
 
@@ -308,6 +313,16 @@ def spread_to_csv(report: SyncReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: Longest run accepted, in steps with the transient included: each step
+#: costs about 33 us of fixed overhead on a 2-vCPU host, so about 33 s.
+MAX_CML_STEPS = 10**6
+
+#: Largest ``(transient + t_steps) * trials * (n**2 + 64)`` accepted.  A
+#: trial's row costs about as much as 64 more matrix entries (the
+#: per-row reductions); at 5-7 ns per entry this is 10-15 s, and it keeps
+#: the ``(t_steps, trials)`` spread array under 240 MB.
+MAX_CML_WORK = 2 * 10**9
+
 #: Orbit length used when estimating the exponent inside simulate_sync.
 _MU_STEPS = 50_000
 _MU_TRANSIENT = 1_000
@@ -339,57 +354,57 @@ def simulate_sync(
         raise ValueError("trials must be >= 1")
     if t_steps < 10:
         raise ValueError("t_steps must be >= 10")
+    if transient < 0:
+        raise ValueError("transient must be >= 0")
+    if transient + t_steps > MAX_CML_STEPS:
+        raise ValueError(f"transient + t_steps must be <= {MAX_CML_STEPS}")
+    work = (transient + t_steps) * trials * (g.n**2 + 64)
+    if work > MAX_CML_WORK:
+        raise ValueError(
+            f"(transient + t_steps) * trials * (n^2 + 64) must be <= {MAX_CML_WORK:.0e}, "
+            f"got {work:.1e}"
+        )
     if g.n < 2:
         raise ValueError("synchronization needs at least two vertices")
-    require_connected(g)
     s = spectrum(g)
     if mu is None:
         mu = lyapunov_exponent(map_spec, 0.2357111317, _MU_STEPS, _MU_TRANSIENT)
     interval = sync_interval(mu, s.lambda_1, s.lambda_max)
     factor = transverse_stability_factor(s, eps, mu)
 
-    tail_start = t_steps - max(1, t_steps // 10)
-    diverged = False
-    all_synced = True
-    worst_spread = -1.0
-    worst_traj: tuple[float, ...] = ()
-    final_spreads = []
-    for trial in range(trials):
-        rng = np.random.default_rng(base_seed + trial)
-        s_sync = float(rng.uniform(0.1, 0.9))
-        for _ in range(transient):
-            s_sync = float(map_spec.f(s_sync))
-        x = s_sync + rng.uniform(-PERTURBATION_RADIUS, PERTURBATION_RADIUS, size=g.n)
-        # Perturbed states must still be states: the maps live on [0, 1],
-        # and a perturbation past the boundary would not test stability of
-        # the synchronized orbit but escape of the map itself.
-        x = np.clip(x, 0.0, 1.0)
-        traj = []
-        for _ in range(t_steps):
-            x = step_cml(g, x, map_spec, eps)
-            if not np.isfinite(x).all() or np.abs(x).max() > DIVERGENCE_GUARD:
-                diverged = True
+    rngs = [np.random.default_rng(base_seed + trial) for trial in range(trials)]
+    s_sync = np.array([rng.uniform(0.1, 0.9) for rng in rngs])
+    for _ in range(transient):
+        s_sync = map_spec.f(s_sync)
+    noise = [rng.uniform(-PERTURBATION_RADIUS, PERTURBATION_RADIUS, size=g.n) for rng in rngs]
+    # Perturbed states must still be states: the maps live on [0, 1],
+    # and a perturbation past the boundary would not test stability of
+    # the synchronized orbit but escape of the map itself.
+    x = np.clip(s_sync[:, None] + noise, 0.0, 1.0)
+    # Row k of x is trial k.  The first diverging trial ends the run, so it
+    # and every later trial stop there; earlier trials keep running, since
+    # one of them may still diverge and so become the first.
+    spreads = np.empty((t_steps, trials))
+    live, stop = trials, t_steps
+    for t in range(t_steps):
+        x = step_cml(g, x, map_spec, eps)
+        ok = (np.abs(x) <= DIVERGENCE_GUARD).all(axis=1)
+        if not ok.all():
+            live, stop = int(ok.argmin()), t
+            x = x[:live]
+            if live == 0:
                 break
-            traj.append(float(x.max() - x.min()))
-        if diverged:
-            all_synced = False
-            worst_traj = tuple(traj)
-            final_spreads.append(math.inf)
-            break
-        tail = max(traj[tail_start:])
-        final_spreads.append(tail)
-        if tail >= tol:
-            all_synced = False
-        if tail > worst_spread:
-            worst_spread = tail
-            worst_traj = tuple(traj)
+        spreads[t, :live] = np.ptp(x, axis=1)
+    tails = spreads[t_steps - max(1, t_steps // 10) :, :live].max(axis=0)
+    diverged = live < trials
+    worst = live if diverged else int(tails.argmax())  # first maximum
     return SyncReport(
         mu=mu,
         eps=eps,
         interval=interval,
         stability_factor=factor,
-        synchronized=all_synced and not diverged,
+        synchronized=not diverged and bool((tails < tol).all()),
         diverged=diverged,
-        spread_trajectory=worst_traj,
-        final_spreads=tuple(final_spreads),
+        spread_trajectory=tuple(spreads[:stop, worst].tolist()),
+        final_spreads=(*tails.tolist(), math.inf) if diverged else tuple(tails.tolist()),
     )

@@ -81,6 +81,8 @@ class CheegerResult:
 
 
 def _effective_cap(n: int, cap: int | None, hard: int, what: str) -> None:
+    if cap is not None and cap < 0:
+        raise ValueError(f"{what} enumeration cap must be >= 0, got {cap}")
     limit = hard if cap is None else min(int(cap), hard)
     if n > limit:
         raise GraphError(

@@ -25,6 +25,14 @@ from .graphs import (
 from .neighborhood import neighborhood_cheeger, neighborhood_graph
 from .spectral import degree_norm, spectrum, spectral_radius_rho
 
+#: Longest walk accepted: one report per step is kept (about 1 kB each
+#: once written as JSON).
+MAX_WALK_STEPS = 100_000
+
+#: Largest ``t_max * n**2`` accepted, the entries touched by the ``P``
+#: applications; about a minute at 1 ns per entry.
+MAX_WALK_WORK = 5 * 10**10
+
 
 def transition_apply(g: WeightedGraph, f: np.ndarray) -> np.ndarray:
     """One application of ``P = D^{-1} W``."""
@@ -66,21 +74,7 @@ def walk_deviation(
     g: WeightedGraph, f: np.ndarray, t: int, l_even: int | None = None
 ) -> WalkReport:
     """Apply ``P`` t times and compare the deviation with its decay bounds."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    require_connected(g)
-    f = np.asarray(f, dtype=float)
-    s = spectrum(g)
-    cur = f.copy()
-    for _ in range(t):
-        cur = transition_apply(g, cur)
-    deviation = degree_norm(g, cur - equilibrium_projection(g, f))
-    norm_f = degree_norm(g, f)
-    rho = spectral_radius_rho(s)
-    bound_hl = None
-    if l_even is not None and bipartition_of(g) is None:
-        bound_hl = _hl_rate(g, l_even) ** t * norm_f
-    return WalkReport(t=t, deviation=deviation, bound_rho=rho**t * norm_f, bound_hl=bound_hl)
+    return walk_trajectory(g, f, t, l_even)[-1]
 
 
 def walk_trajectory(
@@ -94,6 +88,11 @@ def walk_trajectory(
     """Reports for every ``t`` in ``0..t_max`` with a single pass of iteration."""
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
+    if t_max > MAX_WALK_STEPS:
+        raise ValueError(f"t_max must be <= {MAX_WALK_STEPS}")
+    work = t_max * g.n**2
+    if work > MAX_WALK_WORK:
+        raise ValueError(f"t_max * n^2 must be <= {MAX_WALK_WORK:.0e}, got {work:.1e}")
     require_connected(g)
     f = np.asarray(f, dtype=float)
     s = spectrum(g)

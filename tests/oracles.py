@@ -5,10 +5,19 @@ arithmetic and itertools-style loops — deliberately sharing no code with
 the numpy enumeration in lapspec.partitions, so agreement between the two
 is meaningful.  Weights must be exactly representable (integers or dyadic
 rationals like 0.5); Fraction(float) keeps them exact.
+
+The coupled-map reference at the end is the other kind of oracle: the
+plain one-trial-at-a-time loop that the batched simulation must match bit
+for bit.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
+
+import numpy as np
+
+from lapspec.cml import DIVERGENCE_GUARD, PERTURBATION_RADIUS, step_cml
 
 
 def frac_weights(g):
@@ -167,3 +176,45 @@ def oracle_neighborhood_dual_cheeger(g, l) -> Fraction:
         if best is None or val > best:
             best = val
     return best
+
+
+def oracle_simulate_sync(g, map_spec, eps, t_steps, transient, tol, trials, base_seed=42):
+    """The coupled-map simulation of ``cml.simulate_sync``, one trial at a time.
+
+    Returns ``(synchronized, diverged, spread_trajectory, final_spreads)``.
+    Trial k is seeded ``base_seed + k`` and stepped on its own with
+    ``step_cml``; the first trial that diverges ends the run.
+    """
+    tail_start = t_steps - max(1, t_steps // 10)
+    diverged = False
+    all_synced = True
+    worst_spread = -1.0
+    worst_traj = ()
+    final_spreads = []
+    for trial in range(trials):
+        rng = np.random.default_rng(base_seed + trial)
+        s_sync = float(rng.uniform(0.1, 0.9))
+        for _ in range(transient):
+            s_sync = float(map_spec.f(s_sync))
+        x = s_sync + rng.uniform(-PERTURBATION_RADIUS, PERTURBATION_RADIUS, size=g.n)
+        x = np.clip(x, 0.0, 1.0)
+        traj = []
+        for _ in range(t_steps):
+            x = step_cml(g, x, map_spec, eps)
+            if not np.isfinite(x).all() or np.abs(x).max() > DIVERGENCE_GUARD:
+                diverged = True
+                break
+            traj.append(float(x.max() - x.min()))
+        if diverged:
+            all_synced = False
+            worst_traj = tuple(traj)
+            final_spreads.append(math.inf)
+            break
+        tail = max(traj[tail_start:])
+        final_spreads.append(tail)
+        if tail >= tol:
+            all_synced = False
+        if tail > worst_spread:
+            worst_spread = tail
+            worst_traj = tuple(traj)
+    return all_synced and not diverged, diverged, worst_traj, tuple(final_spreads)

@@ -462,3 +462,8 @@ def test_bound_curves_bad_point_leaves_empty_cells():
     rows = bound_curves("looped_pair", [-1.0, 1.0], [1])
     assert rows[0].lower is None and rows[0].lambda1 is None
     assert rows[1].lower is not None
+
+
+def test_bound_curves_complete_needs_integral_size():
+    rows = bound_curves("complete", [2.5, 1.0, 3.0], [1])
+    assert [r.lambda1 is None and r.lower is None for r in rows] == [True, True, False]

@@ -289,10 +289,24 @@ def test_bad_grid_exit_2(capsys):
         ["cml", "--input", "{k5}", "--eps", "inf", "--steps", "10", "--trials", "1"],
         ["cml", "--input", "{k5}", "--eps", "0.5", "--tol", "inf", "--steps", "10", "--trials", "1"],
         ["cml", "--input", "{k5}", "--eps", "1e308", "--steps", "10", "--trials", "1"],
+        ["cml", "--input", "{k5}", "--eps", "0.9", "--map", "logistic:1e300", "--steps", "10"],
+        ["cml", "--input", "{k5}", "--eps", "0.9", "--map", "tent:-5", "--steps", "10"],
+        ["cml", "--input", "{k5}", "--eps", "0.9", "--transient", "-1", "--steps", "10"],
+        ["cml", "--input", "{k5}", "--eps", "0.9", "--steps", "100000000000"],
+        ["cml", "--input", "{k5}", "--eps", "0.9", "--trials", "100000000"],
+        ["cml", "--input", "{k5}", "--eps", "0.9", "--transient", "100000000000"],
+        ["walk", "--input", "{k5}", "--steps", "100000000"],
+        ["curves", "--family", "complete", "--grid", "3", "--l-list", "0"],
+        ["curves", "--family", "complete", "--grid", "0:1e10:1"],
+        ["curves", "--family", "complete", "--grid", "0:1:1e-320"],
+        ["curves", "--family", "complete", "--grid", ",".join(["3"] * 10_001)],
+        ["constants", "--input", "{k5}", "--cap-h", "-3"],
     ],
     ids=["unwritable-output", "cml-one-vertex", "infinite-grid", "infinite-grid-value",
          "nan-eps", "nan-tol", "infinite-map", "nan-start", "huge-start", "infinite-eps",
-         "infinite-tol", "overflowing-eps"],
+         "infinite-tol", "overflowing-eps", "huge-logistic", "negative-tent",
+         "negative-transient", "huge-steps", "huge-trials", "huge-transient", "huge-walk",
+         "zero-walk-length", "huge-grid", "overflowing-grid", "long-grid-list", "negative-cap"],
 )
 def test_bad_flag_or_output_exit_2(capsys, tmp_path, k5_file, argv):
     k1 = tmp_path / "k1.json"

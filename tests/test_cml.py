@@ -22,6 +22,7 @@ from lapspec.cml import (
 )
 from lapspec.graphs import complete_graph, cycle_graph, looped_pair
 from lapspec.spectral import spectrum
+from oracles import oracle_simulate_sync
 
 LN2 = math.log(2.0)
 
@@ -60,6 +61,17 @@ def test_custom_map_validation():
         custom_map([(0.0, 0.0)])
     with pytest.raises(ValueError):
         custom_map([(0.0, 0.0), (0.0, 1.0)])
+
+
+@pytest.mark.parametrize(
+    "make, value",
+    [(logistic_map, -1e-9), (logistic_map, 4.000001), (logistic_map, math.nan),
+     (tent_map, -5.0), (tent_map, 2.000001), (tent_map, math.inf)],
+)
+def test_map_parameter_outside_invariant_range_rejected(make, value):
+    with pytest.raises(ValueError):
+        make(value)
+    make(0.0)
 
 
 def test_derivative_consistency():
@@ -273,6 +285,45 @@ def test_simulation_is_reproducible():
     b = simulate_sync(cycle_graph(5), tent_map(2.0), **kw)
     assert a.final_spreads == b.final_spreads
     assert a.spread_trajectory == b.spread_trajectory
+
+
+@pytest.mark.parametrize(
+    "g, m, eps, trials, diverged, n_final, n_traj",
+    [
+        # every tail is exactly 0.0, so the worst trajectory is the first maximum's
+        (complete_graph(5), logistic_map(4.0), 0.9, 5, False, 5, 200),
+        (complete_graph(5), logistic_map(4.0), 0.05, 3, False, 3, 200),
+        (complete_graph(5), logistic_map(4.0), 1.5, 3, True, 1, 17),
+        (cycle_graph(5), logistic_map(4.0), 1.05, 3, True, 2, 73),
+        # trial 4 diverges at step 68, then trial 1 at step 88
+        (complete_graph(3), tent_map(2.0), 1.2, 5, True, 2, 88),
+    ],
+    ids=["synchronized", "not-synchronized", "trial-0-diverges", "trial-1-diverges",
+         "earlier-trial-diverges-later"],
+)
+def test_batched_simulation_matches_per_trial_loop(g, m, eps, trials, diverged, n_final, n_traj):
+    rep = simulate_sync(g, m, eps, t_steps=200, transient=20, tol=1e-6, trials=trials, mu=0.5)
+    ref = oracle_simulate_sync(g, m, eps, 200, 20, 1e-6, trials)
+    assert (rep.synchronized, rep.diverged) == ref[:2]
+    assert [v.hex() for v in rep.spread_trajectory] == [v.hex() for v in ref[2]]
+    assert [v.hex() for v in rep.final_spreads] == [v.hex() for v in ref[3]]
+    assert (rep.diverged, len(rep.final_spreads), len(rep.spread_trajectory)) == (
+        diverged, n_final, n_traj
+    )
+
+
+def test_simulation_steps_all_trials_together(monkeypatch):
+    import lapspec.cml
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return step_cml(*args)
+
+    monkeypatch.setattr(lapspec.cml, "step_cml", counting)
+    simulate_sync(complete_graph(5), logistic_map(4.0), 0.8, 50, 10, 1e-6, trials=5, mu=LN2)
+    assert len(calls) == 50
 
 
 def test_internal_exponent_estimate():
