@@ -6,178 +6,109 @@ product; exact Cheeger and dual Cheeger constants by enumeration;
 neighborhood graphs encoding l-step walks; a family of eigenvalue bounds
 built from these constants; random-walk convergence rates; and the
 spectral synchronization criterion for coupled map lattices.
+
+Names resolve on first use (PEP 562 ``__getattr__``), so ``import lapspec``
+runs no module code until one of its names or submodules is asked for.
 """
 
-from .graphs import (
-    GraphError,
-    GraphErrorKind,
-    WeightedGraph,
-    bridged_triangles,
-    build_graph,
-    complete_graph,
-    cycle_graph,
-    from_matrix,
-    is_bipartite,
-    is_connected,
-    looped_pair,
-    parse_edge_list,
-    path_graph,
-    read_graph,
-    write_graph,
-)
-from .spectral import (
-    Spectrum,
-    degree_inner_product,
-    degree_norm,
-    laplacian_matrix,
-    rayleigh_quotient,
-    spectral_radius_rho,
-    spectrum,
-)
-from .partitions import (
-    Bipartition,
-    CheegerResult,
-    OddWalkFamily,
-    TriPartition,
-    balance_ratio_exact,
-    cheeger_exact,
-    default_odd_walk_family,
-    dual_cheeger_exact,
-    dual_cheeger_greedy_lower,
-    greedy_balance_partition,
-    xi_constant,
-    xi_product_bound,
-)
-from .neighborhood import (
-    map_eigenvalues,
-    neighborhood_cheeger,
-    neighborhood_dual_cheeger,
-    neighborhood_graph,
-    spectral_map_check,
-)
-from .bounds import (
-    BoundReport,
-    all_bound_reports,
-    bound_curves,
-    cheeger_bounds,
-    clustering_constants,
-    clustering_upper,
-    combined_lower,
-    curves_to_csv,
-    diameter_variation_upper,
-    dual_cheeger_bounds,
-    improvement_predicates,
-    lambda_identity_check,
-    localized_upper,
-    neighborhood_interval,
-    neighborhood_sandwich,
-    neighborhood_upper_or,
-    odd_walk_upper,
-    poincare_upper,
-)
-from .random_walk import (
-    WalkReport,
-    bipartite_limits,
-    equilibrium_graph,
-    equilibrium_projection,
-    mixing_time,
-    neighborhood_limit_check,
-    transition_apply,
-    walk_deviation,
-    walk_trajectory,
-)
-from .cml import (
-    MapSpec,
-    SyncReport,
-    custom_map,
-    logistic_map,
-    lyapunov_exponent,
-    ratio_bounds,
-    simulate_sync,
-    step_cml,
-    sync_interval,
-    tent_map,
-    transverse_stability_factor,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GraphError",
-    "GraphErrorKind",
-    "WeightedGraph",
-    "Spectrum",
-    "Bipartition",
-    "TriPartition",
-    "CheegerResult",
-    "OddWalkFamily",
-    "BoundReport",
-    "WalkReport",
-    "MapSpec",
-    "SyncReport",
-    "build_graph",
-    "from_matrix",
-    "read_graph",
-    "write_graph",
-    "parse_edge_list",
-    "complete_graph",
-    "cycle_graph",
-    "path_graph",
-    "looped_pair",
-    "bridged_triangles",
-    "is_connected",
-    "is_bipartite",
-    "spectrum",
-    "laplacian_matrix",
-    "degree_inner_product",
-    "degree_norm",
-    "rayleigh_quotient",
-    "spectral_radius_rho",
-    "cheeger_exact",
-    "dual_cheeger_exact",
-    "dual_cheeger_greedy_lower",
-    "balance_ratio_exact",
-    "greedy_balance_partition",
-    "default_odd_walk_family",
-    "xi_constant",
-    "xi_product_bound",
-    "neighborhood_graph",
-    "neighborhood_cheeger",
-    "neighborhood_dual_cheeger",
-    "map_eigenvalues",
-    "spectral_map_check",
-    "cheeger_bounds",
-    "dual_cheeger_bounds",
-    "combined_lower",
-    "localized_upper",
-    "diameter_variation_upper",
-    "clustering_constants",
-    "clustering_upper",
-    "odd_walk_upper",
-    "poincare_upper",
-    "neighborhood_sandwich",
-    "neighborhood_upper_or",
-    "neighborhood_interval",
-    "lambda_identity_check",
-    "improvement_predicates",
-    "bound_curves",
-    "curves_to_csv",
-    "all_bound_reports",
-    "transition_apply",
-    "equilibrium_projection",
-    "walk_deviation",
-    "walk_trajectory",
-    "mixing_time",
-    "equilibrium_graph",
-    "bipartite_limits",
-    "neighborhood_limit_check",
-    "logistic_map",
-    "tent_map",
-    "custom_map",
-    "lyapunov_exponent",
-    "step_cml",
-    "sync_interval",
-    "transverse_stability_factor",
-    "ratio_bounds",
-    "simulate_sync",
-]
+#: Each public name and the submodule that defines it, in ``__all__`` order.
+_HOME = {
+    "GraphError": "graphs",
+    "GraphErrorKind": "graphs",
+    "WeightedGraph": "graphs",
+    "Spectrum": "spectral",
+    "Bipartition": "graphs",
+    "TriPartition": "partitions",
+    "CheegerResult": "partitions",
+    "OddWalkFamily": "partitions",
+    "BoundReport": "bounds",
+    "WalkReport": "random_walk",
+    "MapSpec": "cml",
+    "SyncReport": "cml",
+    "build_graph": "graphs",
+    "from_matrix": "graphs",
+    "read_graph": "graphs",
+    "write_graph": "graphs",
+    "parse_edge_list": "graphs",
+    "complete_graph": "graphs",
+    "cycle_graph": "graphs",
+    "path_graph": "graphs",
+    "looped_pair": "graphs",
+    "bridged_triangles": "graphs",
+    "is_connected": "graphs",
+    "is_bipartite": "graphs",
+    "spectrum": "spectral",
+    "laplacian_matrix": "spectral",
+    "degree_inner_product": "spectral",
+    "degree_norm": "spectral",
+    "rayleigh_quotient": "spectral",
+    "spectral_radius_rho": "spectral",
+    "cheeger_exact": "partitions",
+    "dual_cheeger_exact": "partitions",
+    "dual_cheeger_greedy_lower": "partitions",
+    "balance_ratio_exact": "partitions",
+    "greedy_balance_partition": "partitions",
+    "default_odd_walk_family": "partitions",
+    "xi_constant": "partitions",
+    "xi_product_bound": "partitions",
+    "neighborhood_graph": "neighborhood",
+    "neighborhood_cheeger": "neighborhood",
+    "neighborhood_dual_cheeger": "neighborhood",
+    "map_eigenvalues": "neighborhood",
+    "spectral_map_check": "neighborhood",
+    "cheeger_bounds": "bounds",
+    "dual_cheeger_bounds": "bounds",
+    "combined_lower": "bounds",
+    "localized_upper": "bounds",
+    "diameter_variation_upper": "bounds",
+    "clustering_constants": "bounds",
+    "clustering_upper": "bounds",
+    "odd_walk_upper": "bounds",
+    "poincare_upper": "bounds",
+    "neighborhood_sandwich": "bounds",
+    "neighborhood_upper_or": "bounds",
+    "neighborhood_interval": "bounds",
+    "lambda_identity_check": "bounds",
+    "improvement_predicates": "bounds",
+    "bound_curves": "bounds",
+    "curves_to_csv": "bounds",
+    "all_bound_reports": "bounds",
+    "transition_apply": "random_walk",
+    "equilibrium_projection": "random_walk",
+    "walk_deviation": "random_walk",
+    "walk_trajectory": "random_walk",
+    "mixing_time": "random_walk",
+    "equilibrium_graph": "random_walk",
+    "bipartite_limits": "random_walk",
+    "neighborhood_limit_check": "random_walk",
+    "logistic_map": "cml",
+    "tent_map": "cml",
+    "custom_map": "cml",
+    "lyapunov_exponent": "cml",
+    "step_cml": "cml",
+    "sync_interval": "cml",
+    "transverse_stability_factor": "cml",
+    "ratio_bounds": "cml",
+    "simulate_sync": "cml",
+}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _HOME.values():
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME, *_HOME.values()})

@@ -18,39 +18,41 @@ Exit codes: 0 success, 1 domain error (graph violates a precondition),
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import os
+import re
 import sys
-import tempfile
 from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
-from .bounds import all_bound_reports, bound_curves, clustering_constants, curves_to_csv
-from .cml import logistic_map, simulate_sync, spread_to_csv, tent_map
-from .graphs import (
-    GraphError,
-    clustering_coefficient,
-    graph_to_dict,
-    is_bipartite,
-    read_graph,
-)
-from .neighborhood import neighborhood_graph
-from .partitions import (
-    balance_ratio_exact,
-    cheeger_exact,
-    default_odd_walk_family,
-    dual_cheeger_exact,
-    dual_cheeger_greedy_lower,
-    greedy_balance_partition,
-    walk_family_from_dict,
-    xi_constant,
-    xi_product_bound,
-)
-from .random_walk import walk_reports_to_csv, walk_trajectory
+from .graphs import GraphError, clustering_coefficient, graph_to_dict, is_bipartite, read_graph
 from .spectral import spectral_radius_rho, spectrum
+
+
+def _defer(*names: str) -> None:
+    """Put lapspec modules in ``sys.modules`` unexecuted; each runs on first attribute access.
+
+    Each subcommand imports what it calls when it runs, so a process runs
+    only its own subcommand's modules.  Registering the others lazily keeps
+    every module findable where tools look for it (``perfbench``'s tracer
+    wraps functions through ``sys.modules``) for a file lookup each.
+    """
+    for name in names:
+        full = f"{__package__}.{name}"
+        if full in sys.modules:
+            continue
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+
+
+_defer("partitions", "neighborhood", "bounds", "random_walk", "cml")
 
 
 def _jsonable(obj):
@@ -83,6 +85,8 @@ def _write_atomic(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
         return
+    import tempfile
+
     tmp = None
     try:
         directory = os.path.dirname(os.path.abspath(path))
@@ -142,6 +146,8 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _parse_map(text: str):
+    from .cml import logistic_map, tent_map
+
     kind, sep, param = text.partition(":")
     if not sep:
         raise ValueError("map must be kind:param, e.g. logistic:4")
@@ -151,6 +157,14 @@ def _parse_map(text: str):
     if kind == "tent":
         return tent_map(value)
     raise ValueError(f"unknown map kind {kind!r}; choose logistic or tent")
+
+
+def _naming_flags(err: ValueError, **flags: str) -> ValueError:
+    """``err`` with the library parameter names in its message replaced by CLI flags."""
+    text = str(err)
+    for param, flag in flags.items():
+        text = re.sub(rf"\b{param}\b", flag, text)
+    return ValueError(text)
 
 
 def _sorted(vertices) -> list[int]:
@@ -177,6 +191,19 @@ def _cmd_spectrum(args) -> str:
 
 
 def _cmd_constants(args) -> str:
+    from .bounds import clustering_constants
+    from .partitions import (
+        balance_ratio_exact,
+        cheeger_exact,
+        default_odd_walk_family,
+        dual_cheeger_exact,
+        dual_cheeger_greedy_lower,
+        greedy_balance_partition,
+        walk_family_from_dict,
+        xi_constant,
+        xi_product_bound,
+    )
+
     g = read_graph(args.input)
     h_res = cheeger_exact(g, cap=args.cap_h)
     hbar_res = dual_cheeger_exact(g, cap=args.cap_hbar)
@@ -234,6 +261,8 @@ def _cmd_constants(args) -> str:
 
 
 def _cmd_bounds(args) -> str:
+    from .bounds import all_bound_reports
+
     g = read_graph(args.input)
     l_list = _parse_int_list(args.l_list)
     s = spectrum(g)
@@ -247,6 +276,8 @@ def _cmd_bounds(args) -> str:
 
 
 def _cmd_neighborhood(args) -> str:
+    from .neighborhood import neighborhood_graph
+
     g = read_graph(args.input)
     if args.l < 1:
         raise ValueError("--l must be >= 1")
@@ -254,6 +285,8 @@ def _cmd_neighborhood(args) -> str:
 
 
 def _cmd_curves(args) -> str:
+    from .bounds import bound_curves, curves_to_csv
+
     params = _parse_grid(args.grid)
     l_list = _parse_int_list(args.l_list)
     rows = bound_curves(args.family, params, l_list)
@@ -266,6 +299,8 @@ def _cmd_curves(args) -> str:
 
 
 def _cmd_walk(args) -> str:
+    from .random_walk import walk_reports_to_csv, walk_trajectory
+
     g = read_graph(args.input)
     if args.f is not None:
         f = np.array([float(p) for p in args.f.split(",")])
@@ -276,7 +311,10 @@ def _cmd_walk(args) -> str:
     else:
         f = np.zeros(g.n)
         f[0] = 1.0
-    reports = walk_trajectory(g, f, args.steps, args.l, cap=args.cap_h)
+    try:
+        reports = walk_trajectory(g, f, args.steps, args.l, cap=args.cap_h)
+    except ValueError as err:
+        raise _naming_flags(err, t_max="--steps") from None
     if args.format == "json":
         payload = {
             "rho": spectral_radius_rho(spectrum(g)),
@@ -287,18 +325,25 @@ def _cmd_walk(args) -> str:
 
 
 def _cmd_cml(args) -> str:
+    from .cml import simulate_sync, spread_to_csv
+
     g = read_graph(args.input)
     map_spec = _parse_map(args.map)
-    report = simulate_sync(
-        g,
-        map_spec,
-        eps=args.eps,
-        t_steps=args.steps,
-        transient=args.transient,
-        tol=args.tol,
-        trials=args.trials,
-        base_seed=args.seed,
-    )
+    try:
+        report = simulate_sync(
+            g,
+            map_spec,
+            eps=args.eps,
+            t_steps=args.steps,
+            transient=args.transient,
+            tol=args.tol,
+            trials=args.trials,
+            base_seed=args.seed,
+        )
+    except ValueError as err:
+        raise _naming_flags(
+            err, t_steps="--steps", transient="--transient", trials="--trials", tol="--tol"
+        ) from None
     if args.spread_output is not None:
         _write_atomic(args.spread_output, spread_to_csv(report))
     return _dump_json(report.to_dict())

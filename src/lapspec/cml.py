@@ -20,10 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import neighborhood_dual_upper_from, neighborhood_sandwich_from
 from .graphs import WeightedGraph
-from .neighborhood import neighborhood_graph
-from .partitions import cheeger_exact, dual_cheeger_exact
 from .spectral import Spectrum, spectrum
 
 #: Initial conditions are drawn this close to the synchronized orbit.
@@ -234,6 +231,11 @@ class RatioBounds:
 
 
 def ratio_bounds(g: WeightedGraph) -> RatioBounds:
+    # imported here: ``lapspec cml`` simulates and needs no enumerator or bound
+    from .bounds import neighborhood_dual_upper_from, neighborhood_sandwich_from
+    from .neighborhood import neighborhood_graph
+    from .partitions import cheeger_exact, dual_cheeger_exact
+
     h = cheeger_exact(g).value
     hbar = dual_cheeger_exact(g).value
     uppers: dict[int, float] = {}

@@ -15,12 +15,15 @@ walks of length l between them, so its normalized Laplacian is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .graphs import WeightedGraph
-from .partitions import CheegerResult, cheeger_exact, dual_cheeger_exact
 from .spectral import spectrum
+
+if TYPE_CHECKING:
+    from .partitions import CheegerResult
 
 #: Entries below this fraction of the largest weight are snapped to zero.
 TRUNCATION_REL_TOL = 1e-14
@@ -58,11 +61,16 @@ def neighborhood_cheeger(
     No connectivity requirement: when ``g[l]`` is disconnected (bipartite g,
     even l) the enumeration finds a zero-cost cut and reports 0.
     """
+    # imported here: ``lapspec neighborhood``, and ``walk`` without ``--l``, enumerate nothing
+    from .partitions import cheeger_exact
+
     return cheeger_exact(neighborhood_graph(g, l), cap=cap, check_connected=False)
 
 
 def neighborhood_dual_cheeger(g: WeightedGraph, l: int) -> CheegerResult:
     """Exact dual Cheeger constant of the l-th neighborhood graph."""
+    from .partitions import dual_cheeger_exact
+
     return dual_cheeger_exact(neighborhood_graph(g, l), check_connected=False)
 
 

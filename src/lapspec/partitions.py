@@ -15,6 +15,7 @@ families of odd closed walks give computable upper bounds for ``hbar``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,7 +182,20 @@ def _digits(codes: np.ndarray, base: int, k: int) -> np.ndarray:
     """Digit i of each code, the label of vertex i, for i < k."""
     if base == 2:  # shifts are several times faster than division
         return (codes[:, None] >> np.arange(k, dtype=np.int64)) & 1
-    return codes[:, None] // base ** np.arange(k, dtype=np.int64) % base
+    # code = q * 3**j + r: one division per code, then both halves' digits
+    # from the table of every j-digit code, instead of k divisions
+    j = (k + 1) // 2
+    table = _ternary_table(j)
+    q, r = np.divmod(codes, 3**j)
+    return np.hstack([table.take(r, axis=0), table[:, : k - j].take(q, axis=0)])
+
+
+@functools.cache
+def _ternary_table(j: int) -> np.ndarray:
+    """Row c holds the j base-3 digits of c, least significant first."""
+    table = (np.arange(3**j)[:, None] // 3 ** np.arange(j) % 3).astype(np.uint8)
+    table.flags.writeable = False
+    return table
 
 
 def _first_label(digits: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
 import warnings
 from importlib import resources
@@ -274,6 +275,14 @@ def test_bad_grid_exit_2(capsys):
     assert code == 2
 
 
+_REFUSAL_FLAG = {
+    "huge-steps": "--steps",
+    "huge-trials": "--trials",
+    "huge-transient": "--transient",
+    "huge-walk": "--steps",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -308,13 +317,18 @@ def test_bad_grid_exit_2(capsys):
          "negative-transient", "huge-steps", "huge-trials", "huge-transient", "huge-walk",
          "zero-walk-length", "huge-grid", "overflowing-grid", "long-grid-list", "negative-cap"],
 )
-def test_bad_flag_or_output_exit_2(capsys, tmp_path, k5_file, argv):
+def test_bad_flag_or_output_exit_2(capsys, tmp_path, k5_file, argv, request):
     k1 = tmp_path / "k1.json"
     k1.write_text(json.dumps({"n": 1, "edges": [[0, 0, 1.0]]}))
     argv = [a.format(k5=k5_file, k1=k1, tmp=tmp_path) for a in argv]
     code, out, err = _run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("usage error:") and err.count("\n") == 1
+    # run-length refusals name the flag, not the library parameter
+    flag = _REFUSAL_FLAG.get(request.node.callspec.id)
+    if flag is not None:
+        assert flag in err
+        assert re.search(r"(?<![-\w])(t_max|t_steps|transient|trials)\b", err) is None
     if "--output" in argv:
         assert str(tmp_path / "missing" / "x.json") in err and ".lapspec-" not in err
 
