@@ -69,9 +69,11 @@ _HOME = {
     "clustering_upper": "bounds",
     "odd_walk_upper": "bounds",
     "poincare_upper": "bounds",
-    "neighborhood_sandwich": "bounds",
-    "neighborhood_upper_or": "bounds",
-    "neighborhood_interval": "bounds",
+    "neighborhood_sandwich_from": "bounds",
+    "neighborhood_upper_or_from": "bounds",
+    "neighborhood_interval_from": "bounds",
+    "gap_around_one_from": "bounds",
+    "neighborhood_dual_upper_from": "bounds",
     "lambda_identity_check": "bounds",
     "improvement_predicates": "bounds",
     "bound_curves": "bounds",
@@ -79,7 +81,6 @@ _HOME = {
     "all_bound_reports": "bounds",
     "transition_apply": "random_walk",
     "equilibrium_projection": "random_walk",
-    "walk_deviation": "random_walk",
     "walk_trajectory": "random_walk",
     "mixing_time": "random_walk",
     "equilibrium_graph": "random_walk",

@@ -18,9 +18,10 @@ computed from.  Six kinds of claims (targets) appear:
     a disjunction: the smallest nonzero eigenvalue is ``<= upper`` *or* the
     largest is ``>= lower`` (both thresholds recorded, only one must hold).
 
-Bounds come in two flavors: constant-level functions take precomputed
-isoperimetric constants; graph-level wrappers (suffix ``_of`` or taking a
-graph) compute those constants first.
+Each bound formula is written once, in one constructor.  The
+neighborhood-graph constructors (``*_from``) take the constants of
+``Gamma[l]`` and the odd-walk ones an :class:`XiProductBound`;
+:func:`all_bound_reports` computes each constant once per graph and order.
 """
 
 from __future__ import annotations
@@ -45,12 +46,11 @@ from .graphs import (
 from .neighborhood import (
     map_eigenvalues,
     neighborhood_cheeger,
-    neighborhood_dual_cheeger,
     neighborhood_graph,
 )
 from .partitions import (
-    OddWalkFamily,
     TriPartition,
+    XiProductBound,
     cheeger_exact,
     default_odd_walk_family,
     dual_cheeger_exact,
@@ -126,11 +126,6 @@ class BoundReport:
         }
 
 
-def _real_odd_root(x: float, l: int) -> float:
-    """Real l-th root for odd l, defined for negative arguments as well."""
-    return math.copysign(abs(x) ** (1.0 / l), x)
-
-
 def _pull_back(x: float, l: int) -> float | None:
     """The real l-th root ``r`` of ``x``, or ``None`` if there is none.
 
@@ -138,7 +133,7 @@ def _pull_back(x: float, l: int) -> float | None:
     signed for odd l; for even l only ``x >= 0`` has a real root.
     """
     if l % 2 == 1:
-        return _real_odd_root(x, l)
+        return math.copysign(abs(x) ** (1.0 / l), x)
     return x ** (1.0 / l) if x >= 0 else None
 
 
@@ -170,10 +165,6 @@ def dual_cheeger_bounds(hbar: float) -> BoundReport:
         upper=1.0 + math.sqrt(1.0 - (1.0 - hbar) ** 2),
         inputs={"hbar": hbar},
     )
-
-
-def cheeger_bounds_of(g: WeightedGraph) -> BoundReport:
-    return cheeger_bounds(cheeger_exact(g).value)
 
 
 def combined_lower(g: WeightedGraph, witness: TriPartition, h: float) -> BoundReport:
@@ -319,9 +310,8 @@ def clustering_upper(g: WeightedGraph) -> BoundReport:
 # odd-walk congestion bounds
 
 
-def odd_walk_upper(g: WeightedGraph, fam: OddWalkFamily) -> BoundReport:
+def odd_walk_upper(pb: XiProductBound) -> BoundReport:
     """``lambda_max <= 1 + sqrt(1 - 1/(d w b)^2)`` via walk congestion."""
-    pb = xi_product_bound(g, fam)
     prod = pb.product
     return BoundReport(
         name="odd_walk_upper",
@@ -336,9 +326,8 @@ def odd_walk_upper(g: WeightedGraph, fam: OddWalkFamily) -> BoundReport:
     )
 
 
-def poincare_upper(g: WeightedGraph, fam: OddWalkFamily) -> BoundReport:
+def poincare_upper(pb: XiProductBound) -> BoundReport:
     """``lambda_max <= 2 - 2/(d w b sigma)`` (discrete Poincare inequality)."""
-    pb = xi_product_bound(g, fam)
     denom = pb.product * pb.sigma_max
     return BoundReport(
         name="poincare_upper",
@@ -366,18 +355,17 @@ class WalkBoundComparison:
         return self.product < 1.0 / self.sigma_max + self.sigma_max / 4.0
 
 
-def walk_bound_comparison(g: WeightedGraph, fam: OddWalkFamily) -> WalkBoundComparison:
-    pb = xi_product_bound(g, fam)
+def walk_bound_comparison(pb: XiProductBound) -> WalkBoundComparison:
     return WalkBoundComparison(
         product=pb.product,
         sigma_max=pb.sigma_max,
-        congestion_upper=odd_walk_upper(g, fam).upper,
-        poincare_upper=poincare_upper(g, fam).upper,
+        congestion_upper=odd_walk_upper(pb).upper,
+        poincare_upper=poincare_upper(pb).upper,
     )
 
 
 # ---------------------------------------------------------------------------
-# neighborhood-graph bounds (constant-level)
+# neighborhood-graph bounds
 
 
 def neighborhood_sandwich_from(l: int, h_l: float) -> BoundReport:
@@ -496,27 +484,6 @@ def neighborhood_dual_upper_from(l: int, hbar_l: float) -> BoundReport:
         upper=1.0 + r,
         inputs={"l": float(l), "hbar_l": hbar_l},
     )
-
-
-# ---------------------------------------------------------------------------
-# neighborhood-graph bounds (graph-level)
-
-
-def neighborhood_sandwich(g: WeightedGraph, l: int) -> BoundReport:
-    return neighborhood_sandwich_from(l, neighborhood_cheeger(g, l).value)
-
-
-def neighborhood_upper_or(g: WeightedGraph, l: int) -> BoundReport:
-    return neighborhood_upper_or_from(l, neighborhood_cheeger(g, l).value)
-
-
-def neighborhood_interval(g: WeightedGraph, l: int) -> BoundReport:
-    return neighborhood_interval_from(l, neighborhood_dual_cheeger(g, l).value)
-
-
-def gap_around_one(g: WeightedGraph, l: int) -> BoundReport:
-    cc = clustering_constants(neighborhood_graph(g, l))
-    return gap_around_one_from(l, cc.h_big)
 
 
 # ---------------------------------------------------------------------------
@@ -834,13 +801,16 @@ def all_bound_reports(
     reports.append(diameter_variation_upper(g, s))
     reports.append(clustering_upper(g))
     if not is_bipartite(g):
-        fam = default_odd_walk_family(g)
-        reports.append(odd_walk_upper(g, fam))
-        reports.append(poincare_upper(g, fam))
+        pb = xi_product_bound(g, default_odd_walk_family(g))
+        reports.append(odd_walk_upper(pb))
+        reports.append(poincare_upper(pb))
     for l in l_list:
         gl = neighborhood_graph(g, l)
-        h_l = _capped(cheeger_exact, gl, cap=cap_h, check_connected=False)
-        hbar_l = _capped(dual_cheeger_exact, gl, cap=cap_hbar, check_connected=False)
+        if gl is g:  # l = 1: reuse h and hbar of g
+            h_l, hbar_l = h_res, hbar_res
+        else:
+            h_l = _capped(cheeger_exact, gl, cap=cap_h, check_connected=False)
+            hbar_l = _capped(dual_cheeger_exact, gl, cap=cap_hbar, check_connected=False)
         cc = clustering_constants(gl)
         if h_l is not None:
             reports.append(neighborhood_sandwich_from(l, h_l.value))

@@ -25,6 +25,7 @@ import os
 import re
 import sys
 from dataclasses import asdict
+from types import ModuleType
 
 import numpy as np
 
@@ -33,13 +34,14 @@ from .graphs import GraphError, clustering_coefficient, graph_to_dict, is_bipart
 from .spectral import spectral_radius_rho, spectrum
 
 
-def _defer(*names: str) -> None:
-    """Put lapspec modules in ``sys.modules`` unexecuted; each runs on first attribute access.
+def _defer(*names: str) -> list[ModuleType]:
+    """The lapspec modules ``names``; those not yet loaded run on first attribute access.
 
-    Each subcommand imports what it calls when it runs, so a process runs
-    only its own subcommand's modules.  Registering the others lazily keeps
-    every module findable where tools look for it (``perfbench``'s tracer
-    wraps functions through ``sys.modules``) for a file lookup each.
+    Each subcommand calls through these modules, so a process runs only its
+    own subcommand's modules.  Each unloaded one is put in ``sys.modules``
+    unexecuted, which keeps every module findable where tools look for it
+    (``perfbench``'s tracer wraps functions through ``sys.modules``) for a
+    file lookup each.
     """
     for name in names:
         full = f"{__package__}.{name}"
@@ -50,9 +52,12 @@ def _defer(*names: str) -> None:
         module = importlib.util.module_from_spec(spec)
         sys.modules[full] = module
         spec.loader.exec_module(module)
+    return [sys.modules[f"{__package__}.{name}"] for name in names]
 
 
-_defer("partitions", "neighborhood", "bounds", "random_walk", "cml")
+partitions, neighborhood, bounds, random_walk, cml = _defer(
+    "partitions", "neighborhood", "bounds", "random_walk", "cml"
+)
 
 
 def _jsonable(obj):
@@ -146,16 +151,14 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _parse_map(text: str):
-    from .cml import logistic_map, tent_map
-
     kind, sep, param = text.partition(":")
     if not sep:
         raise ValueError("map must be kind:param, e.g. logistic:4")
     value = float(param)
     if kind == "logistic":
-        return logistic_map(value)
+        return cml.logistic_map(value)
     if kind == "tent":
-        return tent_map(value)
+        return cml.tent_map(value)
     raise ValueError(f"unknown map kind {kind!r}; choose logistic or tent")
 
 
@@ -191,41 +194,27 @@ def _cmd_spectrum(args) -> str:
 
 
 def _cmd_constants(args) -> str:
-    from .bounds import clustering_constants
-    from .partitions import (
-        balance_ratio_exact,
-        cheeger_exact,
-        default_odd_walk_family,
-        dual_cheeger_exact,
-        dual_cheeger_greedy_lower,
-        greedy_balance_partition,
-        walk_family_from_dict,
-        xi_constant,
-        xi_product_bound,
-    )
-
     g = read_graph(args.input)
-    h_res = cheeger_exact(g, cap=args.cap_h)
-    hbar_res = dual_cheeger_exact(g, cap=args.cap_hbar)
-    bal = balance_ratio_exact(g, cap=args.cap_h)
-    greedy = greedy_balance_partition(g)
+    h_res = partitions.cheeger_exact(g, cap=args.cap_h)
+    hbar_res = partitions.dual_cheeger_exact(g, cap=args.cap_hbar)
+    bal = partitions.balance_ratio_exact(g, cap=args.cap_h)
+    greedy = partitions.greedy_balance_partition(g)
 
     greedy_dual = None
     if not g.has_loops():
-        greedy_dual = dual_cheeger_greedy_lower(g).value
+        greedy_dual = partitions.dual_cheeger_greedy_lower(g).value
 
     xi_payload = None
     if not is_bipartite(g):
         if args.walks is not None:
             with open(args.walks) as fh:
-                fam = walk_family_from_dict(json.load(fh))
-            fam.validate(g)
+                fam = partitions.walk_family_from_dict(json.load(fh))
         else:
-            fam = default_odd_walk_family(g)
-        xi = xi_constant(g, fam)
+            fam = partitions.default_odd_walk_family(g)
+        xi = partitions.xi_constant(g, fam)
         xi_payload = {
             "value": xi,
-            "product": xi_product_bound(g, fam).product,
+            "product": partitions.xi_product_bound(g, fam).product,
             "hbar_upper": 1.0 - 1.0 / xi,
         }
 
@@ -234,7 +223,7 @@ def _cmd_constants(args) -> str:
     except GraphError:
         coefficient = None
 
-    cc = clustering_constants(g)
+    cc = bounds.clustering_constants(g)
     payload = {
         "h": {
             "value": h_res.value,
@@ -261,12 +250,10 @@ def _cmd_constants(args) -> str:
 
 
 def _cmd_bounds(args) -> str:
-    from .bounds import all_bound_reports
-
     g = read_graph(args.input)
     l_list = _parse_int_list(args.l_list)
     s = spectrum(g)
-    reports = all_bound_reports(g, l_list, cap_h=args.cap_h, cap_hbar=args.cap_hbar)
+    reports = bounds.all_bound_reports(g, l_list, cap_h=args.cap_h, cap_hbar=args.cap_hbar)
     payload = {
         "lambda1": s.lambda_1,
         "lambdaMax": s.lambda_max,
@@ -276,31 +263,25 @@ def _cmd_bounds(args) -> str:
 
 
 def _cmd_neighborhood(args) -> str:
-    from .neighborhood import neighborhood_graph
-
     g = read_graph(args.input)
     if args.l < 1:
         raise ValueError("--l must be >= 1")
-    return _dump_json(graph_to_dict(neighborhood_graph(g, args.l)))
+    return _dump_json(graph_to_dict(neighborhood.neighborhood_graph(g, args.l)))
 
 
 def _cmd_curves(args) -> str:
-    from .bounds import bound_curves, curves_to_csv
-
     params = _parse_grid(args.grid)
     l_list = _parse_int_list(args.l_list)
-    rows = bound_curves(args.family, params, l_list)
+    rows = bounds.bound_curves(args.family, params, l_list)
     if args.format == "json":
         payload = {"family": args.family, "rows": [asdict(r) for r in rows]}
         for row in payload["rows"]:
             row["lambdaMax"] = row.pop("lambda_max")
         return _dump_json(payload)
-    return curves_to_csv(rows)
+    return bounds.curves_to_csv(rows)
 
 
 def _cmd_walk(args) -> str:
-    from .random_walk import walk_reports_to_csv, walk_trajectory
-
     g = read_graph(args.input)
     if args.f is not None:
         f = np.array([float(p) for p in args.f.split(",")])
@@ -312,7 +293,7 @@ def _cmd_walk(args) -> str:
         f = np.zeros(g.n)
         f[0] = 1.0
     try:
-        reports = walk_trajectory(g, f, args.steps, args.l, cap=args.cap_h)
+        reports = random_walk.walk_trajectory(g, f, args.steps, args.l, cap=args.cap_h)
     except ValueError as err:
         raise _naming_flags(err, t_max="--steps") from None
     if args.format == "json":
@@ -321,16 +302,14 @@ def _cmd_walk(args) -> str:
             "reports": [asdict(r) for r in reports],
         }
         return _dump_json(payload)
-    return walk_reports_to_csv(reports)
+    return random_walk.walk_reports_to_csv(reports)
 
 
 def _cmd_cml(args) -> str:
-    from .cml import simulate_sync, spread_to_csv
-
     g = read_graph(args.input)
     map_spec = _parse_map(args.map)
     try:
-        report = simulate_sync(
+        report = cml.simulate_sync(
             g,
             map_spec,
             eps=args.eps,
@@ -345,7 +324,7 @@ def _cmd_cml(args) -> str:
             err, t_steps="--steps", transient="--transient", trials="--trials", tol="--tol"
         ) from None
     if args.spread_output is not None:
-        _write_atomic(args.spread_output, spread_to_csv(report))
+        _write_atomic(args.spread_output, cml.spread_to_csv(report))
     return _dump_json(report.to_dict())
 
 

@@ -180,20 +180,18 @@ def _tolerance(g: WeightedGraph) -> float:
 
 def _digits(codes: np.ndarray, base: int, k: int) -> np.ndarray:
     """Digit i of each code, the label of vertex i, for i < k."""
-    if base == 2:  # shifts are several times faster than division
-        return (codes[:, None] >> np.arange(k, dtype=np.int64)) & 1
-    # code = q * 3**j + r: one division per code, then both halves' digits
+    # code = q * base**j + r: one division per code, then both halves' digits
     # from the table of every j-digit code, instead of k divisions
     j = (k + 1) // 2
-    table = _ternary_table(j)
-    q, r = np.divmod(codes, 3**j)
+    table = _digit_table(base, j)
+    q, r = np.divmod(codes, base**j)
     return np.hstack([table.take(r, axis=0), table[:, : k - j].take(q, axis=0)])
 
 
 @functools.cache
-def _ternary_table(j: int) -> np.ndarray:
-    """Row c holds the j base-3 digits of c, least significant first."""
-    table = (np.arange(3**j)[:, None] // 3 ** np.arange(j) % 3).astype(np.uint8)
+def _digit_table(base: int, j: int) -> np.ndarray:
+    """Row c holds the j base-``base`` digits of c, least significant first."""
+    table = (np.arange(base**j)[:, None] // base ** np.arange(j) % base).astype(np.uint8)
     table.flags.writeable = False
     return table
 
@@ -201,10 +199,6 @@ def _ternary_table(j: int) -> np.ndarray:
 def _first_label(digits: np.ndarray) -> np.ndarray:
     """Each row's first nonzero digit; 0 for an all-zero row."""
     return digits[np.arange(len(digits)), np.argmax(digits != 0, axis=1)]
-
-
-def _side(mask: int, k: int) -> set[int]:
-    return {i for i in range(k) if (mask >> i) & 1}
 
 
 def cheeger_exact(
@@ -261,8 +255,9 @@ def cheeger_exact(
     neg_best, mask = _split_first_max(1, 2, n - 1, neg_ratio, block, _tolerance(g))
     # On float-valued weight matrices (e.g. walk graphs) the rounded sums can
     # push the quotient an ulp past the mathematical ceiling h <= 1.
+    side = np.flatnonzero(_digits(np.array([mask]), 2, n - 1)[0])
     return CheegerResult(
-        value=min(-neg_best, 1.0), witness=Bipartition.of(g, _side(mask, n - 1)), method="exact"
+        value=min(-neg_best, 1.0), witness=Bipartition.of(g, side), method="exact"
     )
 
 
@@ -405,8 +400,9 @@ def balance_ratio_exact(
         return np.ones(len(lo), dtype=bool), tile
 
     best_val, mask = _split_first_max(1, 2, n - 1, balance, block, _tolerance(g))
+    side = np.flatnonzero(_digits(np.array([mask]), 2, n - 1)[0])
     return CheegerResult(
-        value=best_val, witness=Bipartition.of(g, _side(mask, n - 1)), method="exact"
+        value=best_val, witness=Bipartition.of(g, side), method="exact"
     )
 
 

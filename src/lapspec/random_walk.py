@@ -63,20 +63,6 @@ class WalkReport:
     bound_hl: float | None = None
 
 
-def _hl_rate(g: WeightedGraph, l: int, *, cap: int | None = None) -> float:
-    if l < 2 or l % 2 != 0:
-        raise ValueError("the isoperimetric convergence rate needs an even l >= 2")
-    h_l = neighborhood_cheeger(g, l, cap=cap).value
-    return (1.0 - h_l * h_l) ** (1.0 / (2 * l))
-
-
-def walk_deviation(
-    g: WeightedGraph, f: np.ndarray, t: int, l_even: int | None = None
-) -> WalkReport:
-    """Apply ``P`` t times and compare the deviation with its decay bounds."""
-    return walk_trajectory(g, f, t, l_even)[-1]
-
-
 def walk_trajectory(
     g: WeightedGraph,
     f: np.ndarray,
@@ -104,9 +90,12 @@ def walk_trajectory(
             mean = equilibrium_projection(g, f)
     except FloatingPointError:
         raise ValueError("f is too large: its degree norm overflows") from None
+    if l_even is not None and (l_even < 2 or l_even % 2 != 0):
+        raise ValueError("the isoperimetric convergence rate needs an even l >= 2")
     rate = None
     if l_even is not None and bipartition_of(g) is None:
-        rate = _hl_rate(g, l_even, cap=cap)
+        h_l = neighborhood_cheeger(g, l_even, cap=cap).value
+        rate = (1.0 - h_l * h_l) ** (1.0 / (2 * l_even))
     out = []
     cur = f.copy()
     for t in range(t_max + 1):

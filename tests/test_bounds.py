@@ -17,23 +17,22 @@ from lapspec.bounds import (
     all_bound_reports,
     bound_curves,
     cheeger_bounds,
-    cheeger_bounds_of,
     clustering_constants,
     clustering_upper,
     combined_lower,
     curves_to_csv,
     diameter_variation_upper,
     dual_cheeger_bounds,
-    gap_around_one,
+    gap_around_one_from,
     hop_diameter,
     improvement_predicates,
     lambda_identity_check,
     localized_upper,
     mean_offset_quotient,
     neighborhood_dual_upper_from,
-    neighborhood_interval,
-    neighborhood_sandwich,
-    neighborhood_upper_or,
+    neighborhood_interval_from,
+    neighborhood_sandwich_from,
+    neighborhood_upper_or_from,
     odd_walk_upper,
     pair_spread_quotient,
     poincare_upper,
@@ -47,12 +46,18 @@ from lapspec.graphs import (
     looped_pair,
     path_graph,
 )
+from lapspec.neighborhood import (
+    neighborhood_cheeger,
+    neighborhood_dual_cheeger,
+    neighborhood_graph,
+)
 from lapspec.partitions import (
     cheeger_exact,
     default_odd_walk_family,
     dual_cheeger_exact,
+    xi_product_bound,
 )
-from lapspec.spectral import spectrum
+from lapspec.spectral import Spectrum, spectrum
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -106,6 +111,43 @@ def test_inapplicable_report_holds_vacuously():
     assert rep.holds_for(spectrum(complete_graph(3)))
 
 
+# lambda_1 = 0.5, lambda_max = 2; each target once holding and once failing
+_TABLE_SPECTRUM = Spectrum(
+    eigenvalues=np.array([0.0, 0.5, 1.5, 2.0]), eigenfunctions=None, residual=0.0
+)
+
+
+@pytest.mark.parametrize(
+    "target, lower, upper, holds",
+    [
+        (TARGET_LAMBDA1, 0.4, 0.6, True),
+        (TARGET_LAMBDA1, 0.6, None, False),
+        (TARGET_LAMBDA1, None, 0.4, False),
+        (TARGET_LAMBDA_MAX, 1.9, 2.1, True),
+        (TARGET_LAMBDA_MAX, None, 1.9, False),
+        (TARGET_LAMBDA_MAX, 2.1, None, False),
+        (TARGET_SANDWICH, 0.5, 2.0, True),
+        (TARGET_SANDWICH, 0.5, 1.9, False),
+        (TARGET_SANDWICH, 0.6, 2.0, False),
+        (TARGET_CONTAINS_SOME, 1.4, 1.6, True),
+        (TARGET_CONTAINS_SOME, 0.6, 1.4, False),
+        (TARGET_GAP_AROUND_ONE, 0.6, 1.4, True),
+        (TARGET_GAP_AROUND_ONE, 0.4, 1.4, False),
+        (TARGET_BRANCH_OR, 2.5, 0.6, True),  # the lambda_1 branch holds
+        (TARGET_BRANCH_OR, 1.9, 0.4, True),  # the lambda_max branch holds
+        (TARGET_BRANCH_OR, 2.1, 0.4, False),
+    ],
+)
+def test_holds_for_each_target(target, lower, upper, holds):
+    rep = BoundReport(name="x", target=target, lower=lower, upper=upper)
+    assert rep.holds_for(_TABLE_SPECTRUM) is holds
+
+
+def test_holds_for_unknown_target():
+    with pytest.raises(ValueError, match="unknown target"):
+        BoundReport(name="x", target="nowhere", lower=0.0).holds_for(_TABLE_SPECTRUM)
+
+
 def test_constant_range_validation():
     with pytest.raises(ValueError):
         cheeger_bounds(1.5)
@@ -123,7 +165,7 @@ def test_constant_range_validation():
 def test_cheeger_upper_sharp_on_even_complete(n):
     # lambda_1 = n/(n-1) = 2h exactly
     g = complete_graph(n)
-    rep = cheeger_bounds_of(g)
+    rep = cheeger_bounds(cheeger_exact(g).value)
     s = spectrum(g)
     assert abs(rep.upper - s.lambda_1) < 1e-12
     assert rep.holds_for(s)
@@ -254,11 +296,11 @@ def test_clustering_upper_holds_on_fixtures(fixtures):
 
 def test_walk_bounds_on_triangle():
     g = complete_graph(3)
-    fam = default_odd_walk_family(g)
+    pb = xi_product_bound(g, default_odd_walk_family(g))
     # every triangle walk uses all three edges: product = 2 * 1 * 3
-    rep = odd_walk_upper(g, fam)
+    rep = odd_walk_upper(pb)
     assert abs(rep.upper - (1 + math.sqrt(1 - 1 / 36))) < 1e-15
-    rep2 = poincare_upper(g, fam)
+    rep2 = poincare_upper(pb)
     assert abs(rep2.upper - (2 - 2 / 18)) < 1e-15
     s = spectrum(g)
     assert rep.holds_for(s) and rep2.holds_for(s)
@@ -268,7 +310,7 @@ def test_walk_comparison_consistent(fixtures):
     for name, g in fixtures.items():
         if is_bipartite(g):
             continue
-        comp = walk_bound_comparison(g, default_odd_walk_family(g))
+        comp = walk_bound_comparison(xi_product_bound(g, default_odd_walk_family(g)))
         if comp.product * comp.sigma_max <= 2.0:
             continue  # degenerate regime where the closed-form tie-break fails
         if comp.congestion_is_better:
@@ -283,28 +325,29 @@ def test_walk_comparison_consistent(fixtures):
 
 def test_branch_or_inapplicable_when_cut_too_large():
     # h[2](K_5) > 1/2, so the even-order disjunction has nothing to say
-    rep = neighborhood_upper_or(complete_graph(5), 2)
+    rep = neighborhood_upper_or_from(2, neighborhood_cheeger(complete_graph(5), 2).value)
     assert rep.target == TARGET_BRANCH_OR
     assert not rep.applicable
 
 
 def test_even_sandwich_targets():
-    rep = neighborhood_sandwich(complete_graph(5), 2)
+    rep = neighborhood_sandwich_from(2, neighborhood_cheeger(complete_graph(5), 2).value)
     assert rep.target == TARGET_SANDWICH
     assert rep.holds_for(spectrum(complete_graph(5)))
-    rep3 = neighborhood_sandwich(complete_graph(5), 3)
+    rep3 = neighborhood_sandwich_from(3, neighborhood_cheeger(complete_graph(5), 3).value)
     assert rep3.target == TARGET_LAMBDA1
 
 
 def test_gap_report_is_usually_inapplicable():
-    rep = gap_around_one(complete_graph(5), 2)
+    cc = clustering_constants(neighborhood_graph(complete_graph(5), 2))
+    rep = gap_around_one_from(2, cc.h_big)
     assert rep.target == TARGET_GAP_AROUND_ONE
     assert not rep.applicable  # h_big barely exceeds 0 on small cliques
 
 
 def test_interval_contains_an_eigenvalue():
     g = looped_pair(2.0)
-    rep = neighborhood_interval(g, 2)
+    rep = neighborhood_interval_from(2, neighborhood_dual_cheeger(g, 2).value)
     if rep.applicable:
         assert rep.target == TARGET_CONTAINS_SOME
         assert rep.holds_for(spectrum(g))
@@ -363,6 +406,10 @@ def test_all_reports_compute_each_constant_once(monkeypatch):
     all_bound_reports(g, (2, 3))
     # Gamma[2] and Gamma[3] once each; h and hbar of g, Gamma[2], Gamma[3]
     assert calls == {"neighborhood_graph": 2, "cheeger_exact": 3, "dual_cheeger_exact": 3}
+    calls.update(dict.fromkeys(calls, 0))
+    all_bound_reports(g, (1, 2))
+    # Gamma[1] is g, so its h and hbar are those of g: h and hbar of g and Gamma[2]
+    assert calls == {"neighborhood_graph": 2, "cheeger_exact": 2, "dual_cheeger_exact": 2}
 
 
 # ---------------------------------------------------------------------------

@@ -310,17 +310,21 @@ _REFUSAL_FLAG = {
         ["curves", "--family", "complete", "--grid", "0:1:1e-320"],
         ["curves", "--family", "complete", "--grid", ",".join(["3"] * 10_001)],
         ["constants", "--input", "{k5}", "--cap-h", "-3"],
+        ["walk", "--input", "{c10}", "--l", "3"],
     ],
     ids=["unwritable-output", "cml-one-vertex", "infinite-grid", "infinite-grid-value",
          "nan-eps", "nan-tol", "infinite-map", "nan-start", "huge-start", "infinite-eps",
          "infinite-tol", "overflowing-eps", "huge-logistic", "negative-tent",
          "negative-transient", "huge-steps", "huge-trials", "huge-transient", "huge-walk",
-         "zero-walk-length", "huge-grid", "overflowing-grid", "long-grid-list", "negative-cap"],
+         "zero-walk-length", "huge-grid", "overflowing-grid", "long-grid-list", "negative-cap",
+         "odd-walk-order-bipartite"],
 )
 def test_bad_flag_or_output_exit_2(capsys, tmp_path, k5_file, argv, request):
     k1 = tmp_path / "k1.json"
     k1.write_text(json.dumps({"n": 1, "edges": [[0, 0, 1.0]]}))
-    argv = [a.format(k5=k5_file, k1=k1, tmp=tmp_path) for a in argv]
+    c10 = tmp_path / "c10.json"
+    c10.write_text(json.dumps({"n": 10, "edges": [[i, (i + 1) % 10, 1.0] for i in range(10)]}))
+    argv = [a.format(k5=k5_file, k1=k1, c10=c10, tmp=tmp_path) for a in argv]
     code, out, err = _run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("usage error:") and err.count("\n") == 1

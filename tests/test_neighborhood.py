@@ -8,11 +8,14 @@ from lapspec.graphs import (
     bridged_triangles,
     complete_graph,
     cycle_graph,
+    from_matrix,
     is_bipartite,
     is_connected,
     looped_pair,
 )
 from lapspec.neighborhood import (
+    REPEATED_SQUARING_THRESHOLD,
+    TRUNCATION_REL_TOL,
     map_eigenvalues,
     neighborhood_cheeger,
     neighborhood_dual_cheeger,
@@ -120,6 +123,46 @@ def test_degrees_preserved(seed, l):
     g = _random_graph(seed, n_max=8, weighted=True, allow_loops=True)
     gl = neighborhood_graph(g, l)
     assert np.abs(gl.degrees - g.degrees).max() < 1e-10
+
+
+def _gnp(seed: int, n: int, p: float = 0.4):
+    """Seeded unit-weight G(n, p), redrawn until it is connected."""
+    rng = np.random.default_rng(seed)
+    while True:
+        upper = np.triu(rng.random((n, n)) < p, 1).astype(float)
+        w = upper + upper.T
+        g = from_matrix(w) if w.sum(axis=1).all() else None
+        if g is not None and is_connected(g):
+            return g
+
+
+_SQUARING_GRAPHS = {
+    "gnp10": _gnp(5, 10),
+    "K5": complete_graph(5),
+    "C10": cycle_graph(10),
+    "looped_pair(0.3)": looped_pair(0.3),
+}
+
+
+@pytest.mark.parametrize("name", list(_SQUARING_GRAPHS))
+@pytest.mark.parametrize("l", [66, 100, 1001])
+def test_repeated_squaring_orders(name, l):
+    assert l - 1 > REPEATED_SQUARING_THRESHOLD  # the matrix_power branch
+    g = _SQUARING_GRAPHS[name]
+    gl = neighborhood_graph(g, l)
+    # one product per step, symmetrised and truncated the same way
+    walk = g.weights / g.degrees[:, None]
+    seq = np.array(g.weights)
+    for _ in range(l - 1):
+        seq = seq @ walk
+    seq = 0.5 * (seq + seq.T)
+    seq[seq < TRUNCATION_REL_TOL * seq.max()] = 0.0
+    assert np.array_equal(gl.weights, gl.weights.T)
+    assert np.abs(gl.weights - seq).max() <= 1e-12 * seq.max()
+    assert np.abs(gl.degrees - g.degrees).max() <= 1e-12 * g.degrees.max()
+    direct = spectrum(gl, check_connected=False).eigenvalues
+    mapped = map_eigenvalues(spectrum(g).eigenvalues, l)
+    assert np.abs(direct - mapped).max() <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)

@@ -23,7 +23,6 @@ from lapspec.random_walk import (
     mixing_time,
     neighborhood_limit_check,
     transition_apply,
-    walk_deviation,
     walk_reports_to_csv,
     walk_trajectory,
 )
@@ -68,7 +67,7 @@ def test_projection_is_degree_weighted_mean():
 def test_deviation_at_zero_is_offset_norm():
     g = complete_graph(5)
     f = np.eye(5)[0]
-    rep = walk_deviation(g, f, 0)
+    rep = walk_trajectory(g, f, 0)[-1]
     assert rep.deviation <= rep.bound_rho + 1e-12
 
 
@@ -76,7 +75,7 @@ def test_deviation_at_zero_is_offset_norm():
 def test_decay_bound_k5(t):
     g = complete_graph(5)
     f = np.eye(5)[0]
-    rep = walk_deviation(g, f, t, l_even=2)
+    rep = walk_trajectory(g, f, t, l_even=2)[-1]
     assert rep.deviation <= rep.bound_rho + 1e-12
     assert rep.bound_hl is not None
     assert rep.deviation <= rep.bound_hl + 1e-12
@@ -108,7 +107,7 @@ def test_trajectory_matches_single_calls():
     f = np.eye(6)[2]
     traj = walk_trajectory(g, f, 6, l_even=4)
     for t, rep in enumerate(traj):
-        single = walk_deviation(g, f, t, l_even=4)
+        single = walk_trajectory(g, f, t, l_even=4)[-1]
         assert rep.deviation == pytest.approx(single.deviation, abs=1e-12)
         assert rep.bound_rho == pytest.approx(single.bound_rho, abs=1e-12)
         assert rep.bound_hl == pytest.approx(single.bound_hl, abs=1e-12)
@@ -116,15 +115,15 @@ def test_trajectory_matches_single_calls():
 
 def test_bipartite_has_no_hl_bound():
     g = cycle_graph(4)
-    rep = walk_deviation(g, np.eye(4)[0], 3, l_even=2)
+    rep = walk_trajectory(g, np.eye(4)[0], 3, l_even=2)[-1]
     assert rep.bound_hl is None
     assert rep.deviation > 0.1  # the walk does not converge here
 
 
 def test_hl_rate_requires_even_order():
-    g = complete_graph(5)
-    with pytest.raises(ValueError):
-        walk_deviation(g, np.eye(5)[0], 1, l_even=3)
+    for g in (complete_graph(5), cycle_graph(4)):  # checked on bipartite graphs too
+        with pytest.raises(ValueError):
+            walk_trajectory(g, np.eye(g.n)[0], 1, l_even=3)
 
 
 def test_csv_header():
