@@ -295,9 +295,8 @@ def clustering_constants(g: WeightedGraph) -> ClusteringConstants:
     )
 
 
-def clustering_upper(g: WeightedGraph) -> BoundReport:
+def clustering_upper(cc: ClusteringConstants) -> BoundReport:
     """``lambda_max <= 2 - h_big`` from the local clustering constants."""
-    cc = clustering_constants(g)
     return BoundReport(
         name="clustering_upper",
         target=TARGET_LAMBDA_MAX,
@@ -799,19 +798,20 @@ def all_bound_reports(
     if h_res is not None:
         reports.append(localized_upper(g, s, h_res.value))
     reports.append(diameter_variation_upper(g, s))
-    reports.append(clustering_upper(g))
+    cc_g = clustering_constants(g)
+    reports.append(clustering_upper(cc_g))
     if not is_bipartite(g):
         pb = xi_product_bound(g, default_odd_walk_family(g))
         reports.append(odd_walk_upper(pb))
         reports.append(poincare_upper(pb))
     for l in l_list:
         gl = neighborhood_graph(g, l)
-        if gl is g:  # l = 1: reuse h and hbar of g
-            h_l, hbar_l = h_res, hbar_res
+        if gl is g:  # l = 1: reuse the constants of g
+            h_l, hbar_l, cc = h_res, hbar_res, cc_g
         else:
             h_l = _capped(cheeger_exact, gl, cap=cap_h, check_connected=False)
             hbar_l = _capped(dual_cheeger_exact, gl, cap=cap_hbar, check_connected=False)
-        cc = clustering_constants(gl)
+            cc = clustering_constants(gl)
         if h_l is not None:
             reports.append(neighborhood_sandwich_from(l, h_l.value))
             reports.append(neighborhood_upper_or_from(l, h_l.value))

@@ -126,9 +126,10 @@ def _candidates(starts: np.ndarray, base: int, m: int, block, tol: float) -> np.
     """The chunk starts that can hold the first exact optimum.
 
     The split pass scores every code approximately by splitting the digits
-    into a low block of ``k`` and a high block of ``m - k``: ``block(lo)``
-    gets every low labeling as a digit matrix and returns the ones to keep
-    and ``tile(hi)``, the ``(len(hi), kept)`` values of all (high, low) pairs.
+    into a low block of ``k`` and a high block of ``m - k``: ``block(lo, hi)``
+    gets every low and every high labeling as digit matrices and returns
+    the lows to keep and ``tile(rows, out)``, which writes the values of the
+    pairs of the highs at ``rows`` with the kept lows into ``out``.
     Code = low + base**k * high, so a tile read row by row is in code order.
     The pass keeps each chunk's largest value.  With ``|approximate - exact|
     <= tol / 2`` for every code, the first chunk holding the exact optimum
@@ -139,24 +140,36 @@ def _candidates(starts: np.ndarray, base: int, m: int, block, tol: float) -> np.
     """
     start = int(starts[0])
     k = (m + 1) // 2
-    kept, tile = block(_digits(np.arange(base**k), base, k))
-    lows = np.flatnonzero(kept)
     highs = _digits(np.arange(base ** (m - k)), base, m - k)
-    rows = _TILE // len(lows)
+    kept, tile = block(_digits(np.arange(base**k), base, k), highs)
+    lows = np.flatnonzero(kept)
+    rows = _tile_rows(len(lows), len(highs))
+    # Every tile is written into this buffer, and the blocks keep their
+    # scratch arrays too: a fresh half-megabyte array per tile goes back to
+    # the OS when freed and is page-faulted in again by the next tile.
+    buf = np.empty((rows, len(lows)))
     # code - base**k * h0 of each pair of a tile starting at high h0
     offsets = (lows + base**k * np.arange(rows)[:, None]).ravel()
     cmax = np.full(len(starts), -np.inf)
-    for h0 in range(0, len(highs), rows):
-        with np.errstate(all="ignore"):
-            vals = tile(highs[h0 : h0 + rows]).ravel()
-        first = base**k * h0 - start  # tile codes are first + start + rel
-        rel = offsets[: len(vals)]
-        vals[: np.searchsorted(rel, -first)] = -np.inf
-        c0, c1 = max(first + rel[0], 0) // _CHUNK, (first + rel[-1]) // _CHUNK
-        at = np.r_[0, np.searchsorted(rel, _CHUNK * np.arange(c0 + 1, c1 + 1) - first)]
-        cmax[c0 : c1 + 1] = np.maximum(cmax[c0 : c1 + 1], np.maximum.reduceat(vals, at))
-    earlier = np.maximum.accumulate(np.r_[-np.inf, cmax[:-1]])
+    with np.errstate(all="ignore"):
+        for h0 in range(0, len(highs), rows):
+            out = buf[: min(rows, len(highs) - h0)]
+            tile(slice(h0, h0 + len(out)), out)
+            vals = out.ravel()
+            first = base**k * h0 - start  # tile codes are first + start + rel
+            rel = offsets[: len(vals)]
+            vals[: np.searchsorted(rel, -first)] = -np.inf
+            c0, c1 = max(first + rel[0], 0) // _CHUNK, (first + rel[-1]) // _CHUNK
+            ends = np.searchsorted(rel, _CHUNK * np.arange(c0 + 1, c1 + 1) - first)
+            at = np.concatenate(([0], ends))
+            cmax[c0 : c1 + 1] = np.maximum(cmax[c0 : c1 + 1], np.maximum.reduceat(vals, at))
+    earlier = np.maximum.accumulate(np.concatenate(([-np.inf], cmax[:-1])))
     return starts[~((cmax + tol < cmax.max()) | (cmax + tol <= earlier))]
+
+
+def _tile_rows(lows: int, highs: int) -> int:
+    """Highs per tile of the split pass: about ``_TILE`` pairs, at most every high."""
+    return min(_TILE // lows, highs)
 
 
 def _tolerance(g: WeightedGraph) -> float:
@@ -231,23 +244,23 @@ def cheeger_exact(
         boundary = vol - internal
         return -(boundary / np.minimum(vol, total - vol))
 
-    def block(lo):
+    def block(lo, hi):
         k = lo.shape[1]
-        a = lo.astype(float)
-        vol_lo = a @ d[:k]
+        a, b = lo.astype(float), hi.astype(float)
+        vol_lo, vol_hi = a @ d[:k], b @ d[k:]
         # -boundary = internal - vol = (I - V)_lo + (I - V)_hi + 2 L W_lh H^T
         neg_lo = ((a @ w[:k, :k]) * a).sum(axis=1) - vol_lo
+        neg_hi = ((b @ w[k:, k:]) * b).sum(axis=1) - vol_hi
         cross_t = 2.0 * (a @ w[:k, k:]).T
+        vol, other = np.empty((2, _tile_rows(len(lo), len(hi)), len(lo)))
 
-        def tile(hi):
-            b = hi.astype(float)
-            vol_hi = b @ d[k:]
-            val = b @ cross_t
-            val += (((b @ w[k:, k:]) * b).sum(axis=1) - vol_hi)[:, None]
-            val += neg_lo
-            vol = vol_hi[:, None] + vol_lo
-            val /= np.minimum(vol, total - vol, out=vol)
-            return val
+        def tile(rows, out):
+            v, o = vol[: len(out)], other[: len(out)]
+            np.matmul(b[rows], cross_t, out=out)
+            out += neg_hi[rows, None]
+            out += neg_lo
+            np.add(vol_hi[rows, None], vol_lo, out=v)
+            out /= np.minimum(v, np.subtract(total, v, out=o), out=v)
 
         return np.ones(len(lo), dtype=bool), tile
 
@@ -295,27 +308,30 @@ def dual_cheeger_exact(
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(valid, 2.0 * cross / vols, -np.inf)
 
-    def block(lo):
+    def block(lo, hi):
         k = lo.shape[1]
         kept = _first_label(lo) != 2  # all V3, or the first non-V3 label is 1
         lo = lo[kept]
         a1, a2 = (lo == 1).astype(float), (lo == 2).astype(float)
+        b1, b2 = (hi == 1).astype(float), (hi == 2).astype(float)
         # 2 cross = 2 C_lo + 2 C_hi + [2 A1 W_lh, 2 A2 W_lh] [B2, B1]^T
         cross_lo = 2.0 * ((a1 @ w[:k, :k]) * a2).sum(axis=1)
+        cross_hi = 2.0 * ((b1 @ w[k:, k:]) * b2).sum(axis=1)
         mixed_t = 2.0 * np.hstack([a1 @ w[:k, k:], a2 @ w[:k, k:]]).T
-        vol_lo = (a1 + a2) @ d[:k]
-        no2_lo = ~a2.any(axis=1)
+        b21 = np.hstack([b2, b1])
+        vol_lo, vol_hi = (a1 + a2) @ d[:k], (b1 + b2) @ d[k:][:, None]
+        # invalid: V2 empty, or all V3 below and the first high label 2
+        no2_lo, no2_hi = ~a2.any(axis=1), ~b2.any(axis=1)
+        not1_hi = _first_label(hi) != 1
+        den = np.empty((_tile_rows(len(lo), len(hi)), len(lo)))
 
-        def tile(hi):
-            b1, b2 = (hi == 1).astype(float), (hi == 2).astype(float)
-            val = np.hstack([b2, b1]) @ mixed_t
-            val += 2.0 * ((b1 @ w[k:, k:]) * b2).sum(axis=1)[:, None]
-            val += cross_lo
-            val /= (b1 + b2) @ d[k:][:, None] + vol_lo
-            # invalid: V2 empty, or all V3 below and the first high label 2
-            val[np.ix_(~b2.any(axis=1), no2_lo)] = -np.inf
-            val[_first_label(hi) != 1, 0] = -np.inf
-            return val
+        def tile(rows, out):
+            np.matmul(b21[rows], mixed_t, out=out)
+            out += cross_hi[rows, None]
+            out += cross_lo
+            out /= np.add(vol_hi[rows], vol_lo, out=den[: len(out)])
+            out[np.ix_(no2_hi[rows], no2_lo)] = -np.inf
+            out[not1_hi[rows], 0] = -np.inf
 
         return kept, tile
 
@@ -389,13 +405,17 @@ def balance_ratio_exact(
         vol = _digits(codes, 2, n - 1).astype(float) @ d
         return np.minimum(vol, total - vol) / np.maximum(vol, total - vol)
 
-    def block(lo):
+    def block(lo, hi):
         k = lo.shape[1]
-        vol_lo = lo.astype(float) @ d[:k]
+        vol_lo, vol_hi = lo.astype(float) @ d[:k], hi.astype(float) @ d[k:]
+        vol, other = np.empty((2, _tile_rows(len(lo), len(hi)), len(lo)))
 
-        def tile(hi):
-            vol = (hi.astype(float) @ d[k:])[:, None] + vol_lo
-            return np.minimum(vol, total - vol) / np.maximum(vol, total - vol)
+        def tile(rows, out):
+            v, o = vol[: len(out)], other[: len(out)]
+            np.add(vol_hi[rows, None], vol_lo, out=v)
+            np.subtract(total, v, out=o)
+            np.minimum(v, o, out=out)
+            out /= np.maximum(v, o, out=v)
 
         return np.ones(len(lo), dtype=bool), tile
 

@@ -6,9 +6,9 @@ the numpy enumeration in lapspec.partitions, so agreement between the two
 is meaningful.  Weights must be exactly representable (integers or dyadic
 rationals like 0.5); Fraction(float) keeps them exact.
 
-The coupled-map reference at the end is the other kind of oracle: the
-plain one-trial-at-a-time loop that the batched simulation must match bit
-for bit.
+The coupled-map references at the end are the other kind of oracle: the
+plain loops that the batched simulation and the blocked Lyapunov average
+must match bit for bit.
 """
 
 import math
@@ -17,7 +17,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from lapspec.cml import DIVERGENCE_GUARD, PERTURBATION_RADIUS, step_cml
+from lapspec.cml import _LOG_FLOOR, DIVERGENCE_GUARD, PERTURBATION_RADIUS, step_cml
 
 
 def frac_weights(g):
@@ -218,3 +218,15 @@ def oracle_simulate_sync(g, map_spec, eps, t_steps, transient, tol, trials, base
             worst_spread = tail
             worst_traj = tuple(traj)
     return all_synced and not diverged, diverged, worst_traj, tuple(final_spreads)
+
+
+def oracle_lyapunov_exponent(map_spec, s0, t_steps, transient):
+    """``cml.lyapunov_exponent`` as one scalar loop over the orbit."""
+    s = float(s0)
+    for _ in range(transient):
+        s = float(map_spec.f(s))
+    acc = 0.0
+    for _ in range(t_steps):
+        acc += math.log(max(abs(float(map_spec.f_prime(s))), _LOG_FLOOR))
+        s = float(map_spec.f(s))
+    return acc / t_steps

@@ -281,12 +281,12 @@ def test_clustering_trivial_without_triangles():
     cc = clustering_constants(path_graph(4))
     assert (cc.c0, cc.w_tri, cc.d_bar) == (0.0, 0.0, 0.0)
     assert cc.h_big == 0.0
-    assert clustering_upper(path_graph(4)).upper == 2.0
+    assert clustering_upper(cc).upper == 2.0
 
 
 def test_clustering_upper_holds_on_fixtures(fixtures):
     for name, g in fixtures.items():
-        rep = clustering_upper(g)
+        rep = clustering_upper(clustering_constants(g))
         assert rep.holds_for(spectrum(g)), name
 
 
@@ -385,7 +385,8 @@ def test_all_reports_compute_each_constant_once(monkeypatch):
     from lapspec.neighborhood import neighborhood_graph
 
     originals = {
-        fn.__name__: fn for fn in (neighborhood_graph, cheeger_exact, dual_cheeger_exact)
+        fn.__name__: fn
+        for fn in (neighborhood_graph, cheeger_exact, dual_cheeger_exact, clustering_constants)
     }
     calls = dict.fromkeys(originals, 0)
 
@@ -404,12 +405,22 @@ def test_all_reports_compute_each_constant_once(monkeypatch):
     g = _twin_spike_graph()
     assert not is_bipartite(g)
     all_bound_reports(g, (2, 3))
-    # Gamma[2] and Gamma[3] once each; h and hbar of g, Gamma[2], Gamma[3]
-    assert calls == {"neighborhood_graph": 2, "cheeger_exact": 3, "dual_cheeger_exact": 3}
+    # Gamma[2] and Gamma[3] once each; h, hbar and clustering of g, Gamma[2], Gamma[3]
+    assert calls == {
+        "neighborhood_graph": 2,
+        "cheeger_exact": 3,
+        "dual_cheeger_exact": 3,
+        "clustering_constants": 3,
+    }
     calls.update(dict.fromkeys(calls, 0))
     all_bound_reports(g, (1, 2))
-    # Gamma[1] is g, so its h and hbar are those of g: h and hbar of g and Gamma[2]
-    assert calls == {"neighborhood_graph": 2, "cheeger_exact": 2, "dual_cheeger_exact": 2}
+    # Gamma[1] is g, so its constants are those of g: those of g and Gamma[2]
+    assert calls == {
+        "neighborhood_graph": 2,
+        "cheeger_exact": 2,
+        "dual_cheeger_exact": 2,
+        "clustering_constants": 2,
+    }
 
 
 # ---------------------------------------------------------------------------

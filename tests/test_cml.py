@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lapspec.cml import (
     DIVERGENCE_GUARD,
     PERTURBATION_RADIUS,
+    MapSpec,
     custom_map,
     derivative_mismatch,
     logistic_map,
@@ -22,7 +23,8 @@ from lapspec.cml import (
 )
 from lapspec.graphs import complete_graph, cycle_graph, looped_pair
 from lapspec.spectral import spectrum
-from oracles import oracle_simulate_sync
+from lapspec import cml
+from oracles import oracle_lyapunov_exponent, oracle_simulate_sync
 
 LN2 = math.log(2.0)
 
@@ -101,6 +103,28 @@ def test_contracting_exponent():
     # constant slope 1/2 keeps the orbit inside [1/4, 3/4]
     m = custom_map([(0.0, 0.25), (1.0, 0.75)])
     assert lyapunov_exponent(m, 0.4, 200, 10) == pytest.approx(-LN2, abs=1e-12)
+
+
+@pytest.mark.parametrize("block", [7, cml._LYAPUNOV_BLOCK])
+def test_exponent_bit_identical_to_scalar_loop(monkeypatch, block):
+    monkeypatch.setattr(cml, "_LYAPUNOV_BLOCK", block)
+    rng = np.random.default_rng(20261018)
+    maps = [logistic_map(a) for a in (2.5, 3.2, 3.57, 3.9, 4.0)]
+    maps += [tent_map(s) for s in (0.7, 1.5, 1.9, 2.0)]
+    # a flat piece, so some slopes are floored
+    maps.append(custom_map([(0.0, 0.1), (0.3, 0.9), (0.6, 0.9), (1.0, 0.0)]))
+    # a derivative that returns a scalar even for an array
+    maps.append(MapSpec(kind="custom", f=lambda x: 0.5 * x + 0.25, f_prime=lambda x: 0.5))
+    for m in maps:
+        for s0 in (0.5, *rng.uniform(0.0, 1.0, 3)):
+            t_steps, transient = int(rng.integers(1, 300)), int(rng.integers(0, 30))
+            got = lyapunov_exponent(m, s0, t_steps, transient)
+            assert got.hex() == oracle_lyapunov_exponent(m, s0, t_steps, transient).hex()
+    # across the real block boundary
+    m = logistic_map(4.0)
+    assert lyapunov_exponent(m, 0.2357111317, 70_001, 3).hex() == (
+        oracle_lyapunov_exponent(m, 0.2357111317, 70_001, 3).hex()
+    )
 
 
 def test_exponent_validation():

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -129,8 +132,8 @@ def _gnp(rng, n):
 def _split_pass_graphs():
     """Seeded graphs on which the split pass crosses several chunks and tiles.
 
-    h at n = 17 and 20 (2 and 16 chunks; 1 and 8 tiles), hbar at n = 10, 12
-    and 14 (2, 17 and 146 chunks; 1, 5 and 38 tiles).  Continuous weights and
+    h at n = 17, 20 and 22 (2, 16 and 64 chunks; 1, 8 and 32 tiles), hbar
+    at n = 10, 12 and 14 (2, 17 and 146 chunks; 1, 5 and 38 tiles).  Continuous weights and
     Gamma[l] need the rounding tolerance; dyadic weights, K_n and C_n are
     scored exactly and tie across many chunks; the ties of K_n and C_n
     with weight 0.1 round apart.
@@ -155,6 +158,9 @@ def _split_pass_graphs():
     graphs["K10[2]"] = neighborhood_graph(complete_graph(10), 2)
     graphs["K17"] = complete_graph(17)
     graphs["G(14, 0.4)[3]"] = neighborhood_graph(_gnp(rng, 14), 3)
+    g = _gnp(rng, 22)
+    for l in (2, 3):
+        graphs[f"G(22, 0.4)[{l}]"] = neighborhood_graph(g, l)
     return graphs
 
 
@@ -173,6 +179,36 @@ def test_split_pass_bit_identical_to_every_chunk_scan(monkeypatch, name):
             full = fn(g, **kw)
         assert fast.value.hex() == full.value.hex(), fn.__name__
         assert fast.witness == full.witness, fn.__name__
+
+
+_FAULT_PROBE = """
+import resource, sys
+import numpy as np
+from lapspec.graphs import WeightedGraph
+from lapspec.partitions import cheeger_exact
+
+w = np.load(sys.argv[1])
+g = WeightedGraph(n=len(w), weights=w)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+cheeger_exact(g)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt as on Linux")
+def test_split_pass_reuses_its_buffers(tmp_path):
+    # The first enumeration in a fresh process, as in every CLI run.  With a
+    # fresh (rows, lows) array per tile the 128 tiles of n = 24 fault in
+    # about 31,000 pages; with buffers allocated once per pass, about 2,500.
+    pytest.importorskip("resource")
+    np.save(tmp_path / "w.npy", _gnp(np.random.default_rng(24), 24).weights)
+    # one BLAS thread, as in the benchmark's children: each thread faults in its own buffers
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(partitions.__file__)),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE, str(tmp_path / "w.npy")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 10_000
 
 
 # ---------------------------------------------------------------------------
