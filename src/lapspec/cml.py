@@ -337,6 +337,13 @@ MAX_CML_STEPS = 10**6
 #: the ``(t_steps, trials)`` spread array under 240 MB.
 MAX_CML_WORK = 2 * 10**9
 
+#: Most matrix entries one ``step_cml`` call of ``simulate_sync`` sees.  A
+#: step holds two ``(rows, n, n)`` temporaries, so the trials are stepped in
+#: blocks of ``_CML_BLOCK_ENTRIES // n**2`` rows, at least one: each
+#: temporary stays under 32 MB, whatever ``MAX_CML_WORK`` admits, unless a
+#: single row (n above 2048) is larger.
+_CML_BLOCK_ENTRIES = 1 << 22
+
 #: Orbit length used when estimating the exponent inside simulate_sync.
 _MU_STEPS = 50_000
 _MU_TRANSIENT = 1_000
@@ -397,11 +404,15 @@ def simulate_sync(
     x = np.clip(s_sync[:, None] + noise, 0.0, 1.0)
     # Row k of x is trial k.  The first diverging trial ends the run, so it
     # and every later trial stop there; earlier trials keep running, since
-    # one of them may still diverge and so become the first.
+    # one of them may still diverge and so become the first.  Rows are
+    # stepped independently, so stepping them in blocks, each written back
+    # in place, keeps their bits.
     spreads = np.empty((t_steps, trials))
     live, stop = trials, t_steps
+    block = max(1, _CML_BLOCK_ENTRIES // g.n**2)
     for t in range(t_steps):
-        x = step_cml(g, x, map_spec, eps)
+        for i in range(0, len(x), block):
+            x[i : i + block] = step_cml(g, x[i : i + block], map_spec, eps)
         ok = (np.abs(x) <= DIVERGENCE_GUARD).all(axis=1)
         if not ok.all():
             live, stop = int(ok.argmin()), t

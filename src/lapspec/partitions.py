@@ -129,12 +129,16 @@ def _candidates(starts: np.ndarray, base: int, m: int, block, tol: float) -> np.
     into a low block of ``k`` and a high block of ``m - k``: ``block(lo, hi)``
     gets every low and every high labeling as digit matrices and returns
     the lows to keep and ``tile(rows, out)``, which writes the values of the
-    pairs of the highs at ``rows`` with the kept lows into ``out``.
-    Code = low + base**k * high, so a tile read row by row is in code order.
-    The pass keeps each chunk's largest value.  With ``|approximate - exact|
-    <= tol / 2`` for every code, the first chunk holding the exact optimum
-    is within ``tol`` of the best chunk and more than ``tol`` above no
-    earlier chunk.  The chunks that pass both tests (or whose maximum is
+    pairs of the highs at ``rows`` with the kept lows into ``out``.  A tile
+    is one product: each high's and each low's own term ride in it as two
+    more columns ``[term_hi, 1]`` of the highs and rows ``[1; term_lo]`` of
+    the lows, then one division.  Code = low + base**k * high, so a tile
+    read row by row is in code order.  The pass keeps each chunk's largest
+    value.  ``_tolerance`` bounds the gap between a code's tile and chunk
+    values, the product's extra terms included.  With ``|approximate -
+    exact| <= tol / 2`` for every code, the first chunk holding the exact
+    optimum is within ``tol`` of the best chunk and more than ``tol`` above
+    no earlier chunk.  The chunks that pass both tests (or whose maximum is
     NaN) are returned, so their exact scores give the value bits and
     witness of the scan over every chunk.
     """
@@ -177,12 +181,21 @@ def _tolerance(g: WeightedGraph) -> float:
 
     When every weight is a multiple of ``q = 2**-52`` times the power of two
     at or above the total volume, every sum either side forms is a multiple
-    of q below ``2**53 q``, hence exact, and the two values are equal.
-    Otherwise both sides round ratios of sums of nonnegative terms.  For
-    ``hbar`` and the balance ratio that costs a few ulps.  The Cheeger
-    ratio ``(vol - internal) / min(vol, total - vol)`` cancels, and its
-    error grows like ``n * eps * total / d_min``.  Beyond 1 the pass cannot
-    tell chunks apart, and every chunk is scored.
+    of q below ``2**53 q`` in magnitude, hence exact, and the two values are
+    equal.  That holds for the partial sums of a tile's product in any
+    order too: its positive terms add up to at most ``total``, its negative
+    ones (the Cheeger ``(I - V)`` terms) to at least ``-total``.
+
+    Otherwise both sides round ratios of sums.  For ``hbar`` and the balance
+    ratio the terms are nonnegative, which costs a few ulps.  The Cheeger
+    ratio ``(vol - internal) / min(vol, total - vol)`` cancels.  Its
+    numerator is, in a chunk, a few sums of at most n terms, and in a tile
+    one product of at most ``n/2 + 2`` terms (the high digits' cross terms,
+    the high term and the low term), each at most ``total`` and itself a sum
+    of at most n/2 terms.  So each side's numerator is off by a small
+    multiple of ``n * eps * total``, and its ratio by that over ``d_min <=
+    min(vol, total - vol)``: inside ``16 * n * eps * total / d_min``.
+    Beyond 1 the pass cannot tell chunks apart, and every chunk is scored.
     """
     total = g.volume
     if not np.fmod(g.weights, 2.0 ** max(np.ceil(np.log2(total)) - 52, -1074)).any():
@@ -212,6 +225,16 @@ def _digit_table(base: int, j: int) -> np.ndarray:
 def _first_label(digits: np.ndarray) -> np.ndarray:
     """Each row's first nonzero digit; 0 for an all-zero row."""
     return digits[np.arange(len(digits)), np.argmax(digits != 0, axis=1)]
+
+
+@functools.cache
+def _label_flags(j: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_first_label`` and "has a digit 2" of every j-digit ternary code."""
+    table = _digit_table(3, j)
+    flags = _first_label(table), (table == 2).any(axis=1)
+    for f in flags:
+        f.flags.writeable = False
+    return flags
 
 
 def cheeger_exact(
@@ -249,16 +272,16 @@ def cheeger_exact(
         a, b = lo.astype(float), hi.astype(float)
         vol_lo, vol_hi = a @ d[:k], b @ d[k:]
         # -boundary = internal - vol = (I - V)_lo + (I - V)_hi + 2 L W_lh H^T
+        #           = [H, (I - V)_hi, 1] [2 (L W_lh)^T; 1; (I - V)_lo]
         neg_lo = ((a @ w[:k, :k]) * a).sum(axis=1) - vol_lo
         neg_hi = ((b @ w[k:, k:]) * b).sum(axis=1) - vol_hi
-        cross_t = 2.0 * (a @ w[:k, k:]).T
+        hi_terms = np.column_stack([b, neg_hi, np.ones(len(b))])
+        lo_terms = np.vstack([2.0 * (a @ w[:k, k:]).T, np.ones(len(a)), neg_lo])
         vol, other = np.empty((2, _tile_rows(len(lo), len(hi)), len(lo)))
 
         def tile(rows, out):
             v, o = vol[: len(out)], other[: len(out)]
-            np.matmul(b[rows], cross_t, out=out)
-            out += neg_hi[rows, None]
-            out += neg_lo
+            np.matmul(hi_terms[rows], lo_terms, out=out)
             np.add(vol_hi[rows, None], vol_lo, out=v)
             out /= np.minimum(v, np.subtract(total, v, out=o), out=v)
 
@@ -297,16 +320,41 @@ def dual_cheeger_exact(
     d = g.degrees
     w = g.weights
 
+    j = (n + 1) // 2
+    first, has2 = _label_flags(j)
+    # The float arrays of the longest chunk so far, as prefix views for a
+    # shorter one: fresh arrays of several MB per chunk go back to the OS
+    # when freed and are page-faulted in again by the next chunk.
+    mats, vecs = np.empty((2, 0, n)), np.empty((2, 0))
+
     def ratio(codes):
+        nonlocal mats, vecs
+        c = len(codes)
+        if mats.shape[1] < c:
+            mats, vecs = np.empty((2, c, n)), np.empty((2, c))
+        ind, prod = mats[:, :c]
+        cross, vols = vecs[:, :c]
         digits = _digits(codes, 3, n)
-        ind1 = (digits == 1).astype(float)
-        ind2 = (digits == 2).astype(float)
-        # the first non-V3 label is 1 (so V1 is nonempty) and V2 is nonempty
-        valid = (_first_label(digits) == 1) & ind2.any(axis=1)
-        cross = ((ind1 @ w) * ind2).sum(axis=1)
-        vols = (ind1 + ind2) @ d
+        # ind holds the indicator of V1 or V2, then of V1, then of V2: each
+        # is read before the next overwrites it
+        np.not_equal(digits, 0, out=ind, casting="unsafe")
+        np.matmul(ind, d, out=vols)
+        np.equal(digits, 1, out=ind, casting="unsafe")
+        np.matmul(ind, w, out=prod)
+        np.equal(digits, 2, out=ind, casting="unsafe")
+        prod *= ind
+        prod.sum(axis=1, out=cross)
         with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(valid, 2.0 * cross / vols, -np.inf)
+            cross *= 2.0
+            cross /= vols
+        # the first non-V3 label is 1 (so V1 is nonempty) and V2 is nonempty,
+        # read from the flags of each code's two table rows
+        q, r = np.divmod(codes, 3**j)
+        low_first = first[r]
+        valid = np.where(low_first != 0, low_first, first[q]) == 1
+        valid &= has2[r] | has2[q]
+        cross[~valid] = -np.inf
+        return cross
 
     def block(lo, hi):
         k = lo.shape[1]
@@ -315,10 +363,13 @@ def dual_cheeger_exact(
         a1, a2 = (lo == 1).astype(float), (lo == 2).astype(float)
         b1, b2 = (hi == 1).astype(float), (hi == 2).astype(float)
         # 2 cross = 2 C_lo + 2 C_hi + [2 A1 W_lh, 2 A2 W_lh] [B2, B1]^T
+        #         = [B2, B1, 2 C_hi, 1] [[2 A1 W_lh, 2 A2 W_lh]^T; 1; 2 C_lo]
         cross_lo = 2.0 * ((a1 @ w[:k, :k]) * a2).sum(axis=1)
         cross_hi = 2.0 * ((b1 @ w[k:, k:]) * b2).sum(axis=1)
-        mixed_t = 2.0 * np.hstack([a1 @ w[:k, k:], a2 @ w[:k, k:]]).T
-        b21 = np.hstack([b2, b1])
+        hi_terms = np.column_stack([b2, b1, cross_hi, np.ones(len(hi))])
+        lo_terms = np.vstack(
+            [2.0 * np.hstack([a1 @ w[:k, k:], a2 @ w[:k, k:]]).T, np.ones(len(lo)), cross_lo]
+        )
         vol_lo, vol_hi = (a1 + a2) @ d[:k], (b1 + b2) @ d[k:][:, None]
         # invalid: V2 empty, or all V3 below and the first high label 2
         no2_lo, no2_hi = ~a2.any(axis=1), ~b2.any(axis=1)
@@ -326,9 +377,7 @@ def dual_cheeger_exact(
         den = np.empty((_tile_rows(len(lo), len(hi)), len(lo)))
 
         def tile(rows, out):
-            np.matmul(b21[rows], mixed_t, out=out)
-            out += cross_hi[rows, None]
-            out += cross_lo
+            np.matmul(hi_terms[rows], lo_terms, out=out)
             out /= np.add(vol_hi[rows], vol_lo, out=den[: len(out)])
             out[np.ix_(no2_hi[rows], no2_lo)] = -np.inf
             out[not1_hi[rows], 0] = -np.inf

@@ -6,9 +6,9 @@ the numpy enumeration in lapspec.partitions, so agreement between the two
 is meaningful.  Weights must be exactly representable (integers or dyadic
 rationals like 0.5); Fraction(float) keeps them exact.
 
-The coupled-map references at the end are the other kind of oracle: the
-plain loops that the batched simulation and the blocked Lyapunov average
-must match bit for bit.
+The chunk scores and the coupled-map references are the other kind of
+oracle: the plain code that the buffered chunk scores, the batched
+simulation and the blocked Lyapunov average must match bit for bit.
 """
 
 import math
@@ -125,6 +125,70 @@ def oracle_dual_cheeger_witness(g) -> tuple[frozenset, frozenset]:
         if best is None or val > best:
             best, witness = val, (frozenset(v1), frozenset(v2))
     return witness
+
+
+def _code_digits(codes, base, k):
+    """Digit i of each code for i < k, by one shift or division per digit."""
+    if base == 2:
+        return codes[:, None] >> np.arange(k) & 1
+    return codes[:, None] // base ** np.arange(k) % base
+
+
+def oracle_cheeger_chunk_score(g):
+    """``cheeger_exact``'s exact score of a chunk of codes, on fresh arrays.
+
+    This and the two below are the chunk scores as written before they
+    reused buffers: the same products and reductions at the same shapes,
+    each into a newly allocated array, so they must give the same bits.
+    """
+    n = g.n
+    d = g.degrees[: n - 1]
+    w = g.weights[: n - 1, : n - 1]
+    total = g.volume
+
+    def neg_ratio(codes):
+        memb = _code_digits(codes, 2, n - 1).astype(float)
+        vol = memb @ d
+        internal = ((memb @ w) * memb).sum(axis=1)
+        boundary = vol - internal
+        return -(boundary / np.minimum(vol, total - vol))
+
+    return neg_ratio
+
+
+def oracle_balance_chunk_score(g):
+    """``balance_ratio_exact``'s exact score of a chunk of codes, on fresh arrays."""
+    n = g.n
+    d = g.degrees[: n - 1]
+    total = g.volume
+
+    def balance(codes):
+        vol = _code_digits(codes, 2, n - 1).astype(float) @ d
+        return np.minimum(vol, total - vol) / np.maximum(vol, total - vol)
+
+    return balance
+
+
+def oracle_dual_cheeger_chunk_score(g):
+    """``dual_cheeger_exact``'s exact score of a chunk of codes, on fresh arrays."""
+    n = g.n
+    d = g.degrees
+    w = g.weights
+
+    def ratio(codes):
+        digits = _code_digits(codes, 3, n)
+        ind1 = (digits == 1).astype(float)
+        ind2 = (digits == 2).astype(float)
+        labeled = digits != 0
+        first = digits[np.arange(len(digits)), np.argmax(labeled, axis=1)]
+        # the first non-V3 label is 1 (so V1 is nonempty) and V2 is nonempty
+        valid = (first == 1) & ind2.any(axis=1)
+        cross = ((ind1 @ w) * ind2).sum(axis=1)
+        vols = (ind1 + ind2) @ d
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(valid, 2.0 * cross / vols, -np.inf)
+
+    return ratio
 
 
 def oracle_neighborhood_weights(g, l):

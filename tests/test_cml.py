@@ -314,7 +314,7 @@ def test_simulation_is_reproducible():
     assert a.spread_trajectory == b.spread_trajectory
 
 
-@pytest.mark.parametrize(
+_BATCH_CASES = pytest.mark.parametrize(
     "g, m, eps, trials, diverged, n_final, n_traj",
     [
         # every tail is exactly 0.0, so the worst trajectory is the first maximum's
@@ -328,7 +328,9 @@ def test_simulation_is_reproducible():
     ids=["synchronized", "not-synchronized", "trial-0-diverges", "trial-1-diverges",
          "earlier-trial-diverges-later"],
 )
-def test_batched_simulation_matches_per_trial_loop(g, m, eps, trials, diverged, n_final, n_traj):
+
+
+def _assert_matches_per_trial_loop(g, m, eps, trials, diverged, n_final, n_traj):
     rep = simulate_sync(g, m, eps, t_steps=200, transient=20, tol=1e-6, trials=trials, mu=0.5)
     ref = oracle_simulate_sync(g, m, eps, 200, 20, 1e-6, trials)
     assert (rep.synchronized, rep.diverged) == ref[:2]
@@ -337,6 +339,31 @@ def test_batched_simulation_matches_per_trial_loop(g, m, eps, trials, diverged, 
     assert (rep.diverged, len(rep.final_spreads), len(rep.spread_trajectory)) == (
         diverged, n_final, n_traj
     )
+
+
+@_BATCH_CASES
+def test_batched_simulation_matches_per_trial_loop(g, m, eps, trials, diverged, n_final, n_traj):
+    _assert_matches_per_trial_loop(g, m, eps, trials, diverged, n_final, n_traj)
+
+
+@_BATCH_CASES
+def test_blocked_steps_match_per_trial_loop(monkeypatch, g, m, eps, trials, diverged, n_final,
+                                            n_traj):
+    # Blocks of two rows: three blocks of five trials, two of three, and
+    # blocks that shrink as trials diverge.  The oracle steps one row at a
+    # time, and no step may see more entries than the patched bound.
+    import lapspec.cml
+
+    entries = []
+
+    def recording(g, x, *args):
+        entries.append(x.size * g.n)
+        return step_cml(g, x, *args)
+
+    monkeypatch.setattr(lapspec.cml, "_CML_BLOCK_ENTRIES", 2 * g.n**2 + 1)
+    monkeypatch.setattr(lapspec.cml, "step_cml", recording)
+    _assert_matches_per_trial_loop(g, m, eps, trials, diverged, n_final, n_traj)
+    assert max(entries) == 2 * g.n**2
 
 
 def test_simulation_steps_all_trials_together(monkeypatch):

@@ -38,10 +38,13 @@ from lapspec.partitions import (
 from lapspec import partitions
 from lapspec.neighborhood import neighborhood_graph
 from oracles import (
+    oracle_balance_chunk_score,
     oracle_balance_ratio,
     oracle_cheeger,
+    oracle_cheeger_chunk_score,
     oracle_cheeger_witness,
     oracle_dual_cheeger,
+    oracle_dual_cheeger_chunk_score,
     oracle_dual_cheeger_witness,
 )
 
@@ -167,45 +170,89 @@ def _split_pass_graphs():
 SPLIT_PASS_GRAPHS = _split_pass_graphs()
 
 
+def _enumerators(g):
+    """The enumerators whose split pass crosses several chunks on g, with their keywords."""
+    if g.n <= 14:
+        return [(dual_cheeger_exact, {"check_connected": False})]
+    return [(cheeger_exact, {"check_connected": False}), (balance_ratio_exact, {})]
+
+
+_CHUNK_ORACLES = {
+    cheeger_exact: oracle_cheeger_chunk_score,
+    balance_ratio_exact: oracle_balance_chunk_score,
+    dual_cheeger_exact: oracle_dual_cheeger_chunk_score,
+}
+
+
 @pytest.mark.parametrize("name", list(SPLIT_PASS_GRAPHS))
 def test_split_pass_bit_identical_to_every_chunk_scan(monkeypatch, name):
+    # The scan over every chunk shares the enumerators' score functions, so
+    # it also checks each chunk's scores against an oracle that computes
+    # them on fresh arrays: every full chunk and the shorter last one, in
+    # the order the scores' buffers meet them.
     g = SPLIT_PASS_GRAPHS[name]
-    enumerators = (dual_cheeger_exact,) if g.n <= 14 else (cheeger_exact, balance_ratio_exact)
-    for fn in enumerators:
-        kw = {} if fn is balance_ratio_exact else {"check_connected": False}
+    for fn, kw in _enumerators(g):
         fast = fn(g, **kw)
+        oracle = _CHUNK_ORACLES[fn](g)
+        lengths = set()
+
+        def checked_scan(start, base, m, score, block, tol):
+            def checked(codes):
+                vals = score(codes)
+                # bit for bit: float.hex equality, and NaN payloads too
+                assert np.array_equal(vals.view(np.int64), oracle(codes).view(np.int64)), (
+                    fn.__name__, int(codes[0]))
+                lengths.add(len(codes))
+                return vals
+
+            return _scan_every_chunk(start, base, m, checked, block, tol)
+
         with monkeypatch.context() as m:
-            m.setattr(partitions, "_split_first_max", _scan_every_chunk)
+            m.setattr(partitions, "_split_first_max", checked_scan)
             full = fn(g, **kw)
         assert fast.value.hex() == full.value.hex(), fn.__name__
         assert fast.witness == full.witness, fn.__name__
+        assert len(lengths) == 2 and partitions._CHUNK in lengths, (fn.__name__, lengths)
 
 
 _FAULT_PROBE = """
 import resource, sys
 import numpy as np
 from lapspec.graphs import WeightedGraph
-from lapspec.partitions import cheeger_exact
+from lapspec import partitions
 
 w = np.load(sys.argv[1])
 g = WeightedGraph(n=len(w), weights=w)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-cheeger_exact(g)
+getattr(partitions, sys.argv[2])(g)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
+_FAULT_PROBE_GRAPHS = {
+    # 128 split-pass tiles and one rescored chunk
+    "G(24, 0.4)": ("cheeger_exact", lambda: _gnp(np.random.default_rng(24), 24)),
+    # rounding ties: 16 of the 49 chunks are rescored
+    "K13[3]": ("dual_cheeger_exact", lambda: neighborhood_graph(complete_graph(13), 3)),
+}
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt as on Linux")
-def test_split_pass_reuses_its_buffers(tmp_path):
+@pytest.mark.parametrize("name", list(_FAULT_PROBE_GRAPHS))
+def test_split_pass_reuses_its_buffers(tmp_path, name):
     # The first enumeration in a fresh process, as in every CLI run.  With a
     # fresh (rows, lows) array per tile the 128 tiles of n = 24 fault in
     # about 31,000 pages; with buffers allocated once per pass, about 2,500.
+    # With fresh arrays per rescored chunk, the 16 chunks that hbar rescores
+    # on K13[3] fault in about 24,000; with arrays allocated once per call,
+    # about 5,300.
     pytest.importorskip("resource")
-    np.save(tmp_path / "w.npy", _gnp(np.random.default_rng(24), 24).weights)
+    fn, graph = _FAULT_PROBE_GRAPHS[name]
+    np.save(tmp_path / "w.npy", graph().weights)
     # one BLAS thread, as in the benchmark's children: each thread faults in its own buffers
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(partitions.__file__)),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE, str(tmp_path / "w.npy")],
+    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE, str(tmp_path / "w.npy"), fn],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 10_000
