@@ -30,7 +30,6 @@ _HOME = {
     "MapSpec": "cml",
     "SyncReport": "cml",
     "build_graph": "graphs",
-    "from_matrix": "graphs",
     "read_graph": "graphs",
     "write_graph": "graphs",
     "parse_edge_list": "graphs",
@@ -42,10 +41,8 @@ _HOME = {
     "is_connected": "graphs",
     "is_bipartite": "graphs",
     "spectrum": "spectral",
-    "laplacian_matrix": "spectral",
     "degree_inner_product": "spectral",
     "degree_norm": "spectral",
-    "rayleigh_quotient": "spectral",
     "spectral_radius_rho": "spectral",
     "cheeger_exact": "partitions",
     "dual_cheeger_exact": "partitions",
@@ -53,13 +50,10 @@ _HOME = {
     "balance_ratio_exact": "partitions",
     "greedy_balance_partition": "partitions",
     "default_odd_walk_family": "partitions",
-    "xi_constant": "partitions",
     "xi_product_bound": "partitions",
     "neighborhood_graph": "neighborhood",
     "neighborhood_cheeger": "neighborhood",
-    "neighborhood_dual_cheeger": "neighborhood",
     "map_eigenvalues": "neighborhood",
-    "spectral_map_check": "neighborhood",
     "cheeger_bounds": "bounds",
     "dual_cheeger_bounds": "bounds",
     "combined_lower": "bounds",
@@ -74,7 +68,6 @@ _HOME = {
     "neighborhood_interval_from": "bounds",
     "gap_around_one_from": "bounds",
     "neighborhood_dual_upper_from": "bounds",
-    "lambda_identity_check": "bounds",
     "improvement_predicates": "bounds",
     "bound_curves": "bounds",
     "curves_to_csv": "bounds",
@@ -82,13 +75,8 @@ _HOME = {
     "transition_apply": "random_walk",
     "equilibrium_projection": "random_walk",
     "walk_trajectory": "random_walk",
-    "mixing_time": "random_walk",
-    "equilibrium_graph": "random_walk",
-    "bipartite_limits": "random_walk",
-    "neighborhood_limit_check": "random_walk",
     "logistic_map": "cml",
     "tent_map": "cml",
-    "custom_map": "cml",
     "lyapunov_exponent": "cml",
     "step_cml": "cml",
     "sync_interval": "cml",

@@ -336,33 +336,6 @@ def poincare_upper(pb: XiProductBound) -> BoundReport:
     )
 
 
-@dataclass(frozen=True)
-class WalkBoundComparison:
-    """Which of the two walk-based upper bounds is sharper.
-
-    The congestion bound beats the Poincare bound exactly when
-    ``d w b < 1/sigma + sigma/4``.
-    """
-
-    product: float
-    sigma_max: int
-    congestion_upper: float
-    poincare_upper: float
-
-    @property
-    def congestion_is_better(self) -> bool:
-        return self.product < 1.0 / self.sigma_max + self.sigma_max / 4.0
-
-
-def walk_bound_comparison(pb: XiProductBound) -> WalkBoundComparison:
-    return WalkBoundComparison(
-        product=pb.product,
-        sigma_max=pb.sigma_max,
-        congestion_upper=odd_walk_upper(pb).upper,
-        poincare_upper=poincare_upper(pb).upper,
-    )
-
-
 # ---------------------------------------------------------------------------
 # neighborhood-graph bounds
 
@@ -482,76 +455,6 @@ def neighborhood_dual_upper_from(l: int, hbar_l: float) -> BoundReport:
         target=TARGET_LAMBDA_MAX,
         upper=1.0 + r,
         inputs={"l": float(l), "hbar_l": hbar_l},
-    )
-
-
-# ---------------------------------------------------------------------------
-# eigenvalue identities
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    """Residuals of the two exact identities for ``2 - lambda``.
-
-    For every eigenpair with nonzero eigenvalue, ``2 - lambda`` equals
-
-    * the pair-spread quotient: differences ``u(j) - u(k)`` over pairs of
-      neighbors of a common vertex, against the edge-difference energy; and
-    * the mean-offset quotient: the deviation of the local average of u
-      from the value at each neighbor.
-    """
-
-    eigenvalues: tuple[float, ...]
-    pair_spread_residuals: tuple[float, ...]
-    mean_offset_residuals: tuple[float, ...]
-
-    @property
-    def max_residual(self) -> float:
-        all_res = self.pair_spread_residuals + self.mean_offset_residuals
-        return max(all_res) if all_res else 0.0
-
-
-def _edge_energy(g: WeightedGraph, u: np.ndarray) -> float:
-    diff = u[:, None] - u[None, :]
-    return float((g.weights * diff**2).sum())
-
-
-def pair_spread_quotient(g: WeightedGraph, u: np.ndarray) -> float:
-    """``sum_i (1/d_i) sum_{j,k} w_ij w_ik (u(j)-u(k))^2`` over the edge energy."""
-    u = np.asarray(u, dtype=float)
-    num = 0.0
-    for i in range(g.n):
-        wi = g.weights[i]
-        nz = np.nonzero(wi > 0)[0]
-        duj = u[nz]
-        pair = (duj[:, None] - duj[None, :]) ** 2
-        num += float((wi[nz][:, None] * wi[nz][None, :] * pair).sum()) / g.degrees[i]
-    return num / _edge_energy(g, u)
-
-
-def mean_offset_quotient(g: WeightedGraph, u: np.ndarray) -> float:
-    """``2 sum_{i,k} w_ik ((1/d_i) sum_j w_ij (u(j)-u(k)))^2`` over the edge energy."""
-    u = np.asarray(u, dtype=float)
-    local_mean = (g.weights @ u) / g.degrees
-    offset = local_mean[:, None] - u[None, :]  # entry (i, k)
-    num = 2.0 * float((g.weights * offset**2).sum())
-    return num / _edge_energy(g, u)
-
-
-def lambda_identity_check(g: WeightedGraph) -> IdentityReport:
-    """Evaluate both identities on every eigenpair with ``lambda > 1e-9``."""
-    s = spectrum(g, check_connected=False)
-    lams, pair_res, mean_res = [], [], []
-    for lam, u in zip(s.eigenvalues, s.eigenfunctions):
-        if lam <= 1e-9:
-            continue
-        lams.append(float(lam))
-        pair_res.append(abs(pair_spread_quotient(g, u) - (2.0 - lam)))
-        mean_res.append(abs(mean_offset_quotient(g, u) - (2.0 - lam)))
-    return IdentityReport(
-        eigenvalues=tuple(lams),
-        pair_spread_residuals=tuple(pair_res),
-        mean_offset_residuals=tuple(mean_res),
     )
 
 

@@ -211,12 +211,8 @@ def _cmd_constants(args) -> str:
                 fam = partitions.walk_family_from_dict(json.load(fh))
         else:
             fam = partitions.default_odd_walk_family(g)
-        xi = partitions.xi_constant(g, fam)
-        xi_payload = {
-            "value": xi,
-            "product": partitions.xi_product_bound(g, fam).product,
-            "hbar_upper": 1.0 - 1.0 / xi,
-        }
+        pb = partitions.xi_product_bound(g, fam)
+        xi_payload = {"value": pb.xi, "product": pb.product, "hbar_upper": 1.0 - 1.0 / pb.xi}
 
     try:
         coefficient = clustering_coefficient(g)

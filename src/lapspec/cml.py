@@ -15,7 +15,7 @@ behind it, and a direct simulation check.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,14 +39,11 @@ _LYAPUNOV_BLOCK = 1 << 16
 class MapSpec:
     """An interval map together with its derivative.
 
-    ``kind`` is "logistic", "tent", or "custom"; both callables accept and
-    return numpy arrays (or scalars).
+    Both callables accept and return numpy arrays (or scalars).
     """
 
-    kind: str
     f: Callable[[np.ndarray], np.ndarray]
     f_prime: Callable[[np.ndarray], np.ndarray]
-    params: tuple[float, ...] = ()
 
 
 def logistic_map(a: float) -> MapSpec:
@@ -56,12 +53,7 @@ def logistic_map(a: float) -> MapSpec:
     """
     if not 0.0 <= a <= 4.0:
         raise ValueError(f"logistic parameter must lie in [0, 4], got {a!r}")
-    return MapSpec(
-        kind="logistic",
-        f=lambda x: a * x * (1.0 - x),
-        f_prime=lambda x: a * (1.0 - 2.0 * x),
-        params=(a,),
-    )
+    return MapSpec(f=lambda x: a * x * (1.0 - x), f_prime=lambda x: a * (1.0 - 2.0 * x))
 
 
 def tent_map(s: float) -> MapSpec:
@@ -73,49 +65,9 @@ def tent_map(s: float) -> MapSpec:
     if not 0.0 <= s <= 2.0:
         raise ValueError(f"tent parameter must lie in [0, 2], got {s!r}")
     return MapSpec(
-        kind="tent",
         f=lambda x: s * np.minimum(x, 1.0 - x),
         f_prime=lambda x: np.where(np.asarray(x) < 0.5, s, -s),
-        params=(s,),
     )
-
-
-def custom_map(points: Sequence[tuple[float, float]]) -> MapSpec:
-    """Piecewise-linear map through the given (x, y) breakpoints.
-
-    Slopes are constant between breakpoints; at a breakpoint the derivative
-    is the slope of the segment to its right.
-    """
-    pts = sorted((float(x), float(y)) for x, y in points)
-    if len(pts) < 2:
-        raise ValueError("need at least two breakpoints")
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
-    if (np.diff(xs) <= 0).any():
-        raise ValueError("breakpoint x-values must be strictly increasing")
-    slopes = np.diff(ys) / np.diff(xs)
-
-    def f_prime(x):
-        idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(slopes) - 1)
-        return slopes[idx]
-
-    return MapSpec(
-        kind="custom",
-        f=lambda x: np.interp(x, xs, ys),
-        f_prime=f_prime,
-        params=tuple(v for p in pts for v in p),
-    )
-
-
-def derivative_mismatch(map_spec: MapSpec, xs: np.ndarray) -> float:
-    """Largest gap between ``f_prime`` and a central difference of ``f``.
-
-    The difference step is ``1e-6``; sample points should stay away from
-    kinks of piecewise maps.
-    """
-    xs = np.asarray(xs, dtype=float)
-    fd = (map_spec.f(xs + 1e-6) - map_spec.f(xs - 1e-6)) / 2e-6
-    return float(np.abs(fd - map_spec.f_prime(xs)).max())
 
 
 def lyapunov_exponent(

@@ -31,7 +31,6 @@ class GraphErrorKind(Enum):
     REQUIRES_UNWEIGHTED = "RequiresUnweighted"
     REQUIRES_LOOPLESS = "RequiresLoopless"
     SIZE_CAP_EXCEEDED = "SizeCapExceeded"
-    NOT_BIPARTITE = "NotBipartite"
     NO_ODD_WALK = "NoOddWalk"
     NON_FINITE_WEIGHT = "NonFiniteWeight"
 
@@ -141,16 +140,6 @@ class Bipartition:
             boundary=g.cut_weight(side),
         )
 
-    @property
-    def cheeger_ratio(self) -> float:
-        """Cut weight over the smaller side's volume."""
-        return self.boundary / min(self.vol_side, self.vol_complement)
-
-    @property
-    def balance(self) -> float:
-        """Volume ratio ``min/max`` of the two sides, in ``(0, 1]``."""
-        return min(self.vol_side, self.vol_complement) / max(self.vol_side, self.vol_complement)
-
 
 def build_graph(n: int, edges, labels=None) -> WeightedGraph:
     """Build a graph from an edge list ``[(i, j, w), ...]``.
@@ -178,12 +167,6 @@ def build_graph(n: int, edges, labels=None) -> WeightedGraph:
         w[i, j] = weight
         w[j, i] = weight
     return WeightedGraph(n=n, weights=w, labels=labels)
-
-
-def from_matrix(weights: np.ndarray, labels=None) -> WeightedGraph:
-    """Wrap an explicit symmetric weight matrix as a graph."""
-    w = np.array(weights, dtype=float)
-    return WeightedGraph(n=w.shape[0], weights=w, labels=labels)
 
 
 # ---------------------------------------------------------------------------

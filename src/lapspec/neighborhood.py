@@ -3,24 +3,24 @@
 The l-th neighborhood graph of ``g`` has weight matrix
 ``W[l] = W (D^{-1} W)^{l-1}``: the weight between i and j aggregates all
 walks of length l between them, so its normalized Laplacian is
-``I - (D^{-1} W)^l``.  Consequences used throughout:
+``I - (D^{-1} W)^l``.  Consequences:
 
 * degrees are preserved (``d_i[l] = d_i``),
 * eigenvalues transform as ``lambda -> 1 - (1 - lambda)^l``,
 * for even l the spectrum lands in ``[0, 1]``, and a bipartite ``g`` splits
   into two components (so exact constants of ``g[l]`` are computed without a
-  connectivity requirement).
+  connectivity requirement),
+* as l grows, ``W[l]`` tends to ``d_i d_j / vol`` on a connected
+  non-bipartite ``g``, within ``rho^l vol`` entrywise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .graphs import WeightedGraph
-from .spectral import spectrum
 
 if TYPE_CHECKING:
     from .partitions import CheegerResult
@@ -67,43 +67,6 @@ def neighborhood_cheeger(
     return cheeger_exact(neighborhood_graph(g, l), cap=cap, check_connected=False)
 
 
-def neighborhood_dual_cheeger(g: WeightedGraph, l: int) -> CheegerResult:
-    """Exact dual Cheeger constant of the l-th neighborhood graph."""
-    from .partitions import dual_cheeger_exact
-
-    return dual_cheeger_exact(neighborhood_graph(g, l), check_connected=False)
-
-
 def map_eigenvalues(eigenvalues: np.ndarray, l: int) -> np.ndarray:
     """Push base eigenvalues through ``lambda -> 1 - (1 - lambda)^l``, sorted."""
     return np.sort(1.0 - (1.0 - np.asarray(eigenvalues, dtype=float)) ** l)
-
-
-@dataclass(frozen=True)
-class SpectralMapReport:
-    """Mapped base spectrum vs directly computed spectrum of ``g[l]``."""
-
-    l: int
-    base_eigenvalues: np.ndarray
-    mapped_eigenvalues: np.ndarray
-    direct_eigenvalues: np.ndarray
-
-    @property
-    def max_mismatch(self) -> float:
-        return float(np.abs(self.mapped_eigenvalues - self.direct_eigenvalues).max())
-
-
-def spectral_map_check(g: WeightedGraph, l: int) -> SpectralMapReport:
-    """Compare ``1 - (1 - lambda_k)^l`` against the spectrum of ``g[l]``.
-
-    Both sides are sorted ascending and compared as multisets;
-    connectivity is not required of either graph.
-    """
-    base = spectrum(g, check_connected=False)
-    direct = spectrum(neighborhood_graph(g, l), check_connected=False)
-    return SpectralMapReport(
-        l=l,
-        base_eigenvalues=base.eigenvalues,
-        mapped_eigenvalues=map_eigenvalues(base.eigenvalues, l),
-        direct_eigenvalues=np.sort(direct.eigenvalues),
-    )

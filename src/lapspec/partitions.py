@@ -562,21 +562,9 @@ class OddWalkFamily:
         """Largest number of edges in any walk of the family."""
         return max(len(walk) - 1 for walk in self.walks)
 
-    def edge_loads(self) -> dict[tuple[int, int], int]:
-        """For each edge, the number of walks whose edge set contains it."""
-        loads: dict[tuple[int, int], int] = {}
-        for es in self.edge_sets():
-            for e in es:
-                loads[e] = loads.get(e, 0) + 1
-        return loads
-
-
-def walk_family_to_dict(fam: OddWalkFamily) -> dict:
-    return {"walks": [list(w) for w in fam.walks]}
-
 
 def walk_family_from_dict(data) -> OddWalkFamily:
-    """Inverse of :func:`walk_family_to_dict`; a malformed document raises ``ValueError``."""
+    """The family of ``{"walks": [[i, ...], ...]}``; a malformed document raises ``ValueError``."""
     walks = data.get("walks") if isinstance(data, dict) else None
     if not isinstance(walks, list) or not all(
         isinstance(w, list) and all(_is_int(v) for v in w) for w in walks
@@ -612,28 +600,18 @@ def default_odd_walk_family(g: WeightedGraph) -> OddWalkFamily:
     return OddWalkFamily(walks=tuple(walks))
 
 
-def xi_constant(g: WeightedGraph, fam: OddWalkFamily) -> float:
-    """Congestion of the family: ``max_e (1/w_e) sum of d_i over walks through e``.
-
-    The dual Cheeger constant obeys ``hbar <= 1 - 1/xi``.
-    """
-    fam.validate(g)
-    load_degree: dict[tuple[int, int], float] = {}
-    for i, es in enumerate(fam.edge_sets()):
-        for e in es:
-            load_degree[e] = load_degree.get(e, 0.0) + float(g.degrees[i])
-    return max(total / g.weights[e] for e, total in load_degree.items())
-
-
 @dataclass(frozen=True)
 class XiProductBound:
-    """Coarse structural bound ``xi <= d_max * w_inv * b_load``.
+    """Congestion ``xi`` of a walk family and its bound ``xi <= d_max * w_inv * b_load``.
 
-    ``d_max`` is the maximum degree, ``w_inv`` the reciprocal of the smallest
-    positive edge weight, ``b_load`` the largest number of walks through a
-    single edge, and ``sigma_max`` the longest walk length in the family.
+    ``xi`` is ``max_e (1/w_e) sum of d_i over the walks through e``; the
+    dual Cheeger constant obeys ``hbar <= 1 - 1/xi``.  ``d_max`` is the
+    maximum degree, ``w_inv`` the reciprocal of the smallest positive edge
+    weight, ``b_load`` the largest number of walks through a single edge,
+    and ``sigma_max`` the longest walk length in the family.
     """
 
+    xi: float
     d_max: float
     w_inv: float
     b_load: int
@@ -645,10 +623,17 @@ class XiProductBound:
 
 
 def xi_product_bound(g: WeightedGraph, fam: OddWalkFamily) -> XiProductBound:
+    """Validate ``fam`` against ``g`` and measure its congestion."""
     fam.validate(g)
+    loads: dict[tuple[int, int], int] = {}
+    load_degree: dict[tuple[int, int], float] = {}
+    for i, es in enumerate(fam.edge_sets()):
+        for e in es:
+            loads[e] = loads.get(e, 0) + 1
+            load_degree[e] = load_degree.get(e, 0.0) + float(g.degrees[i])
     positive = g.weights[g.weights > 0]
-    loads = fam.edge_loads()
     return XiProductBound(
+        xi=max(total / g.weights[e] for e, total in load_degree.items()),
         d_max=float(g.degrees.max()),
         w_inv=1.0 / float(positive.min()),
         b_load=max(loads.values()),

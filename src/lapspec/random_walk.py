@@ -1,28 +1,20 @@
-"""Random walks, equilibrium objects, and convergence rates.
+"""Random walks and their convergence rates.
 
 The transition operator ``P = D^{-1} W`` drives everything here: powers of
 ``P`` applied to a vertex function, the equilibrium projection they converge
-to on non-bipartite graphs, the two subsequence limits on bipartite graphs,
-and quantitative convergence bounds through the spectral radius and the
-neighborhood-graph Cheeger constants.
+to on connected non-bipartite graphs, and the two a-priori bounds on the
+distance from it, through the spectral radius and through the Cheeger
+constant of an even-order neighborhood graph.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (
-    GraphError,
-    GraphErrorKind,
-    WeightedGraph,
-    bipartition_of,
-    from_matrix,
-    require_connected,
-)
-from .neighborhood import neighborhood_cheeger, neighborhood_graph
+from .graphs import WeightedGraph, bipartition_of, require_connected
+from .neighborhood import neighborhood_cheeger
 from .spectral import degree_norm, spectrum, spectral_radius_rho
 
 #: Longest walk accepted: one report per step is kept (about 1 kB each
@@ -117,87 +109,3 @@ def walk_reports_to_csv(reports: list[WalkReport]) -> str:
         hl = "" if r.bound_hl is None else repr(r.bound_hl)
         lines.append(f"{r.t},{r.deviation!r},{r.bound_rho!r},{hl}")
     return "\n".join(lines) + "\n"
-
-
-def mixing_time(rho: float, eps: float) -> float:
-    """Smallest t with ``rho^t <= eps``, i.e. ``ceil(ln eps / ln rho)``.
-
-    Infinite when ``rho >= 1`` (no decay), zero when ``rho = 0``.
-    """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    if rho >= 1.0:
-        return math.inf
-    if rho <= 0.0:
-        return 0.0
-    return float(math.ceil(math.log(eps) / math.log(rho)))
-
-
-def equilibrium_graph(g: WeightedGraph) -> WeightedGraph:
-    """The limit of the neighborhood graphs: ``W_bar_ij = d_i d_j / vol``.
-
-    Exists only for connected non-bipartite graphs (otherwise the walk
-    oscillates between the two classes and only subsequence limits exist).
-    """
-    require_connected(g)
-    if bipartition_of(g) is not None:
-        raise GraphError(
-            GraphErrorKind.NOT_BIPARTITE,
-            "bipartite graph: the walk has period 2, so the full limit "
-            "does not exist; use bipartite_limits instead",
-        )
-    w_bar = np.outer(g.degrees, g.degrees) / g.volume
-    return from_matrix(w_bar, labels=g.labels)
-
-
-def bipartite_limits(g: WeightedGraph) -> tuple[WeightedGraph, WeightedGraph]:
-    """Even- and odd-step limits of the neighborhood graphs of a bipartite graph.
-
-    Entries are ``2 d_i d_j / vol`` within a class (even limit, two complete
-    components with loops) respectively across classes (odd limit, complete
-    bipartite).
-    """
-    require_connected(g)
-    sides = bipartition_of(g)
-    if sides is None:
-        raise GraphError(
-            GraphErrorKind.NOT_BIPARTITE,
-            "graph is not bipartite; it has the single limit equilibrium_graph",
-        )
-    side_a, _ = sides
-    in_a = np.zeros(g.n, dtype=bool)
-    in_a[list(side_a)] = True
-    same = in_a[:, None] == in_a[None, :]
-    full = 2.0 * np.outer(g.degrees, g.degrees) / g.volume
-    even = np.where(same, full, 0.0)
-    odd = np.where(same, 0.0, full)
-    return from_matrix(even, labels=g.labels), from_matrix(odd, labels=g.labels)
-
-
-@dataclass(frozen=True)
-class LimitReport:
-    """Entrywise distance of ``W[l]`` to the equilibrium graph for l = 1..l_max.
-
-    Each distance is dominated by ``rho^l * vol`` and tends to zero.
-    """
-
-    rho: float
-    distances: tuple[float, ...]
-    dominators: tuple[float, ...]
-
-    def dominated(self, tol: float = 1e-9) -> bool:
-        return all(d <= b + tol for d, b in zip(self.distances, self.dominators))
-
-
-def neighborhood_limit_check(g: WeightedGraph, l_max: int) -> LimitReport:
-    if l_max < 1:
-        raise ValueError("l_max must be >= 1")
-    w_bar = equilibrium_graph(g).weights
-    rho = spectral_radius_rho(spectrum(g))
-    distances = []
-    dominators = []
-    for l in range(1, l_max + 1):
-        w_l = neighborhood_graph(g, l).weights
-        distances.append(float(np.abs(w_l - w_bar).max()))
-        dominators.append(rho**l * g.volume)
-    return LimitReport(rho=rho, distances=tuple(distances), dominators=tuple(dominators))

@@ -65,20 +65,6 @@ def apply_laplacian(g: WeightedGraph, u) -> np.ndarray:
     return u - (g.weights @ u) / g.degrees
 
 
-def rayleigh_quotient(g: WeightedGraph, u) -> float:
-    """``sum_{i<j} w_ij (u(i)-u(j))^2 / sum_i d_i u(i)^2``.
-
-    Loops never contribute to the numerator.  Raises on ``u = 0``.
-    """
-    u = np.asarray(u, dtype=float)
-    den = degree_inner_product(g, u, u)
-    if den == 0:
-        raise ValueError("Rayleigh quotient of the zero function")
-    diff = u[:, None] - u[None, :]
-    num = 0.5 * float((g.weights * diff**2).sum())
-    return num / den
-
-
 def _fix_signs(funcs: np.ndarray) -> np.ndarray:
     """Flip each eigenfunction so its first nonnegligible coordinate is positive."""
     mag = np.abs(funcs)
@@ -120,8 +106,3 @@ def spectral_radius_rho(s: Spectrum) -> float:
     if s.n < 2:
         raise ValueError("need at least two eigenvalues")
     return max(abs(1.0 - s.lambda_1), abs(1.0 - s.lambda_max))
-
-
-def laplacian_matrix(g: WeightedGraph) -> np.ndarray:
-    """Dense matrix of ``Delta`` (row i gives ``u(i) - (1/d_i) sum_j w_ij u(j)``)."""
-    return np.eye(g.n) - g.weights / g.degrees[:, None]

@@ -6,9 +6,13 @@ the numpy enumeration in lapspec.partitions, so agreement between the two
 is meaningful.  Weights must be exactly representable (integers or dyadic
 rationals like 0.5); Fraction(float) keeps them exact.
 
-The chunk scores and the coupled-map references are the other kind of
+The chunk scores and the coupled-map references are the second kind of
 oracle: the plain code that the buffered chunk scores, the batched
 simulation and the blocked Lyapunov average must match bit for bit.
+
+The third kind measures how far the computed spectrum is from identities
+the paper proves: the two quotients equal to ``2 - lambda``, and the
+spectrum of Γ[l] as the mapped spectrum of g.
 """
 
 import math
@@ -18,6 +22,8 @@ from itertools import combinations, product
 import numpy as np
 
 from lapspec.cml import _LOG_FLOOR, DIVERGENCE_GUARD, PERTURBATION_RADIUS, step_cml
+from lapspec.neighborhood import neighborhood_graph
+from lapspec.spectral import spectrum
 
 
 def frac_weights(g):
@@ -80,6 +86,11 @@ def oracle_balance_ratio(g) -> Fraction:
             if best is None or val > best:
                 best = val
     return best
+
+
+def balance(p) -> float:
+    """Volume ratio ``min/max`` of the two sides of a ``Bipartition``."""
+    return min(p.vol_side, p.vol_complement) / max(p.vol_side, p.vol_complement)
 
 
 def oracle_cheeger_witness(g) -> frozenset:
@@ -240,6 +251,45 @@ def oracle_neighborhood_dual_cheeger(g, l) -> Fraction:
         if best is None or val > best:
             best = val
     return best
+
+
+def _edge_energy(g, u) -> float:
+    return float((g.weights * (u[:, None] - u[None, :]) ** 2).sum())
+
+
+def pair_spread_quotient(g, u) -> float:
+    """``sum_i (1/d_i) sum_{j,k} w_ij w_ik (u(j)-u(k))^2`` over the edge energy."""
+    num = 0.0
+    for i in range(g.n):
+        wi = g.weights[i]
+        nz = np.nonzero(wi > 0)[0]
+        pair = (u[nz][:, None] - u[nz][None, :]) ** 2
+        num += float((wi[nz][:, None] * wi[nz][None, :] * pair).sum()) / g.degrees[i]
+    return num / _edge_energy(g, u)
+
+
+def mean_offset_quotient(g, u) -> float:
+    """``2 sum_{i,k} w_ik ((1/d_i) sum_j w_ij (u(j)-u(k)))^2`` over the edge energy."""
+    offset = ((g.weights @ u) / g.degrees)[:, None] - u[None, :]  # entry (i, k)
+    return 2.0 * float((g.weights * offset**2).sum()) / _edge_energy(g, u)
+
+
+def identity_residual(g) -> float:
+    """Largest gap between either quotient and ``2 - lambda`` over eigenpairs with lambda > 1e-9."""
+    s = spectrum(g, check_connected=False)
+    pairs = [(lam, u) for lam, u in zip(s.eigenvalues, s.eigenfunctions) if lam > 1e-9]
+    quotients = (pair_spread_quotient, mean_offset_quotient)
+    return max((abs(q(g, u) - (2.0 - lam)) for lam, u in pairs for q in quotients), default=0.0)
+
+
+def spectral_map_mismatch(g, l) -> float:
+    """Largest gap between the sorted ``1 - (1 - lambda)^l`` of g and the spectrum of Γ[l].
+
+    Neither graph needs to be connected.
+    """
+    base = spectrum(g, check_connected=False).eigenvalues
+    direct = spectrum(neighborhood_graph(g, l), check_connected=False).eigenvalues
+    return float(np.abs(np.sort(1.0 - (1.0 - base) ** l) - direct).max())
 
 
 def oracle_simulate_sync(g, map_spec, eps, t_steps, transient, tol, trials, base_seed=42):

@@ -26,17 +26,13 @@ from lapspec.bounds import (
     gap_around_one_from,
     hop_diameter,
     improvement_predicates,
-    lambda_identity_check,
     localized_upper,
-    mean_offset_quotient,
     neighborhood_dual_upper_from,
     neighborhood_interval_from,
     neighborhood_sandwich_from,
     neighborhood_upper_or_from,
     odd_walk_upper,
-    pair_spread_quotient,
     poincare_upper,
-    walk_bound_comparison,
 )
 from lapspec.graphs import (
     build_graph,
@@ -46,11 +42,7 @@ from lapspec.graphs import (
     looped_pair,
     path_graph,
 )
-from lapspec.neighborhood import (
-    neighborhood_cheeger,
-    neighborhood_dual_cheeger,
-    neighborhood_graph,
-)
+from lapspec.neighborhood import neighborhood_cheeger, neighborhood_graph
 from lapspec.partitions import (
     cheeger_exact,
     default_odd_walk_family,
@@ -58,6 +50,7 @@ from lapspec.partitions import (
     xi_product_bound,
 )
 from lapspec.spectral import Spectrum, spectrum
+from oracles import identity_residual, mean_offset_quotient, pair_spread_quotient
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -310,13 +303,15 @@ def test_walk_comparison_consistent(fixtures):
     for name, g in fixtures.items():
         if is_bipartite(g):
             continue
-        comp = walk_bound_comparison(xi_product_bound(g, default_odd_walk_family(g)))
-        if comp.product * comp.sigma_max <= 2.0:
+        pb = xi_product_bound(g, default_odd_walk_family(g))
+        if pb.product * pb.sigma_max <= 2.0:
             continue  # degenerate regime where the closed-form tie-break fails
-        if comp.congestion_is_better:
-            assert comp.congestion_upper <= comp.poincare_upper + 1e-12, name
+        congestion, poincare = odd_walk_upper(pb).upper, poincare_upper(pb).upper
+        # the congestion bound is the sharper one exactly when d w b < 1/sigma + sigma/4
+        if pb.product < 1.0 / pb.sigma_max + pb.sigma_max / 4.0:
+            assert congestion <= poincare + 1e-12, name
         else:
-            assert comp.poincare_upper <= comp.congestion_upper + 1e-12, name
+            assert poincare <= congestion + 1e-12, name
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +342,8 @@ def test_gap_report_is_usually_inapplicable():
 
 def test_interval_contains_an_eigenvalue():
     g = looped_pair(2.0)
-    rep = neighborhood_interval_from(2, neighborhood_dual_cheeger(g, 2).value)
+    hbar_2 = dual_cheeger_exact(neighborhood_graph(g, 2), check_connected=False).value
+    rep = neighborhood_interval_from(2, hbar_2)
     if rep.applicable:
         assert rep.target == TARGET_CONTAINS_SOME
         assert rep.holds_for(spectrum(g))
@@ -436,16 +432,14 @@ def test_identity_quotients_on_known_eigenpair():
 
 def test_identity_residuals_fixtures(fixtures):
     for name, g in fixtures.items():
-        rep = lambda_identity_check(g)
-        assert rep.max_residual < 1e-8, name
-        assert len(rep.eigenvalues) == len(rep.pair_spread_residuals)
+        assert identity_residual(g) < 1e-8, name
 
 
 @settings(max_examples=30, deadline=None)
 @given(seeds)
 def test_identity_residuals_random(seed):
     g = _random_graph(seed, n_max=9, weighted=True, allow_loops=True)
-    assert lambda_identity_check(g).max_residual < 1e-8
+    assert identity_residual(g) < 1e-8
 
 
 # ---------------------------------------------------------------------------

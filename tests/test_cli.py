@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from lapspec.cli import main
 from lapspec.graphs import complete_graph, cycle_graph, write_graph
-from lapspec.partitions import default_odd_walk_family, walk_family_to_dict
+from lapspec.partitions import OddWalkFamily, default_odd_walk_family
 
 
 def _schema(name: str) -> dict:
@@ -76,12 +76,16 @@ def test_constants_on_bipartite_has_no_xi(capsys, c4_file):
     assert payload["hbar"]["value"] == pytest.approx(1.0)
 
 
-def test_constants_with_walk_file(capsys, tmp_path, k5_file):
+def test_constants_with_walk_file(capsys, monkeypatch, tmp_path, k5_file):
     fam = default_odd_walk_family(complete_graph(5))
     walks_path = tmp_path / "walks.json"
-    walks_path.write_text(json.dumps(walk_family_to_dict(fam)))
+    walks_path.write_text(json.dumps({"walks": [list(w) for w in fam.walks]}))
+    validated = []
+    check = OddWalkFamily.validate
+    monkeypatch.setattr(OddWalkFamily, "validate", lambda f, g: validated.append(f) or check(f, g))
     code, out, _ = _run(capsys, "constants", "--input", k5_file, "--walks", str(walks_path))
     assert code == 0
+    assert [f.walks for f in validated] == [fam.walks]  # the file's family, once
     payload = json.loads(out)
     assert payload["xi"]["value"] >= 1.0
 

@@ -9,8 +9,6 @@ from lapspec.cml import (
     DIVERGENCE_GUARD,
     PERTURBATION_RADIUS,
     MapSpec,
-    custom_map,
-    derivative_mismatch,
     logistic_map,
     lyapunov_exponent,
     ratio_bounds,
@@ -38,7 +36,6 @@ def test_logistic_values():
     assert m.f(0.5) == 1.0
     assert m.f(0.3) == pytest.approx(0.84)
     assert m.f_prime(0.0) == 4.0
-    assert m.kind == "logistic"
 
 
 def test_tent_values():
@@ -48,21 +45,6 @@ def test_tent_values():
     assert float(m.f_prime(0.2)) == 2.0
     # kink derivative comes from the right
     assert float(m.f_prime(0.5)) == -2.0
-
-
-def test_custom_map_interpolates():
-    m = custom_map([(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)])
-    assert m.f(0.25) == 0.5
-    assert float(m.f_prime(0.1)) == 2.0
-    assert float(m.f_prime(0.5)) == -2.0  # breakpoint takes the right slope
-    assert m.kind == "custom"
-
-
-def test_custom_map_validation():
-    with pytest.raises(ValueError):
-        custom_map([(0.0, 0.0)])
-    with pytest.raises(ValueError):
-        custom_map([(0.0, 0.0), (0.0, 1.0)])
 
 
 @pytest.mark.parametrize(
@@ -76,11 +58,17 @@ def test_map_parameter_outside_invariant_range_rejected(make, value):
     make(0.0)
 
 
+def _derivative_mismatch(m: MapSpec, xs: np.ndarray) -> float:
+    """Largest gap between ``f_prime`` and a central difference of ``f`` with step 1e-6."""
+    fd = (m.f(xs + 1e-6) - m.f(xs - 1e-6)) / 2e-6
+    return float(np.abs(fd - m.f_prime(xs)).max())
+
+
 def test_derivative_consistency():
     xs = np.linspace(0.05, 0.95, 37)
-    assert derivative_mismatch(logistic_map(3.7), xs) < 1e-6
+    assert _derivative_mismatch(logistic_map(3.7), xs) < 1e-6
     away_from_kink = xs[np.abs(xs - 0.5) > 0.01]
-    assert derivative_mismatch(tent_map(2.0), away_from_kink) < 1e-6
+    assert _derivative_mismatch(tent_map(2.0), away_from_kink) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +89,7 @@ def test_logistic_exponent_near_ln2():
 
 def test_contracting_exponent():
     # constant slope 1/2 keeps the orbit inside [1/4, 3/4]
-    m = custom_map([(0.0, 0.25), (1.0, 0.75)])
+    m = MapSpec(f=lambda x: 0.5 * x + 0.25, f_prime=lambda x: 0.5)
     assert lyapunov_exponent(m, 0.4, 200, 10) == pytest.approx(-LN2, abs=1e-12)
 
 
@@ -112,9 +100,10 @@ def test_exponent_bit_identical_to_scalar_loop(monkeypatch, block):
     maps = [logistic_map(a) for a in (2.5, 3.2, 3.57, 3.9, 4.0)]
     maps += [tent_map(s) for s in (0.7, 1.5, 1.9, 2.0)]
     # a flat piece, so some slopes are floored
-    maps.append(custom_map([(0.0, 0.1), (0.3, 0.9), (0.6, 0.9), (1.0, 0.0)]))
+    maps.append(MapSpec(f=lambda x: np.minimum(3.0 * x, 0.9),
+                        f_prime=lambda x: np.where(np.asarray(x) < 0.3, 3.0, 0.0)))
     # a derivative that returns a scalar even for an array
-    maps.append(MapSpec(kind="custom", f=lambda x: 0.5 * x + 0.25, f_prime=lambda x: 0.5))
+    maps.append(MapSpec(f=lambda x: 0.5 * x + 0.25, f_prime=lambda x: 0.5))
     for m in maps:
         for s0 in (0.5, *rng.uniform(0.0, 1.0, 3)):
             t_steps, transient = int(rng.integers(1, 300)), int(rng.integers(0, 30))
@@ -157,7 +146,7 @@ def test_uncoupled_step_is_plain_map():
 
 def test_full_coupling_swaps_pair():
     # identity map on K_2 with eps = 1 exchanges the two unit states
-    ident = custom_map([(0.0, 0.0), (1.0, 1.0)])
+    ident = MapSpec(f=lambda x: x, f_prime=lambda x: 1.0)
     g = complete_graph(2)
     x = np.array([0.2, 0.7])
     np.testing.assert_allclose(step_cml(g, x, ident, 1.0), [0.7, 0.2], atol=1e-15)

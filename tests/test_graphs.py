@@ -14,7 +14,6 @@ from lapspec.graphs import (
     clustering_coefficient,
     complete_graph,
     cycle_graph,
-    from_matrix,
     graph_from_dict,
     graph_to_dict,
     is_bipartite,
@@ -30,13 +29,13 @@ from lapspec.graphs import (
 
 def test_asymmetric_matrix_rejected():
     with pytest.raises(GraphError) as exc:
-        from_matrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        WeightedGraph(n=2, weights=np.array([[0.0, 1.0], [2.0, 0.0]]))
     assert exc.value.kind is GraphErrorKind.ASYMMETRIC_INPUT
 
 
 def test_negative_weight_rejected():
     with pytest.raises(GraphError) as exc:
-        from_matrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+        WeightedGraph(n=2, weights=np.array([[0.0, -1.0], [-1.0, 0.0]]))
     assert exc.value.kind is GraphErrorKind.NEGATIVE_WEIGHT
 
 
@@ -44,7 +43,7 @@ def test_negative_weight_rejected():
 def test_non_finite_weight_rejected_before_symmetry(bad):
     # the matrix is asymmetric as well; the non-finite entry is named
     with pytest.raises(GraphError) as exc:
-        from_matrix(np.array([[0.0, bad], [1.0, 0.0]]))
+        WeightedGraph(n=2, weights=np.array([[0.0, bad], [1.0, 0.0]]))
     assert exc.value.kind is GraphErrorKind.NON_FINITE_WEIGHT
 
 
@@ -58,7 +57,7 @@ def test_zero_degree_vertex_rejected():
     w = np.zeros((3, 3))
     w[0, 1] = w[1, 0] = 1.0
     with pytest.raises(GraphError) as exc:
-        from_matrix(w)
+        WeightedGraph(n=3, weights=w)
     assert exc.value.kind is GraphErrorKind.ZERO_DEGREE_VERTEX
 
 

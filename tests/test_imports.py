@@ -1,5 +1,9 @@
-"""Which lapspec module code runs: per subcommand, and behind ``import lapspec``."""
+"""Which lapspec module code runs: per subcommand, and behind ``import lapspec``.
 
+Also which public names the program itself uses.
+"""
+
+import ast
 import importlib
 import json
 import os
@@ -13,6 +17,7 @@ import lapspec
 from lapspec.graphs import complete_graph, write_graph
 
 PACKAGE = Path(lapspec.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
 
 # Runs lapspec.cli as ``python -m`` does (runpy), with the remaining arguments,
 # under an audit hook on ``exec``, which fires once per module whose code
@@ -113,3 +118,35 @@ def test_import_lapspec_runs_no_module_until_asked():
         "[] lapspec.partitions lapspec.partitions",
         "module 'lapspec' has no attribute 'no_such_name'",
     ]
+
+
+#: Public names that only the tests call.  The first two are results the
+#: paper states, which a CLI option should expose; moving the other two into
+#: the tests would not make the repository smaller.
+_USED_BY_TESTS_ONLY = {"improvement_predicates", "ratio_bounds", "path_graph", "write_graph"}
+
+
+def _names_used(paths) -> set[str]:
+    """Every name read, attribute accessed or imported by name in ``paths``."""
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_public_name_is_used_by_the_program():
+    # the package's modules (not ``__init__``, which lists every name), the
+    # scripts and the benchmark harness
+    program = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    for folder in ("scripts", "perfbench"):
+        assert (ROOT / folder).is_dir(), folder
+        program += (ROOT / folder).glob("*.py")
+    assert _USED_BY_TESTS_ONLY <= set(lapspec.__all__)
+    unused = set(lapspec.__all__) - _USED_BY_TESTS_ONLY - _names_used(program)
+    assert not unused, sorted(unused)

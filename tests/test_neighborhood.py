@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from conftest import random_connected_graph
 from lapspec.graphs import (
+    WeightedGraph,
     bridged_triangles,
     complete_graph,
     cycle_graph,
-    from_matrix,
     is_bipartite,
     is_connected,
     looped_pair,
@@ -18,15 +18,15 @@ from lapspec.neighborhood import (
     TRUNCATION_REL_TOL,
     map_eigenvalues,
     neighborhood_cheeger,
-    neighborhood_dual_cheeger,
     neighborhood_graph,
-    spectral_map_check,
 )
+from lapspec.partitions import dual_cheeger_exact
 from lapspec.spectral import spectrum
 from oracles import (
     oracle_neighborhood_cheeger,
     oracle_neighborhood_dual_cheeger,
     oracle_neighborhood_weights,
+    spectral_map_mismatch,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -131,7 +131,7 @@ def _gnp(seed: int, n: int, p: float = 0.4):
     while True:
         upper = np.triu(rng.random((n, n)) < p, 1).astype(float)
         w = upper + upper.T
-        g = from_matrix(w) if w.sum(axis=1).all() else None
+        g = WeightedGraph(n=n, weights=w) if w.sum(axis=1).all() else None
         if g is not None and is_connected(g):
             return g
 
@@ -204,15 +204,14 @@ def test_nonbipartite_stays_connected():
 @pytest.mark.parametrize("l", [2, 3, 4, 5])
 def test_spectral_map_on_fixtures(fixtures, l):
     for name, g in fixtures.items():
-        rep = spectral_map_check(g, l)
-        assert rep.max_mismatch < 1e-8, (name, l)
+        assert spectral_map_mismatch(g, l) < 1e-8, (name, l)
 
 
 @settings(max_examples=40, deadline=None)
 @given(seeds, st.integers(min_value=2, max_value=6))
 def test_spectral_map_random(seed, l):
     g = _random_graph(seed, n_max=8, weighted=True, allow_loops=True)
-    assert spectral_map_check(g, l).max_mismatch < 1e-8
+    assert spectral_map_mismatch(g, l) < 1e-8
 
 
 def test_map_eigenvalues_formula():
@@ -254,4 +253,5 @@ def test_cheeger_matches_oracle(seed, l):
 def test_dual_cheeger_matches_oracle(seed):
     g = _random_graph(seed, n_max=5, weighted=True, allow_loops=True)
     want = float(oracle_neighborhood_dual_cheeger(g, 2))
-    assert abs(neighborhood_dual_cheeger(g, 2).value - want) < 1e-12
+    gl = neighborhood_graph(g, 2)
+    assert abs(dual_cheeger_exact(gl, check_connected=False).value - want) < 1e-12

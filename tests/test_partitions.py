@@ -31,13 +31,12 @@ from lapspec.partitions import (
     dual_cheeger_greedy_lower,
     greedy_balance_partition,
     walk_family_from_dict,
-    walk_family_to_dict,
-    xi_constant,
     xi_product_bound,
 )
 from lapspec import partitions
 from lapspec.neighborhood import neighborhood_graph
 from oracles import (
+    balance,
     oracle_balance_chunk_score,
     oracle_balance_ratio,
     oracle_cheeger,
@@ -281,7 +280,7 @@ def test_cheeger_witness_is_consistent():
     g = complete_graph(6)
     res = cheeger_exact(g)
     bp = res.witness
-    assert bp.cheeger_ratio == res.value
+    assert bp.boundary / min(bp.vol_side, bp.vol_complement) == res.value
     assert len(bp.side) == 3  # half split is optimal on K_6
 
 
@@ -348,7 +347,7 @@ def test_greedy_dual_requires_loopless():
 def test_greedy_balance_guarantees(seed):
     g = _random_graph(seed, n_max=10, weighted=True)
     bp = greedy_balance_partition(g)
-    assert bp.partition.balance >= bp.weighted_guarantee - 1e-12
+    assert balance(bp.partition) >= bp.weighted_guarantee - 1e-12
     assert 1 <= bp.m <= g.n
 
 
@@ -358,14 +357,14 @@ def test_greedy_balance_unweighted_floor(seed):
     g = _random_graph(seed, n_max=10, weighted=False)
     bp = greedy_balance_partition(g)
     n = g.n
-    assert bp.partition.balance >= (n - 1) / (n + 1) - 1e-12
+    assert balance(bp.partition) >= (n - 1) / (n + 1) - 1e-12
 
 
 def test_greedy_balance_regular_odd_equality():
     # odd cycle: regular with odd N, the guarantee is met with equality
     g = cycle_graph(5)
     bp = greedy_balance_partition(g)
-    assert abs(bp.partition.balance - 4 / 6) < 1e-12
+    assert abs(balance(bp.partition) - 4 / 6) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -436,7 +435,7 @@ def test_walk_family_from_dict_rejects_malformed(data):
 def test_family_roundtrip():
     g = complete_graph(3)
     fam = default_odd_walk_family(g)
-    again = walk_family_from_dict(walk_family_to_dict(fam))
+    again = walk_family_from_dict({"walks": [list(w) for w in fam.walks]})
     assert again.walks == fam.walks
 
 
@@ -445,13 +444,11 @@ def test_xi_bounds_dual_cheeger(fixtures):
     for name, g in fixtures.items():
         if is_bipartite(g) or g.n > 9:
             continue
-        fam = default_odd_walk_family(g)
-        xi = xi_constant(g, fam)
-        pb = xi_product_bound(g, fam)
-        assert xi <= pb.product + 1e-12, name
+        pb = xi_product_bound(g, default_odd_walk_family(g))
+        assert pb.xi <= pb.product + 1e-12, name
         if g.n <= 7:
             hbar = dual_cheeger_exact(g).value
-            assert hbar <= 1.0 - 1.0 / xi + 1e-12, name
+            assert hbar <= 1.0 - 1.0 / pb.xi + 1e-12, name
 
 
 @settings(max_examples=30, deadline=None)
@@ -460,8 +457,6 @@ def test_xi_random(seed):
     g = _random_graph(seed, n_max=7, weighted=True, allow_loops=True)
     if is_bipartite(g):
         return
-    fam = default_odd_walk_family(g)
-    fam.validate(g)
-    xi = xi_constant(g, fam)
+    xi = xi_product_bound(g, default_odd_walk_family(g)).xi
     assert xi >= 1.0
     assert dual_cheeger_exact(g).value <= 1.0 - 1.0 / xi + 1e-9

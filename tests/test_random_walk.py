@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -7,8 +6,6 @@ from hypothesis import strategies as st
 
 from conftest import random_connected_graph
 from lapspec.graphs import (
-    GraphError,
-    GraphErrorKind,
     bridged_triangles,
     complete_graph,
     cycle_graph,
@@ -17,16 +14,12 @@ from lapspec.graphs import (
 )
 from lapspec.neighborhood import neighborhood_graph
 from lapspec.random_walk import (
-    bipartite_limits,
-    equilibrium_graph,
     equilibrium_projection,
-    mixing_time,
-    neighborhood_limit_check,
     transition_apply,
     walk_reports_to_csv,
     walk_trajectory,
 )
-from lapspec.spectral import spectrum
+from lapspec.spectral import spectral_radius_rho, spectrum
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -136,39 +129,35 @@ def test_csv_header():
 
 
 # ---------------------------------------------------------------------------
-# mixing time
+# limits of the neighborhood graphs: W[l] -> d_i d_j / vol within rho^l vol
 
 
-def test_mixing_time_values():
-    assert mixing_time(0.5, 0.1) == 4
-    assert mixing_time(0.25, 1e-6) == math.ceil(6 * math.log(10) / math.log(4))
-    assert mixing_time(1.0, 0.5) == math.inf
-    assert mixing_time(0.0, 0.5) == 0.0
-    with pytest.raises(ValueError):
-        mixing_time(0.5, 1.5)
-
-
-# ---------------------------------------------------------------------------
-# equilibrium graphs
+def _distance_within_rate(g, want, orders, rate, tol):
+    """``max |W[l] - want| <= rate^l vol + tol`` for every l in ``orders``."""
+    for l in orders:
+        distance = np.abs(neighborhood_graph(g, l).weights - want).max()
+        assert distance <= rate**l * g.volume + tol, l
 
 
 def test_equilibrium_looped_pair():
-    # all four entries equal (1+c)/2
+    # all four entries tend to (1+c)/2
     for c in (0.5, 1.0, 2.0):
-        w = equilibrium_graph(looped_pair(c)).weights
-        np.testing.assert_allclose(w, np.full((2, 2), (1 + c) / 2), atol=1e-14)
+        g = looped_pair(c)
+        rho = spectral_radius_rho(spectrum(g))
+        _distance_within_rate(g, np.full((2, 2), (1 + c) / 2), (1, 2, 3, 200), rho, 1e-12)
 
 
 def test_equilibrium_bridged_triangles():
     c = 1.0
-    w = equilibrium_graph(bridged_triangles(c)).weights
+    g = bridged_triangles(c)
     vol = 12 * c + 2
     a1 = 4 * c**2 / vol
     a2 = (4 * c**2 + 2 * c) / vol
     a3 = (4 * c**2 + 4 * c + 1) / vol
-    assert w[0, 1] == pytest.approx(a1, abs=1e-14)
-    assert w[0, 2] == pytest.approx(a2, abs=1e-14)
-    assert w[2, 3] == pytest.approx(a3, abs=1e-14)
+    bridge = np.array([0, 0, 1, 1, 0, 0])  # vertices 2 and 3 carry the bridge
+    want = np.array([[a1, a2], [a2, a3]])[np.ix_(bridge, bridge)]
+    rho = spectral_radius_rho(spectrum(g))
+    _distance_within_rate(g, want, (1, 5, 20, 200), rho, 1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -177,28 +166,35 @@ def test_equilibrium_structure_random(seed):
     g = _random_graph(seed, n_max=8, weighted=True, allow_loops=True)
     if is_bipartite(g):
         return
-    bar = equilibrium_graph(g)
-    # degrees survive the limit, and the limit Laplacian is a projection:
-    # spectrum {0, 1, ..., 1}
-    np.testing.assert_allclose(bar.degrees, g.degrees, atol=1e-10)
-    eigs = spectrum(bar).eigenvalues
-    np.testing.assert_allclose(eigs, [0.0] + [1.0] * (g.n - 1), atol=1e-9)
+    # degrees survive every order, and the spectrum of Gamma[l] tends to
+    # {0, 1, ..., 1}: each nonzero eigenvalue is within rho^l of 1
+    rho = spectral_radius_rho(spectrum(g))
+    gl = neighborhood_graph(g, 30)
+    np.testing.assert_allclose(gl.degrees, g.degrees, atol=1e-10)
+    eigs = spectrum(gl, check_connected=False).eigenvalues
+    assert abs(eigs[0]) < 1e-9
+    assert (np.abs(eigs[1:] - 1.0) <= rho**30 + 1e-9).all()
 
 
-def test_equilibrium_rejects_bipartite():
-    with pytest.raises(GraphError) as exc:
-        equilibrium_graph(cycle_graph(6))
-    assert exc.value.kind is GraphErrorKind.NOT_BIPARTITE
+def _bipartite_limits(g, side_a):
+    """Even and odd limits: ``2 d_i d_j / vol`` within, respectively across, the classes."""
+    in_a = np.isin(np.arange(g.n), side_a)
+    full = 2.0 * np.outer(g.degrees, g.degrees) / g.volume
+    same = in_a[:, None] == in_a[None, :]
+    return np.where(same, full, 0.0), np.where(same, 0.0, full)
 
 
-def test_bipartite_limits_rejects_nonbipartite():
-    with pytest.raises(GraphError) as exc:
-        bipartite_limits(complete_graph(3))
-    assert exc.value.kind is GraphErrorKind.NOT_BIPARTITE
+def _assert_orders_reach_limits(g, side_a):
+    # every eigenvalue inside (0, 2) is 1, so each even order is the even
+    # limit and each odd order the odd one, up to rounding
+    even, odd = _bipartite_limits(g, side_a)
+    for l in (2, 3, 4, 5, 200, 201):
+        want = even if l % 2 == 0 else odd
+        np.testing.assert_allclose(neighborhood_graph(g, l).weights, want, atol=1e-14)
 
 
 def test_bipartite_limits_c4():
-    even, odd = bipartite_limits(cycle_graph(4))
+    even, _ = _bipartite_limits(cycle_graph(4), [0, 2])
     want_even = np.zeros((4, 4))
     for i in (0, 2):
         for j in (0, 2):
@@ -206,37 +202,33 @@ def test_bipartite_limits_c4():
     for i in (1, 3):
         for j in (1, 3):
             want_even[i, j] = 1.0
-    np.testing.assert_allclose(even.weights, want_even, atol=1e-14)
-    np.testing.assert_allclose(odd.weights, np.ones((4, 4)) - want_even, atol=1e-14)
+    np.testing.assert_array_equal(even, want_even)
+    _assert_orders_reach_limits(cycle_graph(4), [0, 2])
 
 
 def test_bipartite_limits_k2():
-    even, odd = bipartite_limits(complete_graph(2))
-    np.testing.assert_allclose(even.weights, np.eye(2), atol=1e-14)
-    np.testing.assert_allclose(odd.weights, 1 - np.eye(2), atol=1e-14)
+    even, odd = _bipartite_limits(complete_graph(2), [0])
+    np.testing.assert_array_equal(even, np.eye(2))
+    np.testing.assert_array_equal(odd, 1 - np.eye(2))
+    _assert_orders_reach_limits(complete_graph(2), [0])
 
 
 def test_even_orders_converge_to_even_limit():
-    # C_4 reaches its even-step limit at order 2 exactly; C_6 converges
-    # geometrically at rate 1/2 per step
-    even4, _ = bipartite_limits(cycle_graph(4))
-    w2 = neighborhood_graph(cycle_graph(4), 2).weights
-    np.testing.assert_allclose(w2, even4.weights, atol=1e-12)
-
-    even6, _ = bipartite_limits(cycle_graph(6))
-    w40 = neighborhood_graph(cycle_graph(6), 40).weights
-    assert np.abs(w40 - even6.weights).max() < 1e-8
-
-
-# ---------------------------------------------------------------------------
-# neighborhood limit domination
+    # C_6 converges geometrically at rate 1/2 per step, its largest
+    # |1 - lambda| over the eigenvalues inside (0, 2)
+    g = cycle_graph(6)
+    even, _ = _bipartite_limits(g, [0, 2, 4])
+    _distance_within_rate(g, even, (2, 4, 40), 0.5, 1e-12)
+    assert np.abs(neighborhood_graph(g, 40).weights - even).max() < 1e-8
 
 
 def test_limit_check_k5():
-    rep = neighborhood_limit_check(complete_graph(5), 6)
-    assert rep.rho == pytest.approx(0.25, abs=1e-12)
-    assert rep.dominated()
-    assert rep.distances[-1] < rep.distances[0]
+    g = complete_graph(5)
+    rho = spectral_radius_rho(spectrum(g))
+    assert rho == pytest.approx(0.25, abs=1e-12)
+    want = np.outer(g.degrees, g.degrees) / g.volume
+    _distance_within_rate(g, want, range(1, 7), rho, 1e-9)
+    assert np.abs(neighborhood_graph(g, 6).weights - want).max() < np.abs(g.weights - want).max()
 
 
 @settings(max_examples=20, deadline=None)
@@ -245,9 +237,5 @@ def test_limit_check_random(seed):
     g = _random_graph(seed, n_max=8, weighted=True, allow_loops=True)
     if is_bipartite(g):
         return
-    assert neighborhood_limit_check(g, 8).dominated()
-
-
-def test_limit_check_validates_order():
-    with pytest.raises(ValueError):
-        neighborhood_limit_check(complete_graph(3), 0)
+    rho = spectral_radius_rho(spectrum(g))
+    _distance_within_rate(g, np.outer(g.degrees, g.degrees) / g.volume, range(1, 9), rho, 1e-9)
