@@ -12,8 +12,10 @@ outputs are byte-identical print identical lines:
 
 The corpus is every benchmark invocation and warm-up at seeds 1 and 3, read
 from ``ROOT/perfbench/workloads.py``, plus the subcommands and orders the
-benchmark leaves out on a weighted looped edge list, K7 and C10, and the
-``curves`` tables of every family in both formats.
+benchmark leaves out on a weighted looped edge list, K7 and C10, the
+``curves`` tables of every family in both formats, and the subcommands that
+enumerate on C25 and K15, just past the Cheeger (24) and dual Cheeger (14)
+vertex caps, so the refusals and skipped reports are pinned too.
 """
 
 from __future__ import annotations
@@ -58,6 +60,13 @@ EXTRA_ARGS = {
     "cml": ["cml", "--eps", "0.9", "--steps", "300", "--trials", "2"],
 }
 
+#: Subcommands run on each graph past an enumeration cap.
+CAPPED_ARGS = {
+    "constants": ["constants"],
+    "bounds": ["bounds", "--l-list", "2,3"],
+    "walk": ["walk", "--l", "2"],
+}
+
 CURVES = {
     "looped_pair": ("0.2:3.0:0.2", "1,2,3,4,5"),
     "bridged_triangles": ("0.2:3.0:0.2", "1,2,3,4,5"),
@@ -76,14 +85,18 @@ def corpus(workloads, workdir: Path):
             for inv in [*wl.warmup, *wl.invocations]:
                 yield f"s{seed}:{name}:{inv.id}", inv.argv(sub)
 
-    graphs = {"looped.txt": LOOPED_EDGES}
-    for fname, (n, edges) in (("k7.json", workloads.complete_graph(7)),
-                              ("c10.json", workloads.cycle_graph(10))):
-        graphs[fname] = json.dumps({"n": n, "edges": [[i, j, 1.0] for i, j in edges]})
-    for fname, text in graphs.items():
-        (workdir / fname).write_text(text)
-        for key, (command, *args) in EXTRA_ARGS.items():
-            yield f"{fname}:{key}", [command, "--input", str(workdir / fname), *args]
+    def unit_graph(n, edges) -> str:
+        return json.dumps({"n": n, "edges": [[i, j, 1.0] for i, j in edges]})
+
+    graphs = {"looped.txt": LOOPED_EDGES, "k7.json": unit_graph(*workloads.complete_graph(7)),
+              "c10.json": unit_graph(*workloads.cycle_graph(10))}
+    capped = {"c25.json": unit_graph(*workloads.cycle_graph(25)),
+              "k15.json": unit_graph(*workloads.complete_graph(15))}
+    for files, arg_sets in ((graphs, EXTRA_ARGS), (capped, CAPPED_ARGS)):
+        for fname, text in files.items():
+            (workdir / fname).write_text(text)
+            for key, (command, *args) in arg_sets.items():
+                yield f"{fname}:{key}", [command, "--input", str(workdir / fname), *args]
 
     for family, (grid, l_list) in CURVES.items():
         for fmt in ("csv", "json"):

@@ -52,7 +52,6 @@ _HOME = {
     "default_odd_walk_family": "partitions",
     "xi_product_bound": "partitions",
     "neighborhood_graph": "neighborhood",
-    "neighborhood_cheeger": "neighborhood",
     "map_eigenvalues": "neighborhood",
     "cheeger_bounds": "bounds",
     "dual_cheeger_bounds": "bounds",

@@ -43,11 +43,7 @@ from .graphs import (
     looped_pair,
     require_connected,
 )
-from .neighborhood import (
-    map_eigenvalues,
-    neighborhood_cheeger,
-    neighborhood_graph,
-)
+from .neighborhood import map_eigenvalues, neighborhood_graph
 from .partitions import (
     TriPartition,
     XiProductBound,
@@ -493,7 +489,7 @@ def improvement_predicates(g: WeightedGraph, l: int) -> ImprovementReport:
     s = spectrum(g)
     lam1, lam_max = s.lambda_1, s.lambda_max
     h = cheeger_exact(g).value
-    h_l = neighborhood_cheeger(g, l).value
+    h_l = cheeger_exact(neighborhood_graph(g, l), check_connected=False).value
     lam1_l = float(map_eigenvalues(s.eigenvalues, l)[1])
 
     even = l % 2 == 0
@@ -675,21 +671,15 @@ def _capped(fn, *args, **kwargs):
         return None
 
 
-def all_bound_reports(
-    g: WeightedGraph,
-    l_list=(2, 3),
-    *,
-    cap_h: int | None = None,
-    cap_hbar: int | None = None,
-) -> list[BoundReport]:
+def all_bound_reports(g: WeightedGraph, l_list=(2, 3)) -> list[BoundReport]:
     """Every bound report computable for ``g`` at the given orders.
 
     Each ``Gamma[l]`` and each constant is computed once.  Reports whose
     constants exceed a size cap are skipped; other errors propagate.
     """
     s = spectrum(g)
-    h_res = _capped(cheeger_exact, g, cap=cap_h)
-    hbar_res = _capped(dual_cheeger_exact, g, cap=cap_hbar)
+    h_res = _capped(cheeger_exact, g)
+    hbar_res = _capped(dual_cheeger_exact, g)
 
     reports: list[BoundReport] = []
     if h_res is not None:
@@ -712,8 +702,8 @@ def all_bound_reports(
         if gl is g:  # l = 1: reuse the constants of g
             h_l, hbar_l, cc = h_res, hbar_res, cc_g
         else:
-            h_l = _capped(cheeger_exact, gl, cap=cap_h, check_connected=False)
-            hbar_l = _capped(dual_cheeger_exact, gl, cap=cap_hbar, check_connected=False)
+            h_l = _capped(cheeger_exact, gl, check_connected=False)
+            hbar_l = _capped(dual_cheeger_exact, gl, check_connected=False)
             cc = clustering_constants(gl)
         if h_l is not None:
             reports.append(neighborhood_sandwich_from(l, h_l.value))

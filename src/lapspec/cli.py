@@ -195,9 +195,9 @@ def _cmd_spectrum(args) -> str:
 
 def _cmd_constants(args) -> str:
     g = read_graph(args.input)
-    h_res = partitions.cheeger_exact(g, cap=args.cap_h)
-    hbar_res = partitions.dual_cheeger_exact(g, cap=args.cap_hbar)
-    bal = partitions.balance_ratio_exact(g, cap=args.cap_h)
+    h_res = partitions.cheeger_exact(g)
+    hbar_res = partitions.dual_cheeger_exact(g)
+    bal = partitions.balance_ratio_exact(g)
     greedy = partitions.greedy_balance_partition(g)
 
     greedy_dual = None
@@ -249,7 +249,7 @@ def _cmd_bounds(args) -> str:
     g = read_graph(args.input)
     l_list = _parse_int_list(args.l_list)
     s = spectrum(g)
-    reports = bounds.all_bound_reports(g, l_list, cap_h=args.cap_h, cap_hbar=args.cap_hbar)
+    reports = bounds.all_bound_reports(g, l_list)
     payload = {
         "lambda1": s.lambda_1,
         "lambdaMax": s.lambda_max,
@@ -289,7 +289,7 @@ def _cmd_walk(args) -> str:
         f = np.zeros(g.n)
         f[0] = 1.0
     try:
-        reports = random_walk.walk_trajectory(g, f, args.steps, args.l, cap=args.cap_h)
+        reports = random_walk.walk_trajectory(g, f, args.steps, args.l)
     except ValueError as err:
         raise _naming_flags(err, t_max="--steps") from None
     if args.format == "json":
@@ -317,7 +317,12 @@ def _cmd_cml(args) -> str:
         )
     except ValueError as err:
         raise _naming_flags(
-            err, t_steps="--steps", transient="--transient", trials="--trials", tol="--tol"
+            err,
+            t_steps="--steps",
+            transient="--transient",
+            trials="--trials",
+            tol="--tol",
+            base_seed="--seed",
         ) from None
     if args.spread_output is not None:
         _write_atomic(args.spread_output, cml.spread_to_csv(report))
@@ -346,14 +351,10 @@ def _build_parser() -> argparse.ArgumentParser:
     add("spectrum", "eigenvalues and degree-orthonormal eigenfunctions")
 
     p = add("constants", "Cheeger, dual Cheeger, balance, walk, clustering constants")
-    p.add_argument("--cap-h", type=int, default=None, help="vertex cap for bipartition enumeration")
-    p.add_argument("--cap-hbar", type=int, default=None, help="vertex cap for tripartition enumeration")
     p.add_argument("--walks", default=None, help="JSON file with one odd closed walk per vertex")
 
     p = add("bounds", "all applicable eigenvalue bound reports")
     p.add_argument("--l-list", default="2,3", help="comma-separated walk lengths (default 2,3)")
-    p.add_argument("--cap-h", type=int, default=None)
-    p.add_argument("--cap-hbar", type=int, default=None)
 
     p = add("neighborhood", "graph whose edges are l-step walks")
     p.add_argument("--l", type=int, required=True, help="walk length")
@@ -368,7 +369,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=50, help="largest t (default 50)")
     p.add_argument("--l", type=int, default=None, help="even l for the isoperimetric rate")
     p.add_argument("--f", default=None, help="comma-separated start function (default: delta at 0)")
-    p.add_argument("--cap-h", type=int, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = add("cml", "coupled-map synchronization criterion and simulation")

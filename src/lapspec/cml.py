@@ -325,6 +325,8 @@ def simulate_sync(
         raise ValueError("tol must be positive and finite")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if base_seed < 0:
+        raise ValueError("base_seed must be >= 0")
     if t_steps < 10:
         raise ValueError("t_steps must be >= 10")
     if transient < 0:

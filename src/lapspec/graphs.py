@@ -54,14 +54,10 @@ class WeightedGraph:
         Number of vertices.
     weights:
         Dense ``(n, n)`` symmetric weight matrix (read-only).
-    labels:
-        Original vertex labels when the graph was parsed from a labelled
-        edge list, in index order.  ``None`` when vertices were born 0-based.
     """
 
     n: int
     weights: np.ndarray
-    labels: tuple[str, ...] | None = None
     degrees: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -111,37 +107,22 @@ class WeightedGraph:
         idx = np.fromiter(subset, dtype=int)
         return float(self.degrees[idx].sum()) if idx.size else 0.0
 
-    def cut_weight(self, subset) -> float:
-        """Total weight of edges between ``subset`` and its complement."""
-        mask = np.zeros(self.n, dtype=bool)
-        mask[list(subset)] = True
-        return float(self.weights[mask][:, ~mask].sum())
-
 
 @dataclass(frozen=True)
 class Bipartition:
-    """A vertex subset together with the volumes and cut weight it induces."""
+    """One side of a cut: a proper nonempty vertex subset."""
 
     side: frozenset[int]
-    vol_side: float
-    vol_complement: float
-    boundary: float
 
     @classmethod
     def of(cls, g: WeightedGraph, subset) -> "Bipartition":
         side = frozenset(int(v) for v in subset)
         if not side or len(side) == g.n:
             raise ValueError("subset must be a proper nonempty vertex subset")
-        vol = g.subset_volume(side)
-        return cls(
-            side=side,
-            vol_side=vol,
-            vol_complement=g.volume - vol,
-            boundary=g.cut_weight(side),
-        )
+        return cls(side=side)
 
 
-def build_graph(n: int, edges, labels=None) -> WeightedGraph:
+def build_graph(n: int, edges) -> WeightedGraph:
     """Build a graph from an edge list ``[(i, j, w), ...]``.
 
     Each unordered pair may appear once; ``(i, i, w)`` entries are loops.
@@ -166,7 +147,7 @@ def build_graph(n: int, edges, labels=None) -> WeightedGraph:
             )
         w[i, j] = weight
         w[j, i] = weight
-    return WeightedGraph(n=n, weights=w, labels=labels)
+    return WeightedGraph(n=n, weights=w)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +340,7 @@ def parse_edge_list(text: str) -> WeightedGraph:
     """Parse a whitespace edge list: one ``i j w`` triple per line.
 
     Vertex labels may be arbitrary tokens; they are re-indexed to 0-based
-    integers in order of first appearance and the original labels are kept
-    on the returned graph.  ``#`` starts a comment.
+    integers in order of first appearance.  ``#`` starts a comment.
     """
     index: dict[str, int] = {}
     edges = []
@@ -378,8 +358,7 @@ def parse_edge_list(text: str) -> WeightedGraph:
         edges.append((index[a], index[b], float(w_str)))
     if not edges:
         raise ValueError("empty edge list")
-    labels = tuple(sorted(index, key=index.get))
-    return build_graph(len(index), edges, labels=labels)
+    return build_graph(len(index), edges)
 
 
 def read_graph(path) -> WeightedGraph:

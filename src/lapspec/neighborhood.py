@@ -16,14 +16,9 @@ walks of length l between them, so its normalized Laplacian is
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from .graphs import WeightedGraph
-
-if TYPE_CHECKING:
-    from .partitions import CheegerResult
 
 #: Entries below this fraction of the largest weight are snapped to zero.
 TRUNCATION_REL_TOL = 1e-14
@@ -51,20 +46,6 @@ def neighborhood_graph(g: WeightedGraph, l: int) -> WeightedGraph:
     acc = 0.5 * (acc + acc.T)
     acc[acc < TRUNCATION_REL_TOL * acc.max()] = 0.0
     return WeightedGraph(n=g.n, weights=acc)
-
-
-def neighborhood_cheeger(
-    g: WeightedGraph, l: int, *, cap: int | None = None
-) -> CheegerResult:
-    """Exact Cheeger constant of the l-th neighborhood graph.
-
-    No connectivity requirement: when ``g[l]`` is disconnected (bipartite g,
-    even l) the enumeration finds a zero-cost cut and reports 0.
-    """
-    # imported here: ``lapspec neighborhood``, and ``walk`` without ``--l``, enumerate nothing
-    from .partitions import cheeger_exact
-
-    return cheeger_exact(neighborhood_graph(g, l), cap=cap, check_connected=False)
 
 
 def map_eigenvalues(eigenvalues: np.ndarray, l: int) -> np.ndarray:

@@ -81,14 +81,11 @@ class CheegerResult:
     method: str  # "exact" | "greedy"
 
 
-def _effective_cap(n: int, cap: int | None, hard: int, what: str) -> None:
-    if cap is not None and cap < 0:
-        raise ValueError(f"{what} enumeration cap must be >= 0, got {cap}")
-    limit = hard if cap is None else min(int(cap), hard)
-    if n > limit:
+def _enforce_cap(n: int, cap: int, what: str) -> None:
+    if n > cap:
         raise GraphError(
             GraphErrorKind.SIZE_CAP_EXCEEDED,
-            f"{what} enumeration capped at {limit} vertices, graph has {n}",
+            f"{what} enumeration capped at {cap} vertices, graph has {n}",
         )
 
 
@@ -237,9 +234,7 @@ def _label_flags(j: int) -> tuple[np.ndarray, np.ndarray]:
     return flags
 
 
-def cheeger_exact(
-    g: WeightedGraph, *, cap: int | None = None, check_connected: bool = True
-) -> CheegerResult:
+def cheeger_exact(g: WeightedGraph, *, check_connected: bool = True) -> CheegerResult:
     """Exact Cheeger constant by enumerating all bipartitions.
 
     Enumerates the 2^(n-1) - 1 proper subsets not containing the last
@@ -252,7 +247,7 @@ def cheeger_exact(
     """
     if g.n < 2:
         raise ValueError("Cheeger constant needs at least two vertices")
-    _effective_cap(g.n, cap, CHEEGER_EXACT_CAP, "Cheeger")
+    _enforce_cap(g.n, CHEEGER_EXACT_CAP, "Cheeger")
     if check_connected:
         require_connected(g)
     n = g.n
@@ -297,9 +292,7 @@ def cheeger_exact(
     )
 
 
-def dual_cheeger_exact(
-    g: WeightedGraph, *, cap: int | None = None, check_connected: bool = True
-) -> CheegerResult:
+def dual_cheeger_exact(g: WeightedGraph, *, check_connected: bool = True) -> CheegerResult:
     """Exact dual Cheeger constant by enumerating tripartitions.
 
     Ternary enumeration over vertex labels (V3, V1, V2), code ``sum t_i 3^i``,
@@ -313,7 +306,7 @@ def dual_cheeger_exact(
     """
     if g.n < 2:
         raise ValueError("dual Cheeger constant needs at least two vertices")
-    _effective_cap(g.n, cap, DUAL_CHEEGER_EXACT_CAP, "dual Cheeger")
+    _enforce_cap(g.n, DUAL_CHEEGER_EXACT_CAP, "dual Cheeger")
     if check_connected:
         require_connected(g)
     n = g.n
@@ -435,9 +428,7 @@ def dual_cheeger_greedy_lower(g: WeightedGraph) -> CheegerResult:
 # balance ratios
 
 
-def balance_ratio_exact(
-    g: WeightedGraph, *, cap: int | None = None
-) -> CheegerResult:
+def balance_ratio_exact(g: WeightedGraph) -> CheegerResult:
     """Most balanced bipartition by full enumeration (same cap as ``cheeger_exact``).
 
     Same codes, witness rule and split pass as ``cheeger_exact``, with
@@ -445,7 +436,7 @@ def balance_ratio_exact(
     """
     if g.n < 2:
         raise ValueError("balance ratio needs at least two vertices")
-    _effective_cap(g.n, cap, CHEEGER_EXACT_CAP, "balance ratio")
+    _enforce_cap(g.n, CHEEGER_EXACT_CAP, "balance ratio")
     n = g.n
     d = g.degrees[: n - 1]
     total = g.volume

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import WeightedGraph, bipartition_of, require_connected
-from .neighborhood import neighborhood_cheeger
+from .neighborhood import neighborhood_graph
 from .spectral import degree_norm, spectrum, spectral_radius_rho
 
 #: Longest walk accepted: one report per step is kept (about 1 kB each
@@ -60,8 +60,6 @@ def walk_trajectory(
     f: np.ndarray,
     t_max: int,
     l_even: int | None = None,
-    *,
-    cap: int | None = None,
 ) -> list[WalkReport]:
     """Reports for every ``t`` in ``0..t_max`` with a single pass of iteration."""
     if t_max < 0:
@@ -86,7 +84,10 @@ def walk_trajectory(
         raise ValueError("the isoperimetric convergence rate needs an even l >= 2")
     rate = None
     if l_even is not None and bipartition_of(g) is None:
-        h_l = neighborhood_cheeger(g, l_even, cap=cap).value
+        # imported here: ``walk`` without ``--l`` enumerates nothing
+        from .partitions import cheeger_exact
+
+        h_l = cheeger_exact(neighborhood_graph(g, l_even), check_connected=False).value
         rate = (1.0 - h_l * h_l) ** (1.0 / (2 * l_even))
     out = []
     cur = f.copy()

@@ -88,9 +88,11 @@ def oracle_balance_ratio(g) -> Fraction:
     return best
 
 
-def balance(p) -> float:
-    """Volume ratio ``min/max`` of the two sides of a ``Bipartition``."""
-    return min(p.vol_side, p.vol_complement) / max(p.vol_side, p.vol_complement)
+def balance(g, p) -> float:
+    """Volume ratio ``min/max`` of the two sides of a ``Bipartition`` of ``g``."""
+    vol = g.subset_volume(p.side)
+    other = g.volume - vol
+    return min(vol, other) / max(vol, other)
 
 
 def oracle_cheeger_witness(g) -> frozenset:

@@ -42,7 +42,7 @@ from lapspec.graphs import (
     looped_pair,
     path_graph,
 )
-from lapspec.neighborhood import neighborhood_cheeger, neighborhood_graph
+from lapspec.neighborhood import neighborhood_graph
 from lapspec.partitions import (
     cheeger_exact,
     default_odd_walk_family,
@@ -320,16 +320,21 @@ def test_walk_comparison_consistent(fixtures):
 
 def test_branch_or_inapplicable_when_cut_too_large():
     # h[2](K_5) > 1/2, so the even-order disjunction has nothing to say
-    rep = neighborhood_upper_or_from(2, neighborhood_cheeger(complete_graph(5), 2).value)
+    h_2 = cheeger_exact(neighborhood_graph(complete_graph(5), 2), check_connected=False).value
+    rep = neighborhood_upper_or_from(2, h_2)
     assert rep.target == TARGET_BRANCH_OR
     assert not rep.applicable
 
 
 def test_even_sandwich_targets():
-    rep = neighborhood_sandwich_from(2, neighborhood_cheeger(complete_graph(5), 2).value)
+    g = complete_graph(5)
+    h_2, h_3 = (
+        cheeger_exact(neighborhood_graph(g, l), check_connected=False).value for l in (2, 3)
+    )
+    rep = neighborhood_sandwich_from(2, h_2)
     assert rep.target == TARGET_SANDWICH
-    assert rep.holds_for(spectrum(complete_graph(5)))
-    rep3 = neighborhood_sandwich_from(3, neighborhood_cheeger(complete_graph(5), 3).value)
+    assert rep.holds_for(spectrum(g))
+    rep3 = neighborhood_sandwich_from(3, h_3)
     assert rep3.target == TARGET_LAMBDA1
 
 
@@ -366,8 +371,8 @@ def test_all_reports_hold_fixtures(fixtures):
 
 
 def test_all_reports_skips_capped_enumerations():
-    g = complete_graph(6)
-    reps = all_bound_reports(g, l_list=(2,), cap_h=5, cap_hbar=5)
+    g = complete_graph(25)
+    reps = all_bound_reports(g, l_list=(2,))
     names = {r.name for r in reps}
     assert "cheeger" not in names
     assert "dual_cheeger" not in names

@@ -232,10 +232,17 @@ def test_domain_error_exit_1(capsys, tmp_path):
     assert out == ""
 
 
-def test_cap_exceeded_exit_1(capsys, k5_file):
-    code, _, err = _run(capsys, "constants", "--input", k5_file, "--cap-h", "3")
-    assert code == 1
-    assert "error[SizeCapExceeded]" in err
+def test_cap_exceeded_exit_1(capsys, tmp_path):
+    # one vertex past the Cheeger cap (24), and past the dual Cheeger cap (14)
+    for graph, message in [
+        (cycle_graph(25), "Cheeger enumeration capped at 24 vertices, graph has 25"),
+        (complete_graph(15), "dual Cheeger enumeration capped at 14 vertices, graph has 15"),
+    ]:
+        path = tmp_path / "g.json"
+        write_graph(graph, path)
+        code, out, err = _run(capsys, "constants", "--input", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error[SizeCapExceeded]: {message}\n"
 
 
 def test_missing_file_exit_2(capsys):
@@ -284,6 +291,7 @@ _REFUSAL_FLAG = {
     "huge-trials": "--trials",
     "huge-transient": "--transient",
     "huge-walk": "--steps",
+    "negative-seed": "--seed",
 }
 
 
@@ -313,15 +321,15 @@ _REFUSAL_FLAG = {
         ["curves", "--family", "complete", "--grid", "0:1e10:1"],
         ["curves", "--family", "complete", "--grid", "0:1:1e-320"],
         ["curves", "--family", "complete", "--grid", ",".join(["3"] * 10_001)],
-        ["constants", "--input", "{k5}", "--cap-h", "-3"],
         ["walk", "--input", "{c10}", "--l", "3"],
+        ["cml", "--input", "{k5}", "--eps", "0.9", "--seed", "-1"],
     ],
     ids=["unwritable-output", "cml-one-vertex", "infinite-grid", "infinite-grid-value",
          "nan-eps", "nan-tol", "infinite-map", "nan-start", "huge-start", "infinite-eps",
          "infinite-tol", "overflowing-eps", "huge-logistic", "negative-tent",
          "negative-transient", "huge-steps", "huge-trials", "huge-transient", "huge-walk",
-         "zero-walk-length", "huge-grid", "overflowing-grid", "long-grid-list", "negative-cap",
-         "odd-walk-order-bipartite"],
+         "zero-walk-length", "huge-grid", "overflowing-grid", "long-grid-list",
+         "odd-walk-order-bipartite", "negative-seed"],
 )
 def test_bad_flag_or_output_exit_2(capsys, tmp_path, k5_file, argv, request):
     k1 = tmp_path / "k1.json"
@@ -336,7 +344,7 @@ def test_bad_flag_or_output_exit_2(capsys, tmp_path, k5_file, argv, request):
     flag = _REFUSAL_FLAG.get(request.node.callspec.id)
     if flag is not None:
         assert flag in err
-        assert re.search(r"(?<![-\w])(t_max|t_steps|transient|trials)\b", err) is None
+        assert re.search(r"(?<![-\w])(t_max|t_steps|transient|trials|base_seed)\b", err) is None
     if "--output" in argv:
         assert str(tmp_path / "missing" / "x.json") in err and ".lapspec-" not in err
 

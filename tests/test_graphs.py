@@ -210,8 +210,10 @@ def test_parse_edge_list_labels():
     """
     g = parse_edge_list(text)
     assert g.n == 3
-    assert g.labels == ("a", "b", "c")
+    # labels are numbered in order of first appearance: a -> 0, b -> 1, c -> 2
+    assert g.weights[0, 1] == 1.0
     assert g.weights[1, 2] == 2.0
+    assert g.weights[0, 2] == 0.5
 
 
 def test_read_edge_list_file(tmp_path):

@@ -17,10 +17,9 @@ from lapspec.neighborhood import (
     REPEATED_SQUARING_THRESHOLD,
     TRUNCATION_REL_TOL,
     map_eigenvalues,
-    neighborhood_cheeger,
     neighborhood_graph,
 )
-from lapspec.partitions import dual_cheeger_exact
+from lapspec.partitions import cheeger_exact, dual_cheeger_exact
 from lapspec.spectral import spectrum
 from oracles import (
     oracle_neighborhood_cheeger,
@@ -84,7 +83,8 @@ def test_looped_pair_cheeger_closed_forms(c):
         (1 + 10 * c**2 + 5 * c**4) / (1 + c) ** 5,
     ]
     for l, want in enumerate(expected, start=1):
-        assert abs(neighborhood_cheeger(looped_pair(c), l).value - want) < 1e-12, l
+        gl = neighborhood_graph(looped_pair(c), l)
+        assert abs(cheeger_exact(gl, check_connected=False).value - want) < 1e-12, l
 
 
 @pytest.mark.parametrize("c", [0.5, 1.0])
@@ -100,7 +100,8 @@ def test_bridged_triangles_h2_is_min_of_two_cuts():
         g = bridged_triangles(c)
         cand1 = 4 * c / ((6 * c + 1) * (2 * c + 1))
         cand2 = (3 * c + 2 * c**2) / (2 * c + 1) ** 2
-        assert abs(neighborhood_cheeger(g, 2).value - min(cand1, cand2)) < 1e-12
+        h_2 = cheeger_exact(neighborhood_graph(g, 2), check_connected=False).value
+        assert abs(h_2 - min(cand1, cand2)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +182,7 @@ def test_bipartite_even_order_splits():
     # the two classes carry all the weight
     evens = [0, 2, 4]
     assert g2.weights[np.ix_(evens, [1, 3, 5])].max() == 0.0
-    assert neighborhood_cheeger(g, 2).value == 0.0
+    assert cheeger_exact(g2, check_connected=False).value == 0.0
 
 
 def test_bipartite_odd_order_stays_bipartite():
@@ -245,7 +246,8 @@ def test_weights_match_oracle(seed, l):
 def test_cheeger_matches_oracle(seed, l):
     g = _random_graph(seed, n_max=6, weighted=True, allow_loops=True)
     want = float(oracle_neighborhood_cheeger(g, l))
-    assert abs(neighborhood_cheeger(g, l).value - want) < 1e-12
+    gl = neighborhood_graph(g, l)
+    assert abs(cheeger_exact(gl, check_connected=False).value - want) < 1e-12
 
 
 @settings(max_examples=10, deadline=None)

@@ -279,9 +279,11 @@ def test_k2_extremal():
 def test_cheeger_witness_is_consistent():
     g = complete_graph(6)
     res = cheeger_exact(g)
-    bp = res.witness
-    assert bp.boundary / min(bp.vol_side, bp.vol_complement) == res.value
-    assert len(bp.side) == 3  # half split is optimal on K_6
+    side = sorted(res.witness.side)
+    rest = sorted(set(range(g.n)) - set(side))
+    vol = g.subset_volume(side)
+    assert g.weights[np.ix_(side, rest)].sum() / min(vol, g.volume - vol) == res.value
+    assert len(side) == 3  # half split is optimal on K_6
 
 
 def test_dual_witness_bipartite():
@@ -308,18 +310,19 @@ def test_first_achiever_is_deterministic():
 
 
 def test_cheeger_cap_raises():
-    g = complete_graph(6)
-    with pytest.raises(GraphError) as exc:
-        cheeger_exact(g, cap=5)
-    assert exc.value.kind is GraphErrorKind.SIZE_CAP_EXCEEDED
     assert CHEEGER_EXACT_CAP == 24
-    assert DUAL_CHEEGER_EXACT_CAP == 14
+    with pytest.raises(GraphError) as exc:
+        cheeger_exact(complete_graph(25))
+    assert exc.value.kind is GraphErrorKind.SIZE_CAP_EXCEEDED
+    assert exc.value.message == "Cheeger enumeration capped at 24 vertices, graph has 25"
 
 
 def test_dual_cap_raises():
-    g = complete_graph(6)
-    with pytest.raises(GraphError):
-        dual_cheeger_exact(g, cap=5)
+    assert DUAL_CHEEGER_EXACT_CAP == 14
+    with pytest.raises(GraphError) as exc:
+        dual_cheeger_exact(complete_graph(15))
+    assert exc.value.kind is GraphErrorKind.SIZE_CAP_EXCEEDED
+    assert exc.value.message == "dual Cheeger enumeration capped at 14 vertices, graph has 15"
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +350,7 @@ def test_greedy_dual_requires_loopless():
 def test_greedy_balance_guarantees(seed):
     g = _random_graph(seed, n_max=10, weighted=True)
     bp = greedy_balance_partition(g)
-    assert balance(bp.partition) >= bp.weighted_guarantee - 1e-12
+    assert balance(g, bp.partition) >= bp.weighted_guarantee - 1e-12
     assert 1 <= bp.m <= g.n
 
 
@@ -357,14 +360,14 @@ def test_greedy_balance_unweighted_floor(seed):
     g = _random_graph(seed, n_max=10, weighted=False)
     bp = greedy_balance_partition(g)
     n = g.n
-    assert balance(bp.partition) >= (n - 1) / (n + 1) - 1e-12
+    assert balance(g, bp.partition) >= (n - 1) / (n + 1) - 1e-12
 
 
 def test_greedy_balance_regular_odd_equality():
     # odd cycle: regular with odd N, the guarantee is met with equality
     g = cycle_graph(5)
     bp = greedy_balance_partition(g)
-    assert abs(balance(bp.partition) - 4 / 6) < 1e-12
+    assert abs(balance(g, bp.partition) - 4 / 6) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
