@@ -17,9 +17,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from lapspec.bounds import bound_curves, curves_to_csv  # noqa: E402
 
 
-def crossover_scan(family, params, l_ref, l_cmp):
-    """Parameters where the l_cmp lower bound strictly beats the l_ref one."""
-    rows = bound_curves(family, params, [l_ref, l_cmp])
+def crossover_scan(rows, l_ref, l_cmp):
+    """Parameters of ``rows`` where the l_cmp lower bound strictly beats the l_ref one."""
     by_param = {}
     for r in rows:
         if r.lower is not None:
@@ -53,7 +52,7 @@ def main():
         print(f"wrote {path} ({len(rows)} rows)")
 
         for l_cmp in (2, 3):
-            better = crossover_scan(family, params, 1, l_cmp)
+            better = crossover_scan(rows, 1, l_cmp)
             if better:
                 print(
                     f"  {family}: l={l_cmp} lower bound beats l=1 for "

@@ -15,7 +15,14 @@ from ``ROOT/perfbench/workloads.py``, plus the subcommands and orders the
 benchmark leaves out on a weighted looped edge list, K7 and C10, the
 ``curves`` tables of every family in both formats, and the subcommands that
 enumerate on C25 and K15, just past the Cheeger (24) and dual Cheeger (14)
-vertex caps, so the refusals and skipped reports are pinned too.
+vertex caps, so the refusals and skipped reports are pinned too.  It also
+runs every graph-reading subcommand on a disconnected graph; the optional
+flags ``constants --walks``, ``walk --f``, ``cml --map tent:2``,
+``--output`` and ``cml --spread-output`` on K7, hashing each written file
+with the invocation; the usage refusals of ``bounds --l-list 0``,
+``curves --grid 1:0:1``, ``cml --map cubic:1`` and ``walk --steps
+100001``; and the refused inputs ``{"n": 0}`` and an edge list with a
+``nan`` weight.
 """
 
 from __future__ import annotations
@@ -67,6 +74,32 @@ CAPPED_ARGS = {
     "walk": ["walk", "--l", "2"],
 }
 
+#: Every subcommand that reads a graph, run on a disconnected one.
+DISCONNECTED_ARGS = {
+    key: EXTRA_ARGS[key]
+    for key in ("spectrum", "constants", "bounds", "neighborhood-l3", "walk-csv", "cml")
+}
+
+#: Optional flags, written files and up-front refusals on K7; ``{dir}`` is
+#: the input directory.
+K7_ARGS = {
+    "constants-walks": ["constants", "--walks", "{dir}/k7-walks.json"],
+    "walk-f": ["walk", "--f", "1,-1,0.5,0,0,0,0.25", "--steps", "20"],
+    "cml-tent": ["cml", "--map", "tent:2", "--eps", "0.9", "--steps", "300", "--trials", "2"],
+    "spectrum-output": ["spectrum", "--output", "{dir}/k7-spectrum.json"],
+    "cml-spread-output": ["cml", "--eps", "0.9", "--steps", "300", "--trials", "2",
+                          "--spread-output", "{dir}/k7-spread.csv"],
+    "bounds-l0": ["bounds", "--l-list", "0"],
+    "cml-cubic": ["cml", "--map", "cubic:1", "--eps", "0.9"],
+    "walk-steps": ["walk", "--steps", "100001"],
+}
+
+#: Inputs refused as malformed or non-finite.
+BROKEN_INPUTS = {"n0.json": '{"n": 0}', "nan-weight.txt": "a b 1\nb c nan\n"}
+
+#: Flags whose value is a file the invocation writes; its contents are hashed too.
+WRITTEN = ("--output", "--spread-output")
+
 CURVES = {
     "looped_pair": ("0.2:3.0:0.2", "1,2,3,4,5"),
     "bridged_triangles": ("0.2:3.0:0.2", "1,2,3,4,5"),
@@ -92,26 +125,38 @@ def corpus(workloads, workdir: Path):
               "c10.json": unit_graph(*workloads.cycle_graph(10))}
     capped = {"c25.json": unit_graph(*workloads.cycle_graph(25)),
               "k15.json": unit_graph(*workloads.complete_graph(15))}
-    for files, arg_sets in ((graphs, EXTRA_ARGS), (capped, CAPPED_ARGS)):
+    two_triangles = unit_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+    (workdir / "k7-walks.json").write_text(
+        json.dumps({"walks": [[v, (v + 1) % 7, (v + 2) % 7, v] for v in range(7)]}))
+    cases = ((graphs, EXTRA_ARGS), (capped, CAPPED_ARGS),
+             ({"two-triangles.json": two_triangles}, DISCONNECTED_ARGS),
+             ({"k7.json": graphs["k7.json"]}, K7_ARGS),
+             (BROKEN_INPUTS, {"spectrum": ["spectrum"]}))
+    for files, arg_sets in cases:
         for fname, text in files.items():
             (workdir / fname).write_text(text)
             for key, (command, *args) in arg_sets.items():
+                args = [arg.replace("{dir}", str(workdir)) for arg in args]
                 yield f"{fname}:{key}", [command, "--input", str(workdir / fname), *args]
 
     for family, (grid, l_list) in CURVES.items():
         for fmt in ("csv", "json"):
             yield f"curves:{family}:{fmt}", ["curves", "--family", family, "--grid", grid,
                                              "--l-list", l_list, "--format", fmt]
+    yield "curves:empty-grid", ["curves", "--family", "complete", "--grid", "1:0:1"]
 
 
-def run(main, argv: list[str]) -> tuple[int, str, str]:
+def run(main, argv: list[str]) -> list:
+    """Exit code, stdout, stderr and the text of each file the invocation wrote."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse refusals
             code = exc.code
-    return code, out.getvalue(), err.getvalue()
+    written = [Path(path) for flag, path in zip(argv, argv[1:]) if flag in WRITTEN]
+    return [code, out.getvalue(), err.getvalue(),
+            *(path.read_text() for path in written if path.exists())]
 
 
 def main(argv=None) -> int:
@@ -125,8 +170,8 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="lapspec-digests-") as tmp:
         for inv_id, inv_argv in corpus(workloads, Path(tmp)):
-            code, out, err = run(cli_main, inv_argv)
-            record = json.dumps([code, out.replace(tmp, "<tmp>"), err.replace(tmp, "<tmp>")])
+            code, *texts = run(cli_main, inv_argv)
+            record = json.dumps([code, *(text.replace(tmp, "<tmp>") for text in texts)])
             print(inv_id, hashlib.sha256(record.encode()).hexdigest(), flush=True)
     return 0
 

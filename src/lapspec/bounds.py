@@ -122,15 +122,20 @@ class BoundReport:
         }
 
 
-def _pull_back(x: float, l: int) -> float | None:
-    """The real l-th root ``r`` of ``x``, or ``None`` if there is none.
+def _pull_back(x: float, l: int) -> tuple[float, float] | tuple[None, None]:
+    """The ends ``1 -+ r`` around the real l-th root ``r`` of ``x``.
 
     Transfers a bound on ``1 - lambda[l] = (1 - lambda)^l`` back to ``g``:
-    signed for odd l; for even l only ``x >= 0`` has a real root.
+    signed for odd l; for even l only ``x >= 0`` has a real root, and
+    ``(None, None)`` stands for none.
     """
     if l % 2 == 1:
-        return math.copysign(abs(x) ** (1.0 / l), x)
-    return x ** (1.0 / l) if x >= 0 else None
+        r = math.copysign(abs(x) ** (1.0 / l), x)
+    elif x >= 0:
+        r = x ** (1.0 / l)
+    else:
+        return None, None
+    return 1.0 - r, 1.0 + r
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +350,13 @@ def neighborhood_sandwich_from(l: int, h_l: float) -> BoundReport:
     """
     if not 0.0 <= h_l <= 1.0:
         raise ValueError(f"Cheeger constant must lie in [0, 1], got {h_l}")
-    r = (1.0 - h_l * h_l) ** (1.0 / (2 * l))
+    lo, hi = _pull_back(1.0 - h_l * h_l, 2 * l)
     even = l % 2 == 0
     return BoundReport(
         name="neighborhood_sandwich",
         target=TARGET_SANDWICH if even else TARGET_LAMBDA1,
-        lower=1.0 - r,
-        upper=1.0 + r if even else None,
+        lower=lo,
+        upper=hi if even else None,
         inputs={"l": float(l), "h_l": h_l},
     )
 
@@ -364,21 +369,17 @@ def neighborhood_upper_or_from(l: int, h_l: float) -> BoundReport:
     smallest nonzero eigenvalue is below ``1-(1-2h[l])^{1/l}`` or the
     largest is above ``1+(1-2h[l])^{1/l}``.
     """
-    r = _pull_back(1.0 - 2.0 * h_l, l)
+    lo, hi = _pull_back(1.0 - 2.0 * h_l, l)
+    inputs = {"l": float(l), "h_l": h_l}
     if l % 2 == 1:
-        return BoundReport(
-            name="neighborhood_upper_or",
-            target=TARGET_LAMBDA1,
-            upper=1.0 - r,
-            inputs={"l": float(l), "h_l": h_l},
-        )
+        return BoundReport("neighborhood_upper_or", TARGET_LAMBDA1, upper=lo, inputs=inputs)
     return BoundReport(
         name="neighborhood_upper_or",
         target=TARGET_BRANCH_OR,
-        upper=None if r is None else 1.0 - r,  # branch: lambda_1 <= upper
-        lower=None if r is None else 1.0 + r,  # branch: lambda_max >= lower
-        conditions=(("2 h[l] <= 1", r is not None),),
-        inputs={"l": float(l), "h_l": h_l},
+        upper=lo,  # branch: lambda_1 <= upper
+        lower=hi,  # branch: lambda_max >= lower
+        conditions=(("2 h[l] <= 1", lo is not None),),
+        inputs=inputs,
     )
 
 
@@ -391,21 +392,17 @@ def neighborhood_interval_from(l: int, hbar_l: float) -> BoundReport:
     root, which turns into a strong bound precisely when
     ``2 hbar[l] > 1`` (for bipartite graphs it reaches 2 exactly).
     """
-    r = _pull_back(1.0 - 2.0 * hbar_l, l)
+    lo, hi = _pull_back(1.0 - 2.0 * hbar_l, l)
+    inputs = {"l": float(l), "hbar_l": hbar_l}
     if l % 2 == 1:
-        return BoundReport(
-            name="neighborhood_interval",
-            target=TARGET_LAMBDA_MAX,
-            lower=1.0 - r,
-            inputs={"l": float(l), "hbar_l": hbar_l},
-        )
+        return BoundReport("neighborhood_interval", TARGET_LAMBDA_MAX, lower=lo, inputs=inputs)
     return BoundReport(
         name="neighborhood_interval",
         target=TARGET_CONTAINS_SOME,
-        lower=None if r is None else 1.0 - r,
-        upper=None if r is None else 1.0 + r,
-        conditions=(("2 hbar[l] <= 1", r is not None),),
-        inputs={"l": float(l), "hbar_l": hbar_l},
+        lower=lo,
+        upper=hi,
+        conditions=(("2 hbar[l] <= 1", lo is not None),),
+        inputs=inputs,
     )
 
 
@@ -417,21 +414,17 @@ def gap_around_one_from(l: int, h_big_l: float) -> BoundReport:
     ``1 -+ (h_big[l]-1)^{1/l}``; for odd l it is an upper bound for the
     largest eigenvalue.
     """
-    r = _pull_back(h_big_l - 1.0, l)
+    lo, hi = _pull_back(h_big_l - 1.0, l)
+    inputs = {"l": float(l), "h_big_l": h_big_l}
     if l % 2 == 1:
-        return BoundReport(
-            name="gap_around_one",
-            target=TARGET_LAMBDA_MAX,
-            upper=1.0 - r,
-            inputs={"l": float(l), "h_big_l": h_big_l},
-        )
+        return BoundReport("gap_around_one", TARGET_LAMBDA_MAX, upper=lo, inputs=inputs)
     return BoundReport(
         name="gap_around_one",
         target=TARGET_GAP_AROUND_ONE,
-        lower=None if r is None else 1.0 - r,
-        upper=None if r is None else 1.0 + r,
-        conditions=(("h_big[l] >= 1", r is not None),),
-        inputs={"l": float(l), "h_big_l": h_big_l},
+        lower=lo,
+        upper=hi,
+        conditions=(("h_big[l] >= 1", lo is not None),),
+        inputs=inputs,
     )
 
 
@@ -445,11 +438,10 @@ def neighborhood_dual_upper_from(l: int, hbar_l: float) -> BoundReport:
         raise ValueError("the dual upper bound transfers only for odd l")
     if not 0.0 <= hbar_l <= 1.0:
         raise ValueError(f"dual Cheeger constant must lie in [0, 1], got {hbar_l}")
-    r = (1.0 - (1.0 - hbar_l) ** 2) ** (1.0 / (2 * l))
     return BoundReport(
         name="neighborhood_dual_upper",
         target=TARGET_LAMBDA_MAX,
-        upper=1.0 + r,
+        upper=_pull_back(1.0 - (1.0 - hbar_l) ** 2, 2 * l)[1],
         inputs={"l": float(l), "hbar_l": hbar_l},
     )
 
@@ -671,13 +663,12 @@ def _capped(fn, *args, **kwargs):
         return None
 
 
-def all_bound_reports(g: WeightedGraph, l_list=(2, 3)) -> list[BoundReport]:
-    """Every bound report computable for ``g`` at the given orders.
+def all_bound_reports(g: WeightedGraph, s: Spectrum, l_list=(2, 3)) -> list[BoundReport]:
+    """Every bound report computable for ``g``, whose spectrum is ``s``, at the given orders.
 
     Each ``Gamma[l]`` and each constant is computed once.  Reports whose
     constants exceed a size cap are skipped; other errors propagate.
     """
-    s = spectrum(g)
     h_res = _capped(cheeger_exact, g)
     hbar_res = _capped(dual_cheeger_exact, g)
 

@@ -249,7 +249,7 @@ def _cmd_bounds(args) -> str:
     g = read_graph(args.input)
     l_list = _parse_int_list(args.l_list)
     s = spectrum(g)
-    reports = bounds.all_bound_reports(g, l_list)
+    reports = bounds.all_bound_reports(g, s, l_list)
     payload = {
         "lambda1": s.lambda_1,
         "lambdaMax": s.lambda_max,

@@ -330,6 +330,9 @@ def graph_from_dict(data) -> WeightedGraph:
             "graph JSON must be an object with a positive integer 'n' and a list 'edges'"
             " of [i, j, w] rows: integers i, j and a number w"
         )
+    extra = next((key for key in data if key not in ("n", "edges")), None)
+    if extra is not None:
+        raise ValueError(f"graph JSON has an unexpected key {extra!r}")
     try:
         return build_graph(n, edges)
     except OverflowError:

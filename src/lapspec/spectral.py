@@ -73,15 +73,12 @@ def _fix_signs(funcs: np.ndarray) -> np.ndarray:
     return np.where(lead[:, None] < 0, -funcs, funcs)
 
 
-def spectrum(g: WeightedGraph, *, check_connected: bool = True) -> Spectrum:
+def spectrum(g: WeightedGraph) -> Spectrum:
     """Full eigendecomposition of the normalized Laplacian of ``g``.
 
-    By default the graph must be connected (so the zero eigenvalue is
-    simple); internal callers that knowingly handle disconnected graphs can
-    opt out of the check.
+    The graph must be connected, so the zero eigenvalue is simple.
     """
-    if check_connected:
-        require_connected(g)
+    require_connected(g)
     d = g.degrees
     inv_sqrt = 1.0 / np.sqrt(d)
     sym = -inv_sqrt[:, None] * g.weights * inv_sqrt[None, :]

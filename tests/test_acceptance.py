@@ -160,7 +160,7 @@ def test_bound_reports_consistency():
     graphs += list(named_fixtures().items())
     for name, g in graphs:
         s = spectrum(g)
-        for rep in all_bound_reports(g, l_list=(2, 3, 4, 5)):
+        for rep in all_bound_reports(g, s, l_list=(2, 3, 4, 5)):
             if not rep.holds_for(s, tol=1e-9):
                 problems.append(f"{name}: {rep.name} violated")
         if not is_bipartite(g) and g.n <= 8:

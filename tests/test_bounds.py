@@ -354,25 +354,109 @@ def test_interval_contains_an_eigenvalue():
         assert rep.holds_for(spectrum(g))
 
 
+def _hex(x):
+    return None if x is None else float.hex(x)
+
+
+def _bits(name, target, lower, upper, conditions, inputs):
+    hex_inputs = {key: _hex(value) for key, value in inputs.items()}
+    return name, target, _hex(lower), _hex(upper), conditions, hex_inputs
+
+
+def _fields(rep: BoundReport):
+    return _bits(rep.name, rep.target, rep.lower, rep.upper, rep.conditions, rep.inputs)
+
+
+def _transferred_closed_forms(l: int, c: float) -> dict:
+    """``(name, target, lower, upper, conditions, inputs)`` of each Γ[l] constructor at ``c``.
+
+    Each formula written out: the real l-th root of ``1 - 2c`` or ``c - 1``,
+    and the ``2l``-th root of ``1 - c^2`` or ``1 - (1 - c)^2`` in one power,
+    not a square root followed by an l-th root, which rounds differently.
+    """
+    odd = l % 2 == 1
+    x, y = 1.0 - 2.0 * c, c - 1.0
+    if odd:
+        r_x = math.copysign(abs(x) ** (1.0 / l), x)
+        r_y = math.copysign(abs(y) ** (1.0 / l), y)
+    else:
+        r_x = x ** (1.0 / l) if x >= 0 else None
+        r_y = y ** (1.0 / l) if y >= 0 else None
+    s = (1.0 - c * c) ** (1.0 / (2 * l))
+    d = (1.0 - (1.0 - c) ** 2) ** (1.0 / (2 * l))
+    h = {"l": float(l), "h_l": c}
+    hbar = {"l": float(l), "hbar_l": c}
+    h_big = {"l": float(l), "h_big_l": c}
+    if odd:
+        return {
+            neighborhood_sandwich_from: (
+                "neighborhood_sandwich", TARGET_LAMBDA1, 1.0 - s, None, (), h),
+            neighborhood_upper_or_from: (
+                "neighborhood_upper_or", TARGET_LAMBDA1, None, 1.0 - r_x, (), h),
+            neighborhood_interval_from: (
+                "neighborhood_interval", TARGET_LAMBDA_MAX, 1.0 - r_x, None, (), hbar),
+            gap_around_one_from: ("gap_around_one", TARGET_LAMBDA_MAX, None, 1.0 - r_y, (), h_big),
+            neighborhood_dual_upper_from: (
+                "neighborhood_dual_upper", TARGET_LAMBDA_MAX, None, 1.0 + d, (), hbar),
+        }
+
+    def minus(r):
+        return None if r is None else 1.0 - r
+
+    def plus(r):
+        return None if r is None else 1.0 + r
+
+    return {
+        neighborhood_sandwich_from: (
+            "neighborhood_sandwich", TARGET_SANDWICH, 1.0 - s, 1.0 + s, (), h),
+        neighborhood_upper_or_from: (
+            "neighborhood_upper_or", TARGET_BRANCH_OR, plus(r_x), minus(r_x),
+            (("2 h[l] <= 1", r_x is not None),), h),
+        neighborhood_interval_from: (
+            "neighborhood_interval", TARGET_CONTAINS_SOME, minus(r_x), plus(r_x),
+            (("2 hbar[l] <= 1", r_x is not None),), hbar),
+        gap_around_one_from: (
+            "gap_around_one", TARGET_GAP_AROUND_ONE, minus(r_y), plus(r_y),
+            (("h_big[l] >= 1", r_y is not None),), h_big),
+    }
+
+
+#: Dyadic constants and non-dyadic ones; ``gap_around_one_from`` also gets
+#: each plus one, where its even-order root is real.
+_TRANSFER_CONSTANTS = (0.0, 0.25, 0.5, 0.75, 1.0, 0.1, 1 / 3, 0.45, 2 / 3, 0.9)
+
+
+@pytest.mark.parametrize("l", range(1, 13))
+def test_transferred_reports_match_closed_forms_bit_for_bit(l):
+    for c in _TRANSFER_CONSTANTS:
+        for constructor, want in _transferred_closed_forms(l, c).items():
+            assert _fields(constructor(l, c)) == _bits(*want), (constructor.__name__, l, c)
+        want = _transferred_closed_forms(l, c + 1.0)[gap_around_one_from]
+        assert _fields(gap_around_one_from(l, c + 1.0)) == _bits(*want), (l, c + 1.0)
+    if l % 2 == 0:
+        with pytest.raises(ValueError, match="only for odd l"):
+            neighborhood_dual_upper_from(l, 0.5)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seeds)
 def test_all_reports_hold_random(seed):
     g = _random_graph(seed, n_max=8, weighted=True, allow_loops=True)
     s = spectrum(g)
-    for rep in all_bound_reports(g, l_list=(2, 3, 4, 5)):
+    for rep in all_bound_reports(g, s, l_list=(2, 3, 4, 5)):
         assert rep.holds_for(s), rep.name
 
 
 def test_all_reports_hold_fixtures(fixtures):
     for name, g in fixtures.items():
         s = spectrum(g)
-        for rep in all_bound_reports(g, l_list=(2, 3)):
+        for rep in all_bound_reports(g, s, l_list=(2, 3)):
             assert rep.holds_for(s), (name, rep.name)
 
 
 def test_all_reports_skips_capped_enumerations():
     g = complete_graph(25)
-    reps = all_bound_reports(g, l_list=(2,))
+    reps = all_bound_reports(g, spectrum(g), l_list=(2,))
     names = {r.name for r in reps}
     assert "cheeger" not in names
     assert "dual_cheeger" not in names
@@ -405,7 +489,7 @@ def test_all_reports_compute_each_constant_once(monkeypatch):
                     monkeypatch.setattr(mod, attr, counting(name))
     g = _twin_spike_graph()
     assert not is_bipartite(g)
-    all_bound_reports(g, (2, 3))
+    all_bound_reports(g, spectrum(g), (2, 3))
     # Gamma[2] and Gamma[3] once each; h, hbar and clustering of g, Gamma[2], Gamma[3]
     assert calls == {
         "neighborhood_graph": 2,
@@ -414,7 +498,7 @@ def test_all_reports_compute_each_constant_once(monkeypatch):
         "clustering_constants": 3,
     }
     calls.update(dict.fromkeys(calls, 0))
-    all_bound_reports(g, (1, 2))
+    all_bound_reports(g, spectrum(g), (1, 2))
     # Gamma[1] is g, so its constants are those of g: those of g and Gamma[2]
     assert calls == {
         "neighborhood_graph": 2,

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lapspec.cli import main
-from lapspec.graphs import complete_graph, cycle_graph, write_graph
+from lapspec.graphs import GraphError, complete_graph, cycle_graph, graph_from_dict, write_graph
 from lapspec.partitions import OddWalkFamily, default_odd_walk_family
 
 
@@ -98,6 +98,22 @@ def test_bounds_command(capsys, k5_file):
     names = {r["name"] for r in payload["reports"]}
     assert "cheeger" in names and "dual_cheeger" in names
     assert payload["lambdaMax"] == pytest.approx(1.25)
+
+
+def test_bounds_command_computes_the_spectrum_once(capsys, monkeypatch, k5_file):
+    from lapspec import bounds, cli, spectral
+
+    calls = []
+
+    def counting(g):
+        calls.append(g.n)
+        return spectral.spectrum(g)
+
+    for module in (cli, bounds):
+        monkeypatch.setattr(module, "spectrum", counting)
+    code, _, _ = _run(capsys, "bounds", "--input", k5_file, "--l-list", "1,2,3")
+    assert code == 0
+    assert calls == [5]
 
 
 def test_neighborhood_command(capsys, k5_file):
@@ -370,6 +386,15 @@ def test_malformed_graph_json_exit_2(capsys, tmp_path, doc):
     assert out == ""
 
 
+def test_unknown_graph_key_exit_2(capsys, tmp_path):
+    path = tmp_path / "labelled.json"
+    path.write_text(json.dumps({"n": 2, "edges": [[0, 1, 1.0]], "labels": ["a", "b"]}))
+    code, out, err = _run(capsys, "spectrum", "--input", str(path))
+    assert code == 2
+    assert err == "usage error: graph JSON has an unexpected key 'labels'\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("weight", ["1e400", "nan", "inf"])
 def test_non_finite_weight_exit_1(capsys, tmp_path, weight):
     path = tmp_path / "g.txt"
@@ -431,6 +456,28 @@ _edge_lines = st.lists(
     ).map(" ".join),
     max_size=10,
 ).map("\n".join)
+
+#: Small graph documents, some with a key the schema does not allow.
+_keyed_graph_docs = st.builds(
+    lambda n, edges, extra: {"n": n, "edges": edges, **extra},
+    st.integers(1, 3),
+    st.lists(
+        st.tuples(st.integers(-1, 3), st.integers(-1, 3), st.sampled_from([1, 0.5, 0.0, -1.0]))
+        .map(list),
+        max_size=4,
+    ),
+    st.dictionaries(st.sampled_from(["labels", "x"]), st.none() | st.integers(0, 2), max_size=1),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_docs | _graph_docs | _keyed_graph_docs)
+def test_accepted_graph_documents_match_the_schema(doc):
+    try:
+        graph_from_dict(doc)
+    except (GraphError, ValueError):
+        return
+    jsonschema.validate(doc, _schema("graph"))
 
 
 @settings(max_examples=150, deadline=None)

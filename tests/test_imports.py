@@ -121,14 +121,17 @@ def test_import_lapspec_runs_no_module_until_asked():
 
 
 #: Public names that only the tests call.  The first two are results the
-#: paper states, which a CLI option should expose; moving the other two into
+#: paper states, which a CLI option should expose; moving the other three into
 #: the tests would not make the repository smaller.
-_USED_BY_TESTS_ONLY = {"improvement_predicates", "ratio_bounds", "path_graph", "write_graph"}
+_USED_BY_TESTS_ONLY = {
+    "improvement_predicates", "ratio_bounds", "path_graph", "cycle_graph", "write_graph",
+}
 
 
-def _names_used(paths) -> set[str]:
-    """Every name read, attribute accessed or imported by name in ``paths``."""
-    used = set()
+def _names_used(paths) -> tuple[set[str], set[str]]:
+    """Every name read, attribute accessed or imported by name in ``paths``,
+    and every function or class name that ``paths`` define."""
+    used, defined = set(), set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
@@ -137,16 +140,22 @@ def _names_used(paths) -> set[str]:
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
-    return used
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+    return used, defined
 
 
 def test_every_public_name_is_used_by_the_program():
-    # the package's modules (not ``__init__``, which lists every name), the
-    # scripts and the benchmark harness
-    program = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    # the package's modules (not ``__init__``, which lists every name), then
+    # the scripts and the benchmark harness, whose calls of a function they
+    # define themselves (``workloads.cycle_graph``) are not uses of lapspec's
+    package_used, _ = _names_used(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    harness = []
     for folder in ("scripts", "perfbench"):
         assert (ROOT / folder).is_dir(), folder
-        program += (ROOT / folder).glob("*.py")
+        harness += (ROOT / folder).glob("*.py")
+    harness_used, harness_defined = _names_used(harness)
     assert _USED_BY_TESTS_ONLY <= set(lapspec.__all__)
-    unused = set(lapspec.__all__) - _USED_BY_TESTS_ONLY - _names_used(program)
+    used = package_used | (harness_used - harness_defined)
+    unused = set(lapspec.__all__) - _USED_BY_TESTS_ONLY - used
     assert not unused, sorted(unused)
