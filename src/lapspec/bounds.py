@@ -129,12 +129,9 @@ def _pull_back(x: float, l: int) -> tuple[float, float] | tuple[None, None]:
     signed for odd l; for even l only ``x >= 0`` has a real root, and
     ``(None, None)`` stands for none.
     """
-    if l % 2 == 1:
-        r = math.copysign(abs(x) ** (1.0 / l), x)
-    elif x >= 0:
-        r = x ** (1.0 / l)
-    else:
+    if l % 2 == 0 and x < 0:
         return None, None
+    r = math.copysign(abs(x) ** (1.0 / l), x)
     return 1.0 - r, 1.0 + r
 
 
@@ -370,16 +367,14 @@ def neighborhood_upper_or_from(l: int, h_l: float) -> BoundReport:
     largest is above ``1+(1-2h[l])^{1/l}``.
     """
     lo, hi = _pull_back(1.0 - 2.0 * h_l, l)
-    inputs = {"l": float(l), "h_l": h_l}
-    if l % 2 == 1:
-        return BoundReport("neighborhood_upper_or", TARGET_LAMBDA1, upper=lo, inputs=inputs)
+    even = l % 2 == 0
     return BoundReport(
         name="neighborhood_upper_or",
-        target=TARGET_BRANCH_OR,
-        upper=lo,  # branch: lambda_1 <= upper
-        lower=hi,  # branch: lambda_max >= lower
-        conditions=(("2 h[l] <= 1", lo is not None),),
-        inputs=inputs,
+        target=TARGET_BRANCH_OR if even else TARGET_LAMBDA1,
+        upper=lo,  # even l, branch: lambda_1 <= upper
+        lower=hi if even else None,  # even l, branch: lambda_max >= lower
+        conditions=(("2 h[l] <= 1", lo is not None),) if even else (),
+        inputs={"l": float(l), "h_l": h_l},
     )
 
 
@@ -393,16 +388,14 @@ def neighborhood_interval_from(l: int, hbar_l: float) -> BoundReport:
     ``2 hbar[l] > 1`` (for bipartite graphs it reaches 2 exactly).
     """
     lo, hi = _pull_back(1.0 - 2.0 * hbar_l, l)
-    inputs = {"l": float(l), "hbar_l": hbar_l}
-    if l % 2 == 1:
-        return BoundReport("neighborhood_interval", TARGET_LAMBDA_MAX, lower=lo, inputs=inputs)
+    even = l % 2 == 0
     return BoundReport(
         name="neighborhood_interval",
-        target=TARGET_CONTAINS_SOME,
+        target=TARGET_CONTAINS_SOME if even else TARGET_LAMBDA_MAX,
         lower=lo,
-        upper=hi,
-        conditions=(("2 hbar[l] <= 1", lo is not None),),
-        inputs=inputs,
+        upper=hi if even else None,
+        conditions=(("2 hbar[l] <= 1", lo is not None),) if even else (),
+        inputs={"l": float(l), "hbar_l": hbar_l},
     )
 
 
@@ -415,16 +408,14 @@ def gap_around_one_from(l: int, h_big_l: float) -> BoundReport:
     largest eigenvalue.
     """
     lo, hi = _pull_back(h_big_l - 1.0, l)
-    inputs = {"l": float(l), "h_big_l": h_big_l}
-    if l % 2 == 1:
-        return BoundReport("gap_around_one", TARGET_LAMBDA_MAX, upper=lo, inputs=inputs)
+    even = l % 2 == 0
     return BoundReport(
         name="gap_around_one",
-        target=TARGET_GAP_AROUND_ONE,
-        lower=lo,
-        upper=hi,
-        conditions=(("h_big[l] >= 1", lo is not None),),
-        inputs=inputs,
+        target=TARGET_GAP_AROUND_ONE if even else TARGET_LAMBDA_MAX,
+        lower=lo if even else None,
+        upper=hi if even else lo,
+        conditions=(("h_big[l] >= 1", lo is not None),) if even else (),
+        inputs={"l": float(l), "h_big_l": h_big_l},
     )
 
 

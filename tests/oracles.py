@@ -23,6 +23,7 @@ import numpy as np
 
 from lapspec.cml import _LOG_FLOOR, DIVERGENCE_GUARD, PERTURBATION_RADIUS, step_cml
 from lapspec.neighborhood import neighborhood_graph
+from lapspec.spectral import spectrum
 
 
 def frac_weights(g):
@@ -275,24 +276,22 @@ def mean_offset_quotient(g, u) -> float:
     return 2.0 * float((g.weights * offset**2).sum()) / _edge_energy(g, u)
 
 
-def dense_eigenpairs(g):
-    """Eigenvalues (ascending) and degree-normalized eigenfunctions (rows) of any graph.
+def dense_eigenvalues(g):
+    """Ascending eigenvalues of the normalized Laplacian of any graph.
 
-    One dense symmetric solve of ``I - D^{-1/2} W D^{-1/2}``, built as
-    ``lapspec.spectrum`` builds it, which refuses a disconnected graph: an
-    even-order Γ[l] of a bipartite graph is one.
+    The symmetric solve of ``lapspec.spectrum``, which refuses a
+    disconnected graph: an even-order Γ[l] of a bipartite graph is one.
     """
     inv_sqrt = 1.0 / np.sqrt(g.degrees)
     sym = -inv_sqrt[:, None] * g.weights * inv_sqrt[None, :]
     np.fill_diagonal(sym, 1.0 + np.diag(sym))
-    vals, vecs = np.linalg.eigh(0.5 * (sym + sym.T))
-    funcs = (vecs * inv_sqrt[:, None]).T
-    return vals, funcs / np.sqrt((g.degrees * funcs**2).sum(axis=1))[:, None]
+    return np.linalg.eigh(0.5 * (sym + sym.T))[0]
 
 
 def identity_residual(g) -> float:
     """Largest gap between either quotient and ``2 - lambda`` over eigenpairs with lambda > 1e-9."""
-    pairs = [(lam, u) for lam, u in zip(*dense_eigenpairs(g)) if lam > 1e-9]
+    s = spectrum(g)
+    pairs = [(lam, u) for lam, u in zip(s.eigenvalues, s.eigenfunctions) if lam > 1e-9]
     quotients = (pair_spread_quotient, mean_offset_quotient)
     return max((abs(q(g, u) - (2.0 - lam)) for lam, u in pairs for q in quotients), default=0.0)
 
@@ -300,10 +299,10 @@ def identity_residual(g) -> float:
 def spectral_map_mismatch(g, l) -> float:
     """Largest gap between the sorted ``1 - (1 - lambda)^l`` of g and the spectrum of Γ[l].
 
-    Neither graph needs to be connected.
+    ``g`` must be connected; Γ[l] need not be.
     """
-    base = dense_eigenpairs(g)[0]
-    direct = dense_eigenpairs(neighborhood_graph(g, l))[0]
+    base = spectrum(g).eigenvalues
+    direct = dense_eigenvalues(neighborhood_graph(g, l))
     return float(np.abs(np.sort(1.0 - (1.0 - base) ** l) - direct).max())
 
 
