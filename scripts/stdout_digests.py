@@ -21,8 +21,9 @@ flags ``constants --walks``, ``walk --f``, ``cml --map tent:2``,
 ``--output`` and ``cml --spread-output`` on K7, hashing each written file
 with the invocation; the usage refusals of ``bounds --l-list 0``,
 ``curves --grid 1:0:1``, ``cml --map cubic:1`` and ``walk --steps
-100001``; and the refused inputs ``{"n": 0}`` and an edge list with a
-``nan`` weight.
+100001``; the refused inputs ``{"n": 0}`` and an edge list with a
+``nan`` weight; and a ``cml`` run on K3 in which only some trials
+synchronize exactly.
 """
 
 from __future__ import annotations
@@ -94,6 +95,12 @@ K7_ARGS = {
     "walk-steps": ["walk", "--steps", "100001"],
 }
 
+#: On K3, four of the five trials are exactly synchronized from steps
+#: 172-190 on and one never is, so the run keeps its coupled steps to the end.
+K3_ARGS = {
+    "cml-partial-sync": ["cml", "--eps", "0.95", "--steps", "200", "--transient", "20"],
+}
+
 #: Inputs refused as malformed or non-finite.
 BROKEN_INPUTS = {"n0.json": '{"n": 0}', "nan-weight.txt": "a b 1\nb c nan\n"}
 
@@ -131,6 +138,7 @@ def corpus(workloads, workdir: Path):
     cases = ((graphs, EXTRA_ARGS), (capped, CAPPED_ARGS),
              ({"two-triangles.json": two_triangles}, DISCONNECTED_ARGS),
              ({"k7.json": graphs["k7.json"]}, K7_ARGS),
+             ({"k3.json": unit_graph(*workloads.complete_graph(3))}, K3_ARGS),
              (BROKEN_INPUTS, {"spectrum": ["spectrum"]}))
     for files, arg_sets in cases:
         for fname, text in files.items():

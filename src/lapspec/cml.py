@@ -39,7 +39,11 @@ _LYAPUNOV_BLOCK = 1 << 16
 class MapSpec:
     """An interval map together with its derivative.
 
-    Both callables accept and return numpy arrays (or scalars).
+    Both callables accept and return numpy arrays (or scalars).  ``f`` must
+    act entrywise, as a function of the value alone: equal entries map to
+    equal entries, and a scalar maps as the same value does inside an
+    array.  ``simulate_sync`` steps exactly synchronized trials as scalars
+    on the strength of this; both shipped maps satisfy it.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -279,14 +283,18 @@ def spread_to_csv(report: SyncReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: Longest run accepted, in steps with the transient included: each step
-#: costs about 33 us of fixed overhead on a 2-vCPU host, so about 33 s.
+#: Longest run accepted, in steps with the transient included: each coupled
+#: step costs about 25-30 us of fixed overhead on a 2-vCPU host (K3 with one
+#: trial, K5 with five), so about 30 s.  Trials that synchronize exactly step
+#: far faster from then on, but the cap stays: a run that never does pays
+#: the full per-step cost.
 MAX_CML_STEPS = 10**6
 
 #: Largest ``(transient + t_steps) * trials * (n**2 + 64)`` accepted.  A
 #: trial's row costs about as much as 64 more matrix entries (the
 #: per-row reductions); at 5-7 ns per entry this is 10-15 s, and it keeps
-#: the ``(t_steps, trials)`` spread array under 240 MB.
+#: the ``(t_steps, trials)`` spread array under 240 MB.  It counts every step
+#: as coupled, for the same reason as ``MAX_CML_STEPS``.
 MAX_CML_WORK = 2 * 10**9
 
 #: Most matrix entries one ``step_cml`` call of ``simulate_sync`` sees.  A
@@ -299,6 +307,24 @@ _CML_BLOCK_ENTRIES = 1 << 22
 #: Orbit length used when estimating the exponent inside simulate_sync.
 _MU_STEPS = 50_000
 _MU_TRANSIENT = 1_000
+
+
+def _synchronized_run(
+    map_spec: MapSpec, values: list[float], start: int, t_steps: int
+) -> tuple[int, int]:
+    """``(live, stop)`` of exactly synchronized trials stepped from ``start``.
+
+    Trial k is the scalar orbit of ``values[k]``.  Trials never interact,
+    so the first diverging trial in trial order ends the run wherever later
+    trials diverge; the orbits after it are never needed.
+    """
+    f = map_spec.f
+    for k, s in enumerate(values):
+        for t in range(start, t_steps):
+            s = float(f(s))
+            if not abs(s) <= DIVERGENCE_GUARD:
+                return k, t
+    return len(values), t_steps
 
 
 def simulate_sync(
@@ -320,6 +346,15 @@ def simulate_sync(
     local, so arbitrary initial data would test something else).  Trials
     are seeded ``base_seed + trial`` for reproducibility.  ``mu`` may be
     passed to skip the internal exponent estimate.
+
+    Once a step leaves every live trial exactly synchronized (spread 0.0),
+    the coupled steps stop.  ``step_cml`` builds the coupling from the
+    differences ``f(x_j) - f(x_i)``, each +0.0 between equal entries; with
+    finite nonnegative weights and a finite eps the coupling is exactly
+    zero, so the step is ``f`` of the common value, up to the sign of a
+    zero state, which no output shows.  From then on each trial's common
+    value is stepped by ``f`` alone and its spreads are 0.0.  Divergence is
+    still tested at every step, since a synchronized orbit can diverge.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -367,13 +402,18 @@ def simulate_sync(
     for t in range(t_steps):
         for i in range(0, len(x), block):
             x[i : i + block] = step_cml(g, x[i : i + block], map_spec, eps)
-        ok = (np.abs(x) <= DIVERGENCE_GUARD).all(axis=1)
-        if not ok.all():
-            live, stop = int(ok.argmin()), t
+        if not np.abs(x).max() <= DIVERGENCE_GUARD:  # NaN falls through to the row test
+            live, stop = int((np.abs(x) <= DIVERGENCE_GUARD).all(axis=1).argmin()), t
             x = x[:live]
             if live == 0:
                 break
-        spreads[t, :live] = np.ptp(x, axis=1)
+        row = spreads[t, :live]
+        np.subtract(x.max(axis=1), x.min(axis=1), out=row)  # np.ptp, bit for bit
+        if not row.any():
+            # every live trial is exactly synchronized: no more coupling
+            spreads[t + 1 :] = 0.0
+            live, stop = _synchronized_run(map_spec, x[:, 0].tolist(), t + 1, t_steps)
+            break
     tails = spreads[t_steps - max(1, t_steps // 10) :, :live].max(axis=0)
     diverged = live < trials
     worst = live if diverged else int(tails.argmax())  # first maximum

@@ -313,15 +313,25 @@ _BATCH_CASES = pytest.mark.parametrize(
         (cycle_graph(5), logistic_map(4.0), 1.05, 3, True, 2, 73),
         # trial 4 diverges at step 68, then trial 1 at step 88
         (complete_graph(3), tent_map(2.0), 1.2, 5, True, 2, 88),
+        # every state starts clipped to 1.0, so all trials are exactly
+        # synchronized after step 0 and each reaches 2^34 at step 33
+        (complete_graph(4), MapSpec(f=lambda x: 2.0 * x, f_prime=lambda x: 2.0), 0.75, 5,
+         True, 1, 33),
+        # trials 0, 2, 3 and 4 are exactly synchronized from steps 182, 189,
+        # 190 and 172 on; trial 1 never is
+        (complete_graph(3), logistic_map(4.0), 0.95, 5, False, 5, 200),
+        (complete_graph(12), logistic_map(4.0), 0.9, 5, False, 5, 200),
     ],
     ids=["synchronized", "not-synchronized", "trial-0-diverges", "trial-1-diverges",
-         "earlier-trial-diverges-later"],
+         "earlier-trial-diverges-later", "synchronized-then-diverges", "partly-synchronized",
+         "k12-synchronized"],
 )
 
 
-def _assert_matches_per_trial_loop(g, m, eps, trials, diverged, n_final, n_traj):
-    rep = simulate_sync(g, m, eps, t_steps=200, transient=20, tol=1e-6, trials=trials, mu=0.5)
-    ref = oracle_simulate_sync(g, m, eps, 200, 20, 1e-6, trials)
+def _assert_matches_per_trial_loop(g, m, eps, trials, diverged, n_final, n_traj,
+                                   t_steps=200, transient=20, base_seed=42):
+    rep = simulate_sync(g, m, eps, t_steps, transient, 1e-6, trials, base_seed=base_seed, mu=0.5)
+    ref = oracle_simulate_sync(g, m, eps, t_steps, transient, 1e-6, trials, base_seed)
     assert (rep.synchronized, rep.diverged) == ref[:2]
     assert [v.hex() for v in rep.spread_trajectory] == [v.hex() for v in ref[2]]
     assert [v.hex() for v in rep.final_spreads] == [v.hex() for v in ref[3]]
@@ -355,18 +365,37 @@ def test_blocked_steps_match_per_trial_loop(monkeypatch, g, m, eps, trials, dive
     assert max(entries) == 2 * g.n**2
 
 
+def test_synchronized_trials_diverge_in_trial_order():
+    # 1.2 x on K4 at eps 0.75: every trial is exactly synchronized after
+    # step 0 and grows by 1.2 per step from there.  Trial 3 diverges at step
+    # 128 and trial 2 at step 130; trials 0 and 1 outlast the run.  So the
+    # later trial diverges first, and the earlier one ends the run.
+    m = MapSpec(f=lambda x: 1.2 * x, f_prime=lambda x: 1.2)
+    _assert_matches_per_trial_loop(complete_graph(4), m, 0.75, 4, True, 3, 130,
+                                   t_steps=131, transient=0, base_seed=24)
+
+
 def test_simulation_steps_all_trials_together(monkeypatch):
+    # The benchmark's K5 run.  Each coupled step sees all five trials, and
+    # the coupled steps stop after the first one that leaves every trial
+    # exactly synchronized: f alone steps the common values from there on.
     import lapspec.cml
 
-    calls = []
+    spreads = []
 
-    def counting(*args):
-        calls.append(args)
-        return step_cml(*args)
+    def recording(g, x, *args):
+        assert x.shape == (5, g.n)
+        out = step_cml(g, x, *args)
+        spreads.append(np.ptp(out, axis=1))
+        return out
 
-    monkeypatch.setattr(lapspec.cml, "step_cml", counting)
-    simulate_sync(complete_graph(5), logistic_map(4.0), 0.8, 50, 10, 1e-6, trials=5, mu=LN2)
-    assert len(calls) == 50
+    monkeypatch.setattr(lapspec.cml, "step_cml", recording)
+    rep = simulate_sync(complete_graph(5), logistic_map(4.0), 0.9, 5000, 100, 1e-6, trials=5,
+                        mu=LN2)
+    assert rep.synchronized
+    assert all(row.any() for row in spreads[:-1])
+    assert not spreads[-1].any()
+    assert len(spreads) == 25
 
 
 def test_internal_exponent_estimate():
