@@ -309,14 +309,15 @@ _MU_STEPS = 50_000
 _MU_TRANSIENT = 1_000
 
 
-def _synchronized_run(
+def _first_divergence(
     map_spec: MapSpec, values: list[float], start: int, t_steps: int
-) -> tuple[int, int]:
-    """``(live, stop)`` of exactly synchronized trials stepped from ``start``.
+) -> tuple[int, int] | None:
+    """First ``(trial, step)`` at which an exactly synchronized trial diverges.
 
-    Trial k is the scalar orbit of ``values[k]``.  Trials never interact,
-    so the first diverging trial in trial order ends the run wherever later
-    trials diverge; the orbits after it are never needed.
+    Trial k is the scalar orbit of ``values[k]`` stepped from ``start``.
+    Trials never interact, so the first diverging trial in trial order ends
+    the run whenever later trials diverge; the orbits after it are never
+    needed.  ``None`` if no trial diverges before ``t_steps``.
     """
     f = map_spec.f
     for k, s in enumerate(values):
@@ -324,7 +325,7 @@ def _synchronized_run(
             s = float(f(s))
             if not abs(s) <= DIVERGENCE_GUARD:
                 return k, t
-    return len(values), t_steps
+    return None
 
 
 def simulate_sync(
@@ -412,7 +413,9 @@ def simulate_sync(
         if not row.any():
             # every live trial is exactly synchronized: no more coupling
             spreads[t + 1 :] = 0.0
-            live, stop = _synchronized_run(map_spec, x[:, 0].tolist(), t + 1, t_steps)
+            first = _first_divergence(map_spec, x[:, 0].tolist(), t + 1, t_steps)
+            if first is not None:
+                live, stop = first
             break
     tails = spreads[t_steps - max(1, t_steps // 10) :, :live].max(axis=0)
     diverged = live < trials

@@ -303,8 +303,9 @@ def test_simulation_is_reproducible():
     assert a.spread_trajectory == b.spread_trajectory
 
 
+# Each case is the arguments of _assert_matches_per_trial_loop.
 _BATCH_CASES = pytest.mark.parametrize(
-    "g, m, eps, trials, diverged, n_final, n_traj",
+    "case",
     [
         # every tail is exactly 0.0, so the worst trajectory is the first maximum's
         (complete_graph(5), logistic_map(4.0), 0.9, 5, False, 5, 200),
@@ -321,10 +322,15 @@ _BATCH_CASES = pytest.mark.parametrize(
         # 190 and 172 on; trial 1 never is
         (complete_graph(3), logistic_map(4.0), 0.95, 5, False, 5, 200),
         (complete_graph(12), logistic_map(4.0), 0.9, 5, False, 5, 200),
+        # 2x^2 with no transient from starts near 0.31, 0.17 and 0.85 (base
+        # seed 2): trial 2 diverges at step 5, and trials 0 and 1, which
+        # run on, are exactly synchronized at 0.0 from step 10 on
+        (complete_graph(3), MapSpec(f=lambda x: 2.0 * x * x, f_prime=lambda x: 4.0 * x), 0.05,
+         3, True, 3, 5, 200, 0, 2),
     ],
     ids=["synchronized", "not-synchronized", "trial-0-diverges", "trial-1-diverges",
          "earlier-trial-diverges-later", "synchronized-then-diverges", "partly-synchronized",
-         "k12-synchronized"],
+         "k12-synchronized", "diverges-then-synchronized"],
 )
 
 
@@ -341,13 +347,12 @@ def _assert_matches_per_trial_loop(g, m, eps, trials, diverged, n_final, n_traj,
 
 
 @_BATCH_CASES
-def test_batched_simulation_matches_per_trial_loop(g, m, eps, trials, diverged, n_final, n_traj):
-    _assert_matches_per_trial_loop(g, m, eps, trials, diverged, n_final, n_traj)
+def test_batched_simulation_matches_per_trial_loop(case):
+    _assert_matches_per_trial_loop(*case)
 
 
 @_BATCH_CASES
-def test_blocked_steps_match_per_trial_loop(monkeypatch, g, m, eps, trials, diverged, n_final,
-                                            n_traj):
+def test_blocked_steps_match_per_trial_loop(monkeypatch, case):
     # Blocks of two rows: three blocks of five trials, two of three, and
     # blocks that shrink as trials diverge.  The oracle steps one row at a
     # time, and no step may see more entries than the patched bound.
@@ -359,9 +364,10 @@ def test_blocked_steps_match_per_trial_loop(monkeypatch, g, m, eps, trials, dive
         entries.append(x.size * g.n)
         return step_cml(g, x, *args)
 
+    g = case[0]
     monkeypatch.setattr(lapspec.cml, "_CML_BLOCK_ENTRIES", 2 * g.n**2 + 1)
     monkeypatch.setattr(lapspec.cml, "step_cml", recording)
-    _assert_matches_per_trial_loop(g, m, eps, trials, diverged, n_final, n_traj)
+    _assert_matches_per_trial_loop(*case)
     assert max(entries) == 2 * g.n**2
 
 
