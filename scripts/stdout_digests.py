@@ -15,8 +15,10 @@ from ``ROOT/perfbench/workloads.py``, plus the subcommands and orders the
 benchmark leaves out on a weighted looped edge list, K7 and C10, the
 ``curves`` tables of every family in both formats, and the subcommands that
 enumerate on C25 and K15, just past the Cheeger (24) and dual Cheeger (14)
-vertex caps, so the refusals and skipped reports are pinned too.  It also
-runs every graph-reading subcommand on a disconnected graph; the optional
+vertex caps, so the refusals and skipped reports are pinned too.  The same
+subcommands run on two disjoint K8 (between the caps) and two disjoint C13
+(past both), which pin the order of the size and connectivity refusals.  It
+also runs every graph-reading subcommand on a disconnected graph; the optional
 flags ``constants --walks``, ``walk --f``, ``cml --map tent:2``,
 ``--output`` and ``cml --spread-output`` on K7, hashing each written file
 with the invocation; the usage refusals of ``bounds --l-list 0``,
@@ -130,8 +132,13 @@ def corpus(workloads, workdir: Path):
 
     graphs = {"looped.txt": LOOPED_EDGES, "k7.json": unit_graph(*workloads.complete_graph(7)),
               "c10.json": unit_graph(*workloads.cycle_graph(10))}
+    def twice(n, edges) -> str:
+        return unit_graph(2 * n, [*edges, *((i + n, j + n) for i, j in edges)])
+
     capped = {"c25.json": unit_graph(*workloads.cycle_graph(25)),
-              "k15.json": unit_graph(*workloads.complete_graph(15))}
+              "k15.json": unit_graph(*workloads.complete_graph(15)),
+              "two-k8.json": twice(*workloads.complete_graph(8)),
+              "two-c13.json": twice(*workloads.cycle_graph(13))}
     two_triangles = unit_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
     (workdir / "k7-walks.json").write_text(
         json.dumps({"walks": [[v, (v + 1) % 7, (v + 2) % 7, v] for v in range(7)]}))

@@ -472,7 +472,7 @@ def improvement_predicates(g: WeightedGraph, l: int) -> ImprovementReport:
     s = spectrum(g)
     lam1, lam_max = s.lambda_1, s.lambda_max
     h = cheeger_exact(g).value
-    h_l = cheeger_exact(neighborhood_graph(g, l), check_connected=False).value
+    h_l = cheeger_exact(neighborhood_graph(g, l)).value
     lam1_l = float(map_eigenvalues(s.eigenvalues, l)[1])
 
     even = l % 2 == 0
@@ -600,7 +600,7 @@ def bound_curves(family: str, params, l_list) -> list[CurveRow]:
         for l in l_list:
             try:
                 gl = neighborhood_graph(g, l)
-                h_l = cheeger_exact(gl, check_connected=False).value
+                h_l = cheeger_exact(gl).value
                 upper_or = neighborhood_upper_or_from(l, h_l)
                 # for even l the claim is a disjunction; it bounds lambda_1
                 # only when that branch actually holds
@@ -610,7 +610,7 @@ def bound_curves(family: str, params, l_list) -> list[CurveRow]:
                 lower = neighborhood_sandwich_from(l, h_l).lower
                 up_hbar = None
                 if l % 2 == 1:
-                    hbar_l = dual_cheeger_exact(gl, check_connected=False).value
+                    hbar_l = dual_cheeger_exact(gl).value
                     up_hbar = neighborhood_dual_upper_from(l, hbar_l).upper
                 rows.append(
                     CurveRow(param, l, lower, upper_or.upper, applicable, up_hbar, lam1, lam_max)
@@ -644,10 +644,10 @@ def curves_to_csv(rows: list[CurveRow]) -> str:
 # every report at once
 
 
-def _capped(fn, *args, **kwargs):
-    """``fn(*args, **kwargs)``, or ``None`` when a size cap refuses it."""
+def _capped(fn, g):
+    """``fn(g)``, or ``None`` when a size cap refuses it."""
     try:
-        return fn(*args, **kwargs)
+        return fn(g)
     except GraphError as err:
         if err.kind is not GraphErrorKind.SIZE_CAP_EXCEEDED:
             raise
@@ -684,8 +684,8 @@ def all_bound_reports(g: WeightedGraph, s: Spectrum, l_list=(2, 3)) -> list[Boun
         if gl is g:  # l = 1: reuse the constants of g
             h_l, hbar_l, cc = h_res, hbar_res, cc_g
         else:
-            h_l = _capped(cheeger_exact, gl, check_connected=False)
-            hbar_l = _capped(dual_cheeger_exact, gl, check_connected=False)
+            h_l = _capped(cheeger_exact, gl)
+            hbar_l = _capped(dual_cheeger_exact, gl)
             cc = clustering_constants(gl)
         if h_l is not None:
             reports.append(neighborhood_sandwich_from(l, h_l.value))

@@ -30,7 +30,14 @@ from types import ModuleType
 import numpy as np
 
 from . import __version__
-from .graphs import GraphError, clustering_coefficient, graph_to_dict, is_bipartite, read_graph
+from .graphs import (
+    GraphError,
+    clustering_coefficient,
+    graph_to_dict,
+    is_bipartite,
+    read_graph,
+    require_connected,
+)
 from .spectral import spectral_radius_rho, spectrum
 
 
@@ -196,6 +203,8 @@ def _cmd_spectrum(args) -> str:
 def _cmd_constants(args) -> str:
     g = read_graph(args.input)
     h_res = partitions.cheeger_exact(g)
+    # after h's refusals, so a graph past its cap is refused for its size
+    require_connected(g)
     hbar_res = partitions.dual_cheeger_exact(g)
     bal = partitions.balance_ratio_exact(g)
     greedy = partitions.greedy_balance_partition(g)
@@ -223,12 +232,12 @@ def _cmd_constants(args) -> str:
     payload = {
         "h": {
             "value": h_res.value,
-            "method": h_res.method,
+            "method": "exact",
             "witness": _sorted(h_res.witness.side),
         },
         "hbar": {
             "value": hbar_res.value,
-            "method": hbar_res.method,
+            "method": "exact",
             "witness": [_sorted(hbar_res.witness.v1), _sorted(hbar_res.witness.v2)],
         },
         "balance": {"ratio": bal.value, "witness": _sorted(bal.witness.side)},
@@ -289,15 +298,11 @@ def _cmd_walk(args) -> str:
         f = np.zeros(g.n)
         f[0] = 1.0
     try:
-        reports = random_walk.walk_trajectory(g, f, args.steps, args.l)
+        rho, reports = random_walk.walk_trajectory(g, f, args.steps, args.l)
     except ValueError as err:
         raise _naming_flags(err, t_max="--steps") from None
     if args.format == "json":
-        payload = {
-            "rho": spectral_radius_rho(spectrum(g)),
-            "reports": [asdict(r) for r in reports],
-        }
-        return _dump_json(payload)
+        return _dump_json({"rho": rho, "reports": [asdict(r) for r in reports]})
     return random_walk.walk_reports_to_csv(reports)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, require_connected
 from .spectral import Spectrum, spectrum
 
 #: Initial conditions are drawn this close to the synchronized orbit.
@@ -205,19 +205,20 @@ def ratio_bounds(g: WeightedGraph) -> RatioBounds:
     from .partitions import cheeger_exact, dual_cheeger_exact
 
     h = cheeger_exact(g).value
+    require_connected(g)  # h = 0 otherwise; after h's refusals, as in ``lapspec constants``
     hbar = dual_cheeger_exact(g).value
     uppers: dict[int, float] = {}
     lowers: dict[int, float] = {}
     for l in (1, 2, 3):
         gl = neighborhood_graph(g, l)
         at_one = gl is g  # l = 1: reuse h and hbar of g
-        h_l = h if at_one else cheeger_exact(gl, check_connected=False).value
+        h_l = h if at_one else cheeger_exact(gl).value
         sandwich = neighborhood_sandwich_from(l, h_l)
         lowers[l] = sandwich.lower
         if l % 2 == 0:
             uppers[l] = sandwich.upper
         else:
-            hbar_l = hbar if at_one else dual_cheeger_exact(gl, check_connected=False).value
+            hbar_l = hbar if at_one else dual_cheeger_exact(gl).value
             uppers[l] = neighborhood_dual_upper_from(l, hbar_l).upper
     best_lower = max(lowers.values())
     if best_lower <= 0:

@@ -28,7 +28,6 @@ from .graphs import (
     _bfs,
     _is_int,
     _neighbor_lists,
-    require_connected,
 )
 
 #: Hard enumeration caps (number of vertices).
@@ -78,15 +77,6 @@ class TriPartition:
 class CheegerResult:
     value: float
     witness: Bipartition | TriPartition
-    method: str  # "exact" | "greedy"
-
-
-def _enforce_cap(n: int, cap: int, what: str) -> None:
-    if n > cap:
-        raise GraphError(
-            GraphErrorKind.SIZE_CAP_EXCEEDED,
-            f"{what} enumeration capped at {cap} vertices, graph has {n}",
-        )
 
 
 def _first_max(starts, stop: int, score) -> tuple[float, int]:
@@ -105,18 +95,34 @@ def _first_max(starts, stop: int, score) -> tuple[float, int]:
     return best_val, best_code
 
 
-def _split_first_max(start: int, base: int, m: int, score, block, tol: float):
-    """``_first_max`` over all codes ``start .. base**m - 1``, scoring few chunks.
+def _exact_scan(g: WeightedGraph, what: str, cap: int, base: int, score, block):
+    """The first largest ``score`` over every labeling of ``g``, and its digits.
 
-    Digit i of a code (``base`` 2 or 3) is the label of vertex i.  A range
-    of one chunk is scored directly; a longer one first goes through the
-    split pass of ``_candidates``.
+    Refuses graphs of fewer than two vertices or more than ``cap``; ``what``
+    names the quantity in the refusals (the cap's drops a trailing
+    " constant").  Digit i of a code is the label of vertex i: base 2
+    labels the first n - 1 vertices (the last one is always 0) from code 1,
+    base 3 labels all n from code 0.  A range of one chunk is scored
+    directly; a longer one first goes through the split pass of
+    ``_candidates``.  Returns the value and the optimum's digits.
     """
+    n = g.n
+    if n < 2:
+        raise ValueError(f"{what} needs at least two vertices")
+    if n > cap:
+        what = what.removesuffix(" constant")
+        raise GraphError(
+            GraphErrorKind.SIZE_CAP_EXCEEDED,
+            f"{what} enumeration capped at {cap} vertices, graph has {n}",
+        )
+    # base 2: the last vertex stays outside, and code 0, the empty side, is skipped
+    m, start = (n - 1, 1) if base == 2 else (n, 0)
     stop = base**m
     starts = np.arange(start, stop, _CHUNK)
     if len(starts) > 1:  # a function of its own, so the pass's arrays are freed first
-        starts = _candidates(starts, base, m, block, tol)
-    return _first_max(starts, stop, score)
+        starts = _candidates(starts, base, m, block, _tolerance(g))
+    best, code = _first_max(starts, stop, score)
+    return best, _digits(np.array([code]), base, m)[0]
 
 
 def _candidates(starts: np.ndarray, base: int, m: int, block, tol: float) -> np.ndarray:
@@ -234,8 +240,8 @@ def _label_flags(j: int) -> tuple[np.ndarray, np.ndarray]:
     return flags
 
 
-def cheeger_exact(g: WeightedGraph, *, check_connected: bool = True) -> CheegerResult:
-    """Exact Cheeger constant by enumerating all bipartitions.
+def cheeger_exact(g: WeightedGraph) -> CheegerResult:
+    """Exact Cheeger constant of any graph of 2 to 24 vertices, by enumerating bipartitions.
 
     Enumerates the 2^(n-1) - 1 proper subsets not containing the last
     vertex (one representative per complementary pair), code ``sum 2^i``
@@ -243,13 +249,9 @@ def cheeger_exact(g: WeightedGraph, *, check_connected: bool = True) -> CheegerR
     and the value is its ratio as scored in its chunk of ``_CHUNK`` codes.
     Beyond one chunk (n > 16), a split pass scores every pair of low and
     high labelings with ``internal = I_lo + I_hi + 2 L W_lh H^T`` and only
-    the chunks within a rounding tolerance of its best are scored.
+    the chunks within a rounding tolerance of its best are scored.  A
+    disconnected graph has ``h = 0``, with a union of components as witness.
     """
-    if g.n < 2:
-        raise ValueError("Cheeger constant needs at least two vertices")
-    _enforce_cap(g.n, CHEEGER_EXACT_CAP, "Cheeger")
-    if check_connected:
-        require_connected(g)
     n = g.n
     d = g.degrees[: n - 1]
     w = g.weights[: n - 1, : n - 1]
@@ -283,17 +285,15 @@ def cheeger_exact(g: WeightedGraph, *, check_connected: bool = True) -> CheegerR
         return np.ones(len(lo), dtype=bool), tile
 
     # Negation is exact, so the first maximizer of -ratio is the first minimizer.
-    neg_best, mask = _split_first_max(1, 2, n - 1, neg_ratio, block, _tolerance(g))
+    neg_best, digits = _exact_scan(g, "Cheeger constant", CHEEGER_EXACT_CAP, 2, neg_ratio, block)
     # On float-valued weight matrices (e.g. walk graphs) the rounded sums can
     # push the quotient an ulp past the mathematical ceiling h <= 1.
-    side = np.flatnonzero(_digits(np.array([mask]), 2, n - 1)[0])
-    return CheegerResult(
-        value=min(-neg_best, 1.0), witness=Bipartition.of(g, side), method="exact"
-    )
+    side = np.flatnonzero(digits)
+    return CheegerResult(value=min(-neg_best, 1.0), witness=Bipartition.of(g, side))
 
 
-def dual_cheeger_exact(g: WeightedGraph, *, check_connected: bool = True) -> CheegerResult:
-    """Exact dual Cheeger constant by enumerating tripartitions.
+def dual_cheeger_exact(g: WeightedGraph) -> CheegerResult:
+    """Exact dual Cheeger constant of any graph of 2 to 14 vertices, by enumerating tripartitions.
 
     Ternary enumeration over vertex labels (V3, V1, V2), code ``sum t_i 3^i``,
     halved by the V1 <-> V2 swap symmetry: only labelings whose first non-V3
@@ -302,19 +302,12 @@ def dual_cheeger_exact(g: WeightedGraph, *, check_connected: bool = True) -> Che
     Beyond one chunk (n > 9), a split pass builds only the low labelings that
     are all V3 or start with V1, scores every pair with ``cross = C_lo + C_hi
     + [A1 W_lh, A2 W_lh] [B2, B1]^T``, and only the chunks within a rounding
-    tolerance of its best are scored.
+    tolerance of its best are scored.  On a disconnected graph the optimum
+    may spread over several components.
     """
-    if g.n < 2:
-        raise ValueError("dual Cheeger constant needs at least two vertices")
-    _enforce_cap(g.n, DUAL_CHEEGER_EXACT_CAP, "dual Cheeger")
-    if check_connected:
-        require_connected(g)
     n = g.n
     d = g.degrees
     w = g.weights
-
-    j = (n + 1) // 2
-    first, has2 = _label_flags(j)
     # The float arrays of the longest chunk so far, as prefix views for a
     # shorter one: fresh arrays of several MB per chunk go back to the OS
     # when freed and are page-faulted in again by the next chunk.
@@ -341,7 +334,10 @@ def dual_cheeger_exact(g: WeightedGraph, *, check_connected: bool = True) -> Che
             cross *= 2.0
             cross /= vols
         # the first non-V3 label is 1 (so V1 is nonempty) and V2 is nonempty,
-        # read from the flags of each code's two table rows
+        # read from the flags of each code's two table rows (looked up here,
+        # so a graph past the cap is refused before its tables are built)
+        j = (n + 1) // 2
+        first, has2 = _label_flags(j)
         q, r = np.divmod(codes, 3**j)
         low_first = first[r]
         valid = np.where(low_first != 0, low_first, first[q]) == 1
@@ -377,13 +373,11 @@ def dual_cheeger_exact(g: WeightedGraph, *, check_connected: bool = True) -> Che
 
         return kept, tile
 
-    best_val, best_code = _split_first_max(0, 3, n, ratio, block, _tolerance(g))
-    digits = _digits(np.array([best_code]), 3, n)[0]
+    best, digits = _exact_scan(g, "dual Cheeger constant", DUAL_CHEEGER_EXACT_CAP, 3, ratio, block)
     # same ulp guard as in cheeger_exact: hbar <= 1 holds mathematically
     return CheegerResult(
-        value=min(best_val, 1.0),
+        value=min(best, 1.0),
         witness=TriPartition.of(g, np.flatnonzero(digits == 1), np.flatnonzero(digits == 2)),
-        method="exact",
     )
 
 
@@ -421,7 +415,7 @@ def dual_cheeger_greedy_lower(g: WeightedGraph) -> CheegerResult:
     v1 = {i for i in range(n) if side[i] == 0}
     v2 = {i for i in range(n) if side[i] == 1}
     tri = TriPartition.of(g, v1, v2)
-    return CheegerResult(value=tri.value(g), witness=tri, method="greedy")
+    return CheegerResult(value=tri.value(g), witness=tri)
 
 
 # ---------------------------------------------------------------------------
@@ -429,14 +423,11 @@ def dual_cheeger_greedy_lower(g: WeightedGraph) -> CheegerResult:
 
 
 def balance_ratio_exact(g: WeightedGraph) -> CheegerResult:
-    """Most balanced bipartition by full enumeration (same cap as ``cheeger_exact``).
+    """Most balanced bipartition of any graph of 2 to 24 vertices, by full enumeration.
 
-    Same codes, witness rule and split pass as ``cheeger_exact``, with
+    Same codes, cap, witness rule and split pass as ``cheeger_exact``, with
     ``vol = V_lo + V_hi`` across the block boundary.
     """
-    if g.n < 2:
-        raise ValueError("balance ratio needs at least two vertices")
-    _enforce_cap(g.n, CHEEGER_EXACT_CAP, "balance ratio")
     n = g.n
     d = g.degrees[: n - 1]
     total = g.volume
@@ -459,11 +450,8 @@ def balance_ratio_exact(g: WeightedGraph) -> CheegerResult:
 
         return np.ones(len(lo), dtype=bool), tile
 
-    best_val, mask = _split_first_max(1, 2, n - 1, balance, block, _tolerance(g))
-    side = np.flatnonzero(_digits(np.array([mask]), 2, n - 1)[0])
-    return CheegerResult(
-        value=best_val, witness=Bipartition.of(g, side), method="exact"
-    )
+    best, digits = _exact_scan(g, "balance ratio", CHEEGER_EXACT_CAP, 2, balance, block)
+    return CheegerResult(value=best, witness=Bipartition.of(g, np.flatnonzero(digits)))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import WeightedGraph, bipartition_of, require_connected
+from .graphs import WeightedGraph, bipartition_of
 from .neighborhood import neighborhood_graph
 from .spectral import degree_norm, spectrum, spectral_radius_rho
 
@@ -60,8 +60,8 @@ def walk_trajectory(
     f: np.ndarray,
     t_max: int,
     l_even: int | None = None,
-) -> list[WalkReport]:
-    """Reports for every ``t`` in ``0..t_max`` with a single pass of iteration."""
+) -> tuple[float, list[WalkReport]]:
+    """``rho`` and the reports for every ``t`` in ``0..t_max``, from a single pass of iteration."""
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
     if t_max > MAX_WALK_STEPS:
@@ -69,7 +69,6 @@ def walk_trajectory(
     work = t_max * g.n**2
     if work > MAX_WALK_WORK:
         raise ValueError(f"t_max * n^2 must be <= {MAX_WALK_WORK:.0e}, got {work:.1e}")
-    require_connected(g)
     f = np.asarray(f, dtype=float)
     s = spectrum(g)
     rho = spectral_radius_rho(s)
@@ -87,7 +86,7 @@ def walk_trajectory(
         # imported here: ``walk`` without ``--l`` enumerates nothing
         from .partitions import cheeger_exact
 
-        h_l = cheeger_exact(neighborhood_graph(g, l_even), check_connected=False).value
+        h_l = cheeger_exact(neighborhood_graph(g, l_even)).value
         rate = (1.0 - h_l * h_l) ** (1.0 / (2 * l_even))
     out = []
     cur = f.copy()
@@ -101,7 +100,7 @@ def walk_trajectory(
             )
         )
         cur = transition_apply(g, cur)
-    return out
+    return rho, out
 
 
 def walk_reports_to_csv(reports: list[WalkReport]) -> str:

@@ -100,7 +100,7 @@ def test_looped_pair_walk_matrices():
                 problems.append(f"c={c}, l={l}: walk matrix mismatch")
         if abs(cheeger_exact(g).value - 1 / (1 + c)) > 1e-12:
             problems.append(f"c={c}: h[1] mismatch")
-        h_2 = cheeger_exact(neighborhood_graph(g, 2), check_connected=False).value
+        h_2 = cheeger_exact(neighborhood_graph(g, 2)).value
         if abs(h_2 - 2 * c / (1 + c) ** 2) > 1e-12:
             problems.append(f"c={c}: h[2] mismatch")
     _report("looped-pair walk matrices W[2..5] and h[1], h[2]", problems, started, 1.0)
@@ -212,7 +212,7 @@ def test_walk_convergence_and_limits():
     for gname, g in (("K_5", complete_graph(5)), ("bridged(1)", bridged_triangles(1.0))):
         for k in range(20):
             f = rng.normal(size=g.n)
-            for rep in walk_trajectory(g, f, 50):
+            for rep in walk_trajectory(g, f, 50)[1]:
                 if rep.deviation > rep.bound_rho + 1e-9 * max(1.0, rep.bound_rho):
                     problems.append(f"{gname}, f#{k}, t={rep.t}: decay bound violated")
 

@@ -320,7 +320,7 @@ def test_walk_comparison_consistent(fixtures):
 
 def test_branch_or_inapplicable_when_cut_too_large():
     # h[2](K_5) > 1/2, so the even-order disjunction has nothing to say
-    h_2 = cheeger_exact(neighborhood_graph(complete_graph(5), 2), check_connected=False).value
+    h_2 = cheeger_exact(neighborhood_graph(complete_graph(5), 2)).value
     rep = neighborhood_upper_or_from(2, h_2)
     assert rep.target == TARGET_BRANCH_OR
     assert not rep.applicable
@@ -329,7 +329,7 @@ def test_branch_or_inapplicable_when_cut_too_large():
 def test_even_sandwich_targets():
     g = complete_graph(5)
     h_2, h_3 = (
-        cheeger_exact(neighborhood_graph(g, l), check_connected=False).value for l in (2, 3)
+        cheeger_exact(neighborhood_graph(g, l)).value for l in (2, 3)
     )
     rep = neighborhood_sandwich_from(2, h_2)
     assert rep.target == TARGET_SANDWICH
@@ -347,7 +347,7 @@ def test_gap_report_is_usually_inapplicable():
 
 def test_interval_contains_an_eigenvalue():
     g = looped_pair(2.0)
-    hbar_2 = dual_cheeger_exact(neighborhood_graph(g, 2), check_connected=False).value
+    hbar_2 = dual_cheeger_exact(neighborhood_graph(g, 2)).value
     rep = neighborhood_interval_from(2, hbar_2)
     if rep.applicable:
         assert rep.target == TARGET_CONTAINS_SOME

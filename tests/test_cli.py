@@ -8,12 +8,20 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lapspec.cli import main
-from lapspec.graphs import GraphError, complete_graph, cycle_graph, graph_from_dict, write_graph
+from lapspec.graphs import (
+    GraphError,
+    WeightedGraph,
+    complete_graph,
+    cycle_graph,
+    graph_from_dict,
+    write_graph,
+)
 from lapspec.partitions import OddWalkFamily, default_odd_walk_family
 
 
@@ -112,6 +120,22 @@ def test_bounds_command_computes_the_spectrum_once(capsys, monkeypatch, k5_file)
     for module in (cli, bounds):
         monkeypatch.setattr(module, "spectrum", counting)
     code, _, _ = _run(capsys, "bounds", "--input", k5_file, "--l-list", "1,2,3")
+    assert code == 0
+    assert calls == [5]
+
+
+def test_walk_json_computes_the_spectrum_once(capsys, monkeypatch, k5_file):
+    from lapspec import cli, random_walk, spectral
+
+    calls = []
+
+    def counting(g):
+        calls.append(g.n)
+        return spectral.spectrum(g)
+
+    for module in (cli, random_walk):
+        monkeypatch.setattr(module, "spectrum", counting)
+    code, _, _ = _run(capsys, "walk", "--input", k5_file, "--l", "2", "--format", "json")
     assert code == 0
     assert calls == [5]
 
@@ -259,6 +283,36 @@ def test_cap_exceeded_exit_1(capsys, tmp_path):
         code, out, err = _run(capsys, "constants", "--input", str(path))
         assert code == 1 and out == ""
         assert err == f"error[SizeCapExceeded]: {message}\n"
+
+
+_DISCONNECTED = "error[Disconnected]: graph is not connected\n"
+
+
+@pytest.mark.parametrize(
+    "component, constants_err",
+    [
+        (complete_graph(8), _DISCONNECTED),
+        (
+            cycle_graph(13),
+            "error[SizeCapExceeded]: Cheeger enumeration capped at 24 vertices, graph has 26\n",
+        ),
+    ],
+    ids=["two-K8", "two-C13"],
+)
+def test_size_refusals_come_before_connectivity(capsys, tmp_path, component, constants_err):
+    # Two disjoint copies: 16 vertices lie between the caps, 26 past both.
+    # ``constants`` refuses a graph past the Cheeger cap for its size; the
+    # others run ``spectrum`` first, which refuses it as disconnected.
+    path = tmp_path / "g.json"
+    n = 2 * component.n
+    write_graph(WeightedGraph(n=n, weights=np.kron(np.eye(2), component.weights)), path)
+    for argv, want in [
+        (["constants"], constants_err),
+        (["bounds", "--l-list", "2,3"], _DISCONNECTED),
+        (["walk", "--l", "2"], _DISCONNECTED),
+    ]:
+        code, out, err = _run(capsys, argv[0], "--input", str(path), *argv[1:])
+        assert (code, out, err) == (1, "", want), argv
 
 
 def test_missing_file_exit_2(capsys):

@@ -19,7 +19,14 @@ from lapspec.cml import (
     tent_map,
     transverse_stability_factor,
 )
-from lapspec.graphs import complete_graph, cycle_graph, looped_pair
+from lapspec.graphs import (
+    GraphError,
+    GraphErrorKind,
+    WeightedGraph,
+    complete_graph,
+    cycle_graph,
+    looped_pair,
+)
 from lapspec.spectral import spectrum
 from lapspec import cml
 from oracles import oracle_lyapunov_exponent, oracle_simulate_sync
@@ -224,6 +231,14 @@ def test_ratio_bounds_bracket(fixtures):
         assert rb.lower <= ratio + 1e-9, name
         assert ratio <= rb.upper + 1e-9, name
         assert set(rb.upper_candidates) == {1, 2, 3}
+
+
+def test_ratio_bounds_refuses_a_disconnected_graph():
+    # h = 0 there: the bracket's lower bounds for lambda_1 vanish and hbar / h is undefined
+    g = WeightedGraph(n=6, weights=np.kron(np.eye(2), complete_graph(3).weights))
+    with pytest.raises(GraphError) as exc:
+        ratio_bounds(g)
+    assert exc.value.kind is GraphErrorKind.DISCONNECTED
 
 
 def test_ratio_bounds_compute_each_constant_once(monkeypatch):

@@ -85,7 +85,7 @@ def test_looped_pair_cheeger_closed_forms(c):
     ]
     for l, want in enumerate(expected, start=1):
         gl = neighborhood_graph(looped_pair(c), l)
-        assert abs(cheeger_exact(gl, check_connected=False).value - want) < 1e-12, l
+        assert abs(cheeger_exact(gl).value - want) < 1e-12, l
 
 
 @pytest.mark.parametrize("c", [0.5, 1.0])
@@ -101,7 +101,7 @@ def test_bridged_triangles_h2_is_min_of_two_cuts():
         g = bridged_triangles(c)
         cand1 = 4 * c / ((6 * c + 1) * (2 * c + 1))
         cand2 = (3 * c + 2 * c**2) / (2 * c + 1) ** 2
-        h_2 = cheeger_exact(neighborhood_graph(g, 2), check_connected=False).value
+        h_2 = cheeger_exact(neighborhood_graph(g, 2)).value
         assert abs(h_2 - min(cand1, cand2)) < 1e-12
 
 
@@ -183,7 +183,7 @@ def test_bipartite_even_order_splits():
     # the two classes carry all the weight
     evens = [0, 2, 4]
     assert g2.weights[np.ix_(evens, [1, 3, 5])].max() == 0.0
-    assert cheeger_exact(g2, check_connected=False).value == 0.0
+    assert cheeger_exact(g2).value == 0.0
 
 
 def test_bipartite_odd_order_stays_bipartite():
@@ -248,7 +248,7 @@ def test_cheeger_matches_oracle(seed, l):
     g = _random_graph(seed, n_max=6, weighted=True, allow_loops=True)
     want = float(oracle_neighborhood_cheeger(g, l))
     gl = neighborhood_graph(g, l)
-    assert abs(cheeger_exact(gl, check_connected=False).value - want) < 1e-12
+    assert abs(cheeger_exact(gl).value - want) < 1e-12
 
 
 @settings(max_examples=10, deadline=None)
@@ -257,4 +257,4 @@ def test_dual_cheeger_matches_oracle(seed):
     g = _random_graph(seed, n_max=5, weighted=True, allow_loops=True)
     want = float(oracle_neighborhood_dual_cheeger(g, 2))
     gl = neighborhood_graph(g, 2)
-    assert abs(dual_cheeger_exact(gl, check_connected=False).value - want) < 1e-12
+    assert abs(dual_cheeger_exact(gl).value - want) < 1e-12

@@ -115,11 +115,6 @@ def test_witnesses_match_oracle_random(seed):
 # the split pass against the scan over every chunk
 
 
-def _scan_every_chunk(start, base, m, score, block, tol):
-    stop = base**m
-    return partitions._first_max(range(start, stop, partitions._CHUNK), stop, score)
-
-
 def _gnp(rng, n):
     """A connected draw of G(n, 0.4)."""
     while True:
@@ -170,10 +165,10 @@ SPLIT_PASS_GRAPHS = _split_pass_graphs()
 
 
 def _enumerators(g):
-    """The enumerators whose split pass crosses several chunks on g, with their keywords."""
+    """The enumerators whose split pass crosses several chunks on g."""
     if g.n <= 14:
-        return [(dual_cheeger_exact, {"check_connected": False})]
-    return [(cheeger_exact, {"check_connected": False}), (balance_ratio_exact, {})]
+        return [dual_cheeger_exact]
+    return [cheeger_exact, balance_ratio_exact]
 
 
 _CHUNK_ORACLES = {
@@ -185,17 +180,18 @@ _CHUNK_ORACLES = {
 
 @pytest.mark.parametrize("name", list(SPLIT_PASS_GRAPHS))
 def test_split_pass_bit_identical_to_every_chunk_scan(monkeypatch, name):
-    # The scan over every chunk shares the enumerators' score functions, so
-    # it also checks each chunk's scores against an oracle that computes
-    # them on fresh arrays: every full chunk and the shorter last one, in
-    # the order the scores' buffers meet them.
+    # With every chunk a candidate, the scan scores every chunk with the
+    # enumerators' score functions, so it also checks each chunk's scores
+    # against an oracle that computes them on fresh arrays: every full chunk
+    # and the shorter last one, in the order the scores' buffers meet them.
     g = SPLIT_PASS_GRAPHS[name]
-    for fn, kw in _enumerators(g):
-        fast = fn(g, **kw)
+    first_max = partitions._first_max
+    for fn in _enumerators(g):
+        fast = fn(g)
         oracle = _CHUNK_ORACLES[fn](g)
         lengths = set()
 
-        def checked_scan(start, base, m, score, block, tol):
+        def checked_first_max(starts, stop, score):
             def checked(codes):
                 vals = score(codes)
                 # bit for bit: float.hex equality, and NaN payloads too
@@ -204,11 +200,12 @@ def test_split_pass_bit_identical_to_every_chunk_scan(monkeypatch, name):
                 lengths.add(len(codes))
                 return vals
 
-            return _scan_every_chunk(start, base, m, checked, block, tol)
+            return first_max(starts, stop, checked)
 
         with monkeypatch.context() as m:
-            m.setattr(partitions, "_split_first_max", checked_scan)
-            full = fn(g, **kw)
+            m.setattr(partitions, "_candidates", lambda starts, *args: starts)
+            m.setattr(partitions, "_first_max", checked_first_max)
+            full = fn(g)
         assert fast.value.hex() == full.value.hex(), fn.__name__
         assert fast.witness == full.witness, fn.__name__
         assert len(lengths) == 2 and partitions._CHUNK in lengths, (fn.__name__, lengths)
@@ -323,6 +320,21 @@ def test_dual_cap_raises():
         dual_cheeger_exact(complete_graph(15))
     assert exc.value.kind is GraphErrorKind.SIZE_CAP_EXCEEDED
     assert exc.value.message == "dual Cheeger enumeration capped at 14 vertices, graph has 15"
+
+
+def test_one_vertex_and_balance_cap_refusals():
+    looped_vertex = WeightedGraph(n=1, weights=np.ones((1, 1)))
+    for fn, what in [
+        (cheeger_exact, "Cheeger constant"),
+        (dual_cheeger_exact, "dual Cheeger constant"),
+        (balance_ratio_exact, "balance ratio"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{what} needs at least two vertices$"):
+            fn(looped_vertex)
+    with pytest.raises(GraphError) as exc:
+        balance_ratio_exact(complete_graph(25))
+    assert exc.value.kind is GraphErrorKind.SIZE_CAP_EXCEEDED
+    assert exc.value.message == "balance ratio enumeration capped at 24 vertices, graph has 25"
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,9 @@ def test_projection_is_degree_weighted_mean():
 def test_deviation_at_zero_is_offset_norm():
     g = complete_graph(5)
     f = np.eye(5)[0]
-    rep = walk_trajectory(g, f, 0)[-1]
+    rho, reports = walk_trajectory(g, f, 0)
+    assert rho == spectral_radius_rho(spectrum(g))
+    rep = reports[-1]
     assert rep.deviation <= rep.bound_rho + 1e-12
 
 
@@ -69,7 +71,7 @@ def test_deviation_at_zero_is_offset_norm():
 def test_decay_bound_k5(t):
     g = complete_graph(5)
     f = np.eye(5)[0]
-    rep = walk_trajectory(g, f, t, l_even=2)[-1]
+    rep = walk_trajectory(g, f, t, l_even=2)[1][-1]
     assert rep.deviation <= rep.bound_rho + 1e-12
     assert rep.bound_hl is not None
     assert rep.deviation <= rep.bound_hl + 1e-12
@@ -81,7 +83,7 @@ def test_decay_bound_random(seed):
     rng = np.random.default_rng(seed)
     g = random_connected_graph(rng, n_max=8, weighted=True, allow_loops=True)
     f = rng.normal(size=g.n)
-    for rep in walk_trajectory(g, f, 20, l_even=2):
+    for rep in walk_trajectory(g, f, 20, l_even=2)[1]:
         assert rep.deviation <= rep.bound_rho + 1e-9
         if rep.bound_hl is not None:
             assert rep.deviation <= rep.bound_hl + 1e-9
@@ -91,7 +93,7 @@ def test_deviation_is_nonincreasing():
     g = bridged_triangles(1.0)
     rng = np.random.default_rng(7)
     f = rng.normal(size=6)
-    traj = walk_trajectory(g, f, 30)
+    _, traj = walk_trajectory(g, f, 30)
     devs = [r.deviation for r in traj]
     assert all(a >= b - 1e-12 for a, b in zip(devs, devs[1:]))
 
@@ -99,9 +101,9 @@ def test_deviation_is_nonincreasing():
 def test_trajectory_matches_single_calls():
     g = bridged_triangles(0.5)
     f = np.eye(6)[2]
-    traj = walk_trajectory(g, f, 6, l_even=4)
+    _, traj = walk_trajectory(g, f, 6, l_even=4)
     for t, rep in enumerate(traj):
-        single = walk_trajectory(g, f, t, l_even=4)[-1]
+        single = walk_trajectory(g, f, t, l_even=4)[1][-1]
         assert rep.deviation == pytest.approx(single.deviation, abs=1e-12)
         assert rep.bound_rho == pytest.approx(single.bound_rho, abs=1e-12)
         assert rep.bound_hl == pytest.approx(single.bound_hl, abs=1e-12)
@@ -109,7 +111,7 @@ def test_trajectory_matches_single_calls():
 
 def test_bipartite_has_no_hl_bound():
     g = cycle_graph(4)
-    rep = walk_trajectory(g, np.eye(4)[0], 3, l_even=2)[-1]
+    rep = walk_trajectory(g, np.eye(4)[0], 3, l_even=2)[1][-1]
     assert rep.bound_hl is None
     assert rep.deviation > 0.1  # the walk does not converge here
 
@@ -122,7 +124,7 @@ def test_hl_rate_requires_even_order():
 
 def test_csv_header():
     g = complete_graph(3)
-    text = walk_reports_to_csv(walk_trajectory(g, np.eye(3)[0], 2))
+    text = walk_reports_to_csv(walk_trajectory(g, np.eye(3)[0], 2)[1])
     lines = text.strip().split("\n")
     assert lines[0] == "t,deviation,bound_rho,bound_hl"
     assert len(lines) == 4

@@ -3,7 +3,8 @@
 Random graphs with up to 10 vertices, loops, disconnected components and
 forced-bipartite edge sets.  Reachability is taken from 0/1 matrix powers
 (clipped after each product, so nothing overflows): ``(A^k)_ij > 0`` iff a
-walk of exactly k steps joins i and j.
+walk of exactly k steps joins i and j.  The exact enumerators are checked
+against the ``Fraction`` oracles on disconnected draws.
 """
 
 import numpy as np
@@ -19,13 +20,25 @@ from lapspec.graphs import (
     bipartition_of,
     is_connected,
 )
-from lapspec.partitions import default_odd_walk_family
+from lapspec.partitions import (
+    balance_ratio_exact,
+    cheeger_exact,
+    default_odd_walk_family,
+    dual_cheeger_exact,
+)
 from lapspec.spectral import spectrum
+from oracles import (
+    oracle_balance_ratio,
+    oracle_cheeger,
+    oracle_cheeger_witness,
+    oracle_dual_cheeger,
+    oracle_dual_cheeger_witness,
+)
 
 
 @st.composite
-def graphs(draw) -> WeightedGraph:
-    n = draw(st.integers(1, 10))
+def graphs(draw, n_max: int = 10) -> WeightedGraph:
+    n = draw(st.integers(1, n_max))
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     picked = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     weights = draw(st.lists(st.integers(1, 12), min_size=len(pairs), max_size=len(pairs)))
@@ -122,3 +135,25 @@ def test_odd_walks_are_shortest(g):
     fam = default_odd_walk_family(g)
     fam.validate(g)
     assert [len(walk) - 1 for walk in fam.walks] == odd
+
+
+@st.composite
+def disconnected_graphs(draw) -> WeightedGraph:
+    """Two draws of ``graphs`` side by side, with no edge between them."""
+    a, b = draw(graphs(n_max=4)), draw(graphs(n_max=4))
+    w = np.zeros((a.n + b.n, a.n + b.n))
+    w[: a.n, : a.n], w[a.n :, a.n :] = a.weights, b.weights
+    return WeightedGraph(n=a.n + b.n, weights=w)
+
+
+@settings(max_examples=30, deadline=None)
+@given(disconnected_graphs())
+def test_enumerators_match_oracles_on_disconnected_graphs(g):
+    assert not is_connected(g)
+    h = cheeger_exact(g)
+    assert h.value == float(oracle_cheeger(g)) == 0.0
+    assert h.witness.side == oracle_cheeger_witness(g)
+    hbar = dual_cheeger_exact(g)
+    assert hbar.value == float(oracle_dual_cheeger(g))
+    assert (hbar.witness.v1, hbar.witness.v2) == oracle_dual_cheeger_witness(g)
+    assert balance_ratio_exact(g).value == float(oracle_balance_ratio(g))
