@@ -36,7 +36,6 @@ from .graphs import (
     graph_to_dict,
     is_bipartite,
     read_graph,
-    require_connected,
 )
 from .spectral import spectral_radius_rho, spectrum
 
@@ -202,9 +201,8 @@ def _cmd_spectrum(args) -> str:
 
 def _cmd_constants(args) -> str:
     g = read_graph(args.input)
+    partitions.require_exact_constants(g)  # every refusal before any enumeration
     h_res = partitions.cheeger_exact(g)
-    # after h's refusals, so a graph past its cap is refused for its size
-    require_connected(g)
     hbar_res = partitions.dual_cheeger_exact(g)
     bal = partitions.balance_ratio_exact(g)
     greedy = partitions.greedy_balance_partition(g)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import WeightedGraph, require_connected
+from .graphs import WeightedGraph
 from .spectral import Spectrum, spectrum
 
 #: Initial conditions are drawn this close to the synchronized orbit.
@@ -202,10 +202,10 @@ def ratio_bounds(g: WeightedGraph) -> RatioBounds:
     # imported here: ``lapspec cml`` simulates and needs no enumerator or bound
     from .bounds import neighborhood_dual_upper_from, neighborhood_sandwich_from
     from .neighborhood import neighborhood_graph
-    from .partitions import cheeger_exact, dual_cheeger_exact
+    from .partitions import cheeger_exact, dual_cheeger_exact, require_exact_constants
 
+    require_exact_constants(g)  # h = 0 on a disconnected graph; as in ``lapspec constants``
     h = cheeger_exact(g).value
-    require_connected(g)  # h = 0 otherwise; after h's refusals, as in ``lapspec constants``
     hbar = dual_cheeger_exact(g).value
     uppers: dict[int, float] = {}
     lowers: dict[int, float] = {}

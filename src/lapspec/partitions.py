@@ -16,6 +16,8 @@ families of odd closed walks give computable upper bounds for ``hbar``.
 from __future__ import annotations
 
 import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,7 @@ from .graphs import (
     _bfs,
     _is_int,
     _neighbor_lists,
+    require_connected,
 )
 
 #: Hard enumeration caps (number of vertices).
@@ -39,6 +42,9 @@ DUAL_CHEEGER_EXACT_CAP = 14
 _CHUNK = 1 << 15
 #: Pairs per tile of the split pass.
 _TILE = 1 << 16
+#: Fewest tiles per worker thread of a split pass: four tiles take about
+#: 1 ms, starting and joining a thread about 0.1 ms.
+_MIN_TILES = 4
 #: Allowance for the rounding of a ratio in [0, 1], on each side of a comparison.
 _TOL = 1e-9
 
@@ -95,16 +101,11 @@ def _first_max(starts, stop: int, score) -> tuple[float, int]:
     return best_val, best_code
 
 
-def _exact_scan(g: WeightedGraph, what: str, cap: int, base: int, score, block):
-    """The first largest ``score`` over every labeling of ``g``, and its digits.
+def _check_size(g: WeightedGraph, what: str, cap: int) -> None:
+    """Refuse graphs of fewer than two vertices or more than ``cap``.
 
-    Refuses graphs of fewer than two vertices or more than ``cap``; ``what``
-    names the quantity in the refusals (the cap's drops a trailing
-    " constant").  Digit i of a code is the label of vertex i: base 2
-    labels the first n - 1 vertices (the last one is always 0) from code 1,
-    base 3 labels all n from code 0.  A range of one chunk is scored
-    directly; a longer one first goes through the split pass of
-    ``_candidates``.  Returns the value and the optimum's digits.
+    ``what`` names the quantity in the refusals (the cap's drops a trailing
+    " constant").
     """
     n = g.n
     if n < 2:
@@ -115,6 +116,31 @@ def _exact_scan(g: WeightedGraph, what: str, cap: int, base: int, score, block):
             GraphErrorKind.SIZE_CAP_EXCEEDED,
             f"{what} enumeration capped at {cap} vertices, graph has {n}",
         )
+
+
+def require_exact_constants(g: WeightedGraph) -> None:
+    """Refuse ``g`` as ``h``, then ``hbar`` of a connected graph would, before any enumeration.
+
+    In that order: ``cheeger_exact``'s refusals, a disconnected graph (whose
+    ``h`` is 0), then ``dual_cheeger_exact``'s cap.
+    """
+    _check_size(g, "Cheeger constant", CHEEGER_EXACT_CAP)
+    require_connected(g)
+    _check_size(g, "dual Cheeger constant", DUAL_CHEEGER_EXACT_CAP)
+
+
+def _exact_scan(g: WeightedGraph, what: str, cap: int, base: int, score, block):
+    """The first largest ``score`` over every labeling of ``g``, and its digits.
+
+    Refuses graphs as ``_check_size(g, what, cap)``.  Digit i of a code is
+    the label of vertex i: base 2 labels the first n - 1 vertices (the last
+    one is always 0) from code 1, base 3 labels all n from code 0.  A range
+    of one chunk is scored directly; a longer one first goes through the
+    split pass of ``_candidates``.  Returns the value and the optimum's
+    digits.
+    """
+    _check_size(g, what, cap)
+    n = g.n
     # base 2: the last vertex stays outside, and code 0, the empty side, is skipped
     m, start = (n - 1, 1) if base == 2 else (n, 0)
     stop = base**m
@@ -131,12 +157,15 @@ def _candidates(starts: np.ndarray, base: int, m: int, block, tol: float) -> np.
     The split pass scores every code approximately by splitting the digits
     into a low block of ``k`` and a high block of ``m - k``: ``block(lo, hi)``
     gets every low and every high labeling as digit matrices and returns
-    the lows to keep and ``tile(rows, out)``, which writes the values of the
-    pairs of the highs at ``rows`` with the kept lows into ``out``.  A tile
-    is one product: each high's and each low's own term ride in it as two
-    more columns ``[term_hi, 1]`` of the highs and rows ``[1; term_lo]`` of
-    the lows, then one division.  Code = low + base**k * high, so a tile
-    read row by row is in code order.  The pass keeps each chunk's largest
+    the lows to keep, ``tile`` and the number ``s`` of its scratch arrays:
+    ``tile(rows, out, *scratch)`` writes the values of the pairs of the
+    highs at ``rows`` with the kept lows into ``out``, using ``s`` more
+    arrays of the shape of ``out``.  The block's terms are computed once
+    and only read by the tiles.  A tile is one
+    product: each high's and each low's own term ride in it as two more
+    columns ``[term_hi, 1]`` of the highs and rows ``[1; term_lo]`` of the
+    lows, then one division.  Code = low + base**k * high, so a tile read
+    row by row is in code order.  The pass keeps each chunk's largest
     value.  ``_tolerance`` bounds the gap between a code's tile and chunk
     values, the product's extra terms included.  With ``|approximate -
     exact| <= tol / 2`` for every code, the first chunk holding the exact
@@ -144,39 +173,116 @@ def _candidates(starts: np.ndarray, base: int, m: int, block, tol: float) -> np.
     no earlier chunk.  The chunks that pass both tests (or whose maximum is
     NaN) are returned, so their exact scores give the value bits and
     witness of the scan over every chunk.
+
+    The tiles are split into contiguous runs, one per worker thread of
+    ``_split``: numpy releases the interpreter lock in the product and the
+    division, so the workers run on separate CPUs.  The digit matrices and
+    the block's terms are shared; each worker has its own tile buffer,
+    scratch and chunk maxima, 1 to 1.5 MB at ``_TILE`` pairs, and the
+    maxima are merged with ``np.maximum``,
+    which keeps NaN.  A worker computes its tiles exactly as the one-thread
+    pass does, and maxima do not depend on the order they are taken in, so
+    the candidates, and the values and witnesses, do not depend on the
+    number of CPUs.
     """
     start = int(starts[0])
     k = (m + 1) // 2
     highs = _digits(np.arange(base ** (m - k)), base, m - k)
-    kept, tile = block(_digits(np.arange(base**k), base, k), highs)
+    kept, tile, scratch = block(_digits(np.arange(base**k), base, k), highs)
     lows = np.flatnonzero(kept)
-    rows = _tile_rows(len(lows), len(highs))
-    # Every tile is written into this buffer, and the blocks keep their
-    # scratch arrays too: a fresh half-megabyte array per tile goes back to
-    # the OS when freed and is page-faulted in again by the next tile.
-    buf = np.empty((rows, len(lows)))
-    # code - base**k * h0 of each pair of a tile starting at high h0
-    offsets = (lows + base**k * np.arange(rows)[:, None]).ravel()
-    cmax = np.full(len(starts), -np.inf)
-    with np.errstate(all="ignore"):
-        for h0 in range(0, len(highs), rows):
-            out = buf[: min(rows, len(highs) - h0)]
-            tile(slice(h0, h0 + len(out)), out)
-            vals = out.ravel()
-            first = base**k * h0 - start  # tile codes are first + start + rel
-            rel = offsets[: len(vals)]
-            vals[: np.searchsorted(rel, -first)] = -np.inf
-            c0, c1 = max(first + rel[0], 0) // _CHUNK, (first + rel[-1]) // _CHUNK
-            ends = np.searchsorted(rel, _CHUNK * np.arange(c0 + 1, c1 + 1) - first)
-            at = np.concatenate(([0], ends))
-            cmax[c0 : c1 + 1] = np.maximum(cmax[c0 : c1 + 1], np.maximum.reduceat(vals, at))
+    rows = min(_TILE // len(lows), len(highs))  # highs per tile: about _TILE pairs
+
+    def pair(codes):
+        """Index in pass order of the first pair at or after each code."""
+        hi, lo = np.divmod(codes, base**k)
+        return hi * len(lows) + np.searchsorted(lows, lo)
+
+    # Each tile as (h0, c0, c1, at): its first high, its chunks c0 .. c1 - 1,
+    # and the positions in it where each of these chunks begins.  Worked out
+    # here, since the workers hold the interpreter lock for Python code.
+    edges = pair(starts[1:])  # where each chunk after the first begins
+    tiles = []
+    for h0 in range(0, len(highs), rows):
+        p0, p1 = h0 * len(lows), min(h0 + rows, len(highs)) * len(lows)
+        c0, c1 = np.searchsorted(edges, p0, side="right"), np.searchsorted(edges, p1)
+        tiles.append((h0, c0, c1 + 1, np.concatenate(([0], edges[c0:c1] - p0))))
+    skip = int(pair(np.array([start]))[0])  # pairs before the first code of the scan
+
+    def new_scan():
+        """``scan(run)``, with buffers of its own: each chunk's largest value
+        over the tiles of ``run``."""
+        # Every tile is written into these buffers, its values and its
+        # scratch: a fresh half-megabyte array per tile goes back to the OS
+        # when freed and is page-faulted in again by the next tile.  (As one
+        # array of both, they raised the peak memory of ``lapspec walk`` at
+        # n = 24 by 1.5 MB: malloc returns less to the OS after freeing it.)
+        buf, tmp = np.empty((rows, len(lows))), np.empty((scratch, rows, len(lows)))
+        cmax = np.full(len(starts), -np.inf)
+
+        def scan(run):
+            with np.errstate(all="ignore"):  # numpy's error state is per thread
+                for h0, c0, c1, at in run:
+                    out = buf[: min(rows, len(highs) - h0)]
+                    tile(slice(h0, h0 + len(out)), out, *tmp[:, : len(out)])
+                    vals = out.ravel()
+                    if h0 == 0:
+                        vals[:skip] = -np.inf
+                    np.maximum(cmax[c0:c1], np.maximum.reduceat(vals, at), out=cmax[c0:c1])
+            return cmax
+
+        return scan
+
+    cmax = functools.reduce(np.maximum, _split(new_scan, tiles))
     earlier = np.maximum.accumulate(np.concatenate(([-np.inf], cmax[:-1])))
     return starts[~((cmax + tol < cmax.max()) | (cmax + tol <= earlier))]
 
 
-def _tile_rows(lows: int, highs: int) -> int:
-    """Highs per tile of the split pass: about ``_TILE`` pairs, at most every high."""
-    return min(_TILE // lows, highs)
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _split(new_fn, items) -> list:
+    """``new_fn()(share)`` of each contiguous share of ``items``, one share per worker thread.
+
+    One worker per CPU, each with at least ``_MIN_TILES`` items, so a short
+    ``items`` stays on the calling thread; the caller runs the first share
+    itself.  Every ``new_fn()`` runs on the calling thread, so that the
+    workers' buffers come from its allocator: memory a worker allocated
+    itself would stay with that thread's malloc arena, out of reach of the
+    caller's later arrays, and raise the process's peak memory (by about
+    2 MB in ``lapspec bounds`` at n = 24).  An exception in a share is
+    raised here, the earliest share's first, as the one-thread loop would
+    raise it.
+    """
+    count = max(1, min(_cpus(), len(items) // _MIN_TILES))
+    fns = [new_fn() for _ in range(count)]
+    shares = [items[len(items) * i // count : len(items) * (i + 1) // count] for i in range(count)]
+    results: list = [None] * count
+    errors: list = [None] * count
+
+    def work(i):
+        try:
+            results[i] = fns[i](shares[i])
+        except BaseException as err:  # raised again in the caller, below
+            errors[i] = err
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(1, count)]
+    try:
+        for t in threads:
+            t.start()
+        results[0] = fns[0](shares[0])
+    finally:
+        for t in threads:
+            if t.ident is not None:  # started
+                t.join()
+    for err in errors:
+        if err is not None:
+            raise err
+    return results
 
 
 def _tolerance(g: WeightedGraph) -> float:
@@ -274,15 +380,13 @@ def cheeger_exact(g: WeightedGraph) -> CheegerResult:
         neg_hi = ((b @ w[k:, k:]) * b).sum(axis=1) - vol_hi
         hi_terms = np.column_stack([b, neg_hi, np.ones(len(b))])
         lo_terms = np.vstack([2.0 * (a @ w[:k, k:]).T, np.ones(len(a)), neg_lo])
-        vol, other = np.empty((2, _tile_rows(len(lo), len(hi)), len(lo)))
 
-        def tile(rows, out):
-            v, o = vol[: len(out)], other[: len(out)]
+        def tile(rows, out, v, o):
             np.matmul(hi_terms[rows], lo_terms, out=out)
             np.add(vol_hi[rows, None], vol_lo, out=v)
             out /= np.minimum(v, np.subtract(total, v, out=o), out=v)
 
-        return np.ones(len(lo), dtype=bool), tile
+        return np.ones(len(lo), dtype=bool), tile, 2
 
     # Negation is exact, so the first maximizer of -ratio is the first minimizer.
     neg_best, digits = _exact_scan(g, "Cheeger constant", CHEEGER_EXACT_CAP, 2, neg_ratio, block)
@@ -363,15 +467,14 @@ def dual_cheeger_exact(g: WeightedGraph) -> CheegerResult:
         # invalid: V2 empty, or all V3 below and the first high label 2
         no2_lo, no2_hi = ~a2.any(axis=1), ~b2.any(axis=1)
         not1_hi = _first_label(hi) != 1
-        den = np.empty((_tile_rows(len(lo), len(hi)), len(lo)))
 
-        def tile(rows, out):
+        def tile(rows, out, den):
             np.matmul(hi_terms[rows], lo_terms, out=out)
-            out /= np.add(vol_hi[rows], vol_lo, out=den[: len(out)])
+            out /= np.add(vol_hi[rows], vol_lo, out=den)
             out[np.ix_(no2_hi[rows], no2_lo)] = -np.inf
             out[not1_hi[rows], 0] = -np.inf
 
-        return kept, tile
+        return kept, tile, 1
 
     best, digits = _exact_scan(g, "dual Cheeger constant", DUAL_CHEEGER_EXACT_CAP, 3, ratio, block)
     # same ulp guard as in cheeger_exact: hbar <= 1 holds mathematically
@@ -439,16 +542,14 @@ def balance_ratio_exact(g: WeightedGraph) -> CheegerResult:
     def block(lo, hi):
         k = lo.shape[1]
         vol_lo, vol_hi = lo.astype(float) @ d[:k], hi.astype(float) @ d[k:]
-        vol, other = np.empty((2, _tile_rows(len(lo), len(hi)), len(lo)))
 
-        def tile(rows, out):
-            v, o = vol[: len(out)], other[: len(out)]
+        def tile(rows, out, v, o):
             np.add(vol_hi[rows, None], vol_lo, out=v)
             np.subtract(total, v, out=o)
             np.minimum(v, o, out=out)
             out /= np.maximum(v, o, out=v)
 
-        return np.ones(len(lo), dtype=bool), tile
+        return np.ones(len(lo), dtype=bool), tile, 2
 
     best, digits = _exact_scan(g, "balance ratio", CHEEGER_EXACT_CAP, 2, balance, block)
     return CheegerResult(value=best, witness=Bipartition.of(g, np.flatnonzero(digits)))

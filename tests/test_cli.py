@@ -315,6 +315,32 @@ def test_size_refusals_come_before_connectivity(capsys, tmp_path, component, con
         assert (code, out, err) == (1, "", want), argv
 
 
+def test_constants_refuses_before_enumerating(capsys, monkeypatch, tmp_path):
+    # Each refusal of ``constants`` comes before the first enumerator call:
+    # the Cheeger cap, then connectivity, then the dual Cheeger cap.
+    from lapspec import partitions
+
+    calls = []
+    scan = partitions._exact_scan
+    monkeypatch.setattr(partitions, "_exact_scan", lambda g, *args: calls.append(g.n) or scan(g, *args))
+    two_c12 = WeightedGraph(n=24, weights=np.kron(np.eye(2), cycle_graph(12).weights))
+    cases = [
+        (cycle_graph(25), "error[SizeCapExceeded]: Cheeger enumeration capped at 24 vertices, graph has 25\n"),
+        (two_c12, _DISCONNECTED),
+        (cycle_graph(24), "error[SizeCapExceeded]: dual Cheeger enumeration capped at 14 vertices, graph has 24\n"),
+        (complete_graph(15), "error[SizeCapExceeded]: dual Cheeger enumeration capped at 14 vertices, graph has 15\n"),
+    ]
+    for graph, want in cases:
+        path = tmp_path / "g.json"
+        write_graph(graph, path)
+        assert _run(capsys, "constants", "--input", str(path)) == (1, "", want)
+        assert calls == [], want
+    # the count sees the h, hbar and balance scans of a graph it accepts
+    write_graph(complete_graph(5), path)
+    assert _run(capsys, "constants", "--input", str(path))[0] == 0
+    assert calls == [5, 5, 5]
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = _run(capsys, "spectrum", "--input", "/nonexistent/g.json")
     assert code == 2

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -133,7 +134,8 @@ def _split_pass_graphs():
     at n = 10, 12 and 14 (2, 17 and 146 chunks; 1, 5 and 38 tiles).  Continuous weights and
     Gamma[l] need the rounding tolerance; dyadic weights, K_n and C_n are
     scored exactly and tie across many chunks; the ties of K_n and C_n
-    with weight 0.1 round apart.
+    with weight 0.1 round apart.  A pendant edge of weight 3e-14 puts the
+    tolerance at infinity, so that every chunk is a candidate.
     """
     rng = np.random.default_rng(20261018)
     graphs = {}
@@ -158,6 +160,11 @@ def _split_pass_graphs():
     g = _gnp(rng, 22)
     for l in (2, 3):
         graphs[f"G(22, 0.4)[{l}]"] = neighborhood_graph(g, l)
+    for n in (12, 20):
+        w = np.zeros((n, n))
+        w[:-1, :-1] = 0.1 * _gnp(rng, n - 1).weights
+        w[0, -1] = w[-1, 0] = 3e-14
+        graphs[f"pendant G({n - 1}, 0.4)"] = WeightedGraph(n=n, weights=w)
     return graphs
 
 
@@ -209,6 +216,129 @@ def test_split_pass_bit_identical_to_every_chunk_scan(monkeypatch, name):
         assert fast.value.hex() == full.value.hex(), fn.__name__
         assert fast.witness == full.witness, fn.__name__
         assert len(lengths) == 2 and partitions._CHUNK in lengths, (fn.__name__, lengths)
+
+
+@pytest.mark.parametrize("name", list(SPLIT_PASS_GRAPHS))
+def test_split_pass_does_not_depend_on_the_worker_count(monkeypatch, name):
+    # Every pass of two tiles or more is split into as many shares as there
+    # are workers.  A share's first tile starts at code base**k * h0 with
+    # 0 < h0 < 3**7, never at a chunk boundary, so every boundary between
+    # two workers falls inside a chunk.
+    g = SPLIT_PASS_GRAPHS[name]
+    candidates, split = partitions._candidates, partitions._split
+    monkeypatch.setattr(partitions, "_MIN_TILES", 1)
+    for fn in _enumerators(g):
+        seen = {}
+        for count in (1, 2, 3):
+            picked, passes = [], []
+
+            def recording_candidates(*args):
+                picked.append(candidates(*args).tolist())
+                return picked[-1]
+
+            def recording_split(new_scan, tiles):
+                shares = []
+                passes.append((tiles, shares))
+
+                def new_recording_scan():
+                    scan = new_scan()
+                    return lambda share: shares.append(share) or scan(share)
+
+                return split(new_recording_scan, tiles)
+
+            monkeypatch.setattr(partitions, "_cpus", lambda: count)
+            monkeypatch.setattr(partitions, "_candidates", recording_candidates)
+            monkeypatch.setattr(partitions, "_split", recording_split)
+            # threads switched every microsecond, up to three on however many CPUs
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                res = fn(g)
+            finally:
+                sys.setswitchinterval(interval)
+            for tiles, shares in passes:
+                assert len(shares) == min(count, len(tiles)), (fn.__name__, count)
+                # workers finish in any order; a tile is (h0, ...)
+                shares.sort(key=lambda share: share[0][0])
+                assert [t[0] for share in shares for t in share] == [t[0] for t in tiles]
+            seen[count] = (picked, res.value.hex(), res.witness)
+        assert seen[1] == seen[2] == seen[3], fn.__name__
+        if name.startswith("pendant"):  # tol = inf: every chunk is a candidate
+            start, stop = (0, 3**g.n) if fn is dual_cheeger_exact else (1, 2 ** (g.n - 1))
+            assert seen[1][0] == [list(range(start, stop, partitions._CHUNK))], fn.__name__
+
+
+def _patched_tiles(monkeypatch, patch):
+    """Run every tile of a split pass as ``patch(tile, rows, arrays, hi)``."""
+    candidates = partitions._candidates
+
+    def patched_candidates(starts, base, m, block, tol):
+        def patched_block(lo, hi):
+            kept, tile, scratch = block(lo, hi)
+            return kept, lambda rows, *arrays: patch(tile, rows, arrays, hi), scratch
+
+        return candidates(starts, base, m, patched_block, tol)
+
+    monkeypatch.setattr(partitions, "_candidates", patched_candidates)
+
+
+def _in_second_half(rows, hi) -> bool:
+    """Whether a tile lies in the second of two workers' shares of the highs ``hi``."""
+    return rows.start >= len(hi) // 2
+
+
+@pytest.mark.parametrize("fn", [cheeger_exact, dual_cheeger_exact])
+def test_worker_failure_is_raised_in_the_caller(monkeypatch, capfd, fn):
+    # A worker's exception reaches the caller as a one-thread pass raises it,
+    # and never the thread's own hook, which would print a traceback.
+    g = SPLIT_PASS_GRAPHS["G(20, 0.4)[2]" if fn is cheeger_exact else "G(14, 0.4)[3]"]
+    failed, hooked = [], []
+
+    def failing(tile, rows, arrays, hi):
+        if _in_second_half(rows, hi):
+            failed.append(threading.current_thread() is threading.main_thread())
+            raise ArithmeticError("tile failed")
+        tile(rows, *arrays)
+
+    _patched_tiles(monkeypatch, failing)
+    monkeypatch.setattr(partitions, "_cpus", lambda: 2)
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    with pytest.raises(ArithmeticError, match="^tile failed$"):
+        fn(g)
+    assert failed == [False] and hooked == []
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("fn", [cheeger_exact, dual_cheeger_exact])
+def test_worker_nan_is_silent_and_kept(monkeypatch, capfd, fn):
+    # numpy's error state is per thread: a worker that did not silence it
+    # would warn (an error under this suite's warning filter) on 0 / 0.  The
+    # NaN makes its chunk's maximum NaN, which the merge keeps, so the chunks
+    # from it on are all candidates, as in the one-thread pass.
+    g = SPLIT_PASS_GRAPHS["G(20, 0.4)[2]" if fn is cheeger_exact else "G(14, 0.4)[3]"]
+
+    def run(count):
+        picked, candidates = [], partitions._candidates
+        monkeypatch.setattr(partitions, "_candidates",
+                            lambda *a: picked.append(candidates(*a).tolist()) or picked[-1])
+        monkeypatch.setattr(partitions, "_cpus", lambda: count)
+        res = fn(g)
+        monkeypatch.setattr(partitions, "_candidates", candidates)
+        return picked, res.value.hex(), res.witness
+
+    def nan_tile(tile, rows, arrays, hi):
+        tile(rows, *arrays)
+        if _in_second_half(rows, hi):
+            out = arrays[0]
+            out[:, 0] = np.zeros(len(out)) / 0.0
+
+    want = run(2)
+    _patched_tiles(monkeypatch, nan_tile)
+    one, two = run(1), run(2)
+    assert one == two
+    assert two[1:] == want[1:]
+    assert len(two[0][0]) > len(want[0][0])
+    assert capfd.readouterr() == ("", "")
 
 
 _FAULT_PROBE = """
