@@ -42,9 +42,14 @@ DUAL_CHEEGER_EXACT_CAP = 14
 _CHUNK = 1 << 15
 #: Pairs per tile of the split pass.
 _TILE = 1 << 16
-#: Fewest tiles per worker thread of a split pass: four tiles take about
-#: 1 ms, starting and joining a thread about 0.1 ms.
-_MIN_TILES = 4
+#: Most worker threads of a split pass: two, the only count measured.
+#: Each worker's buffers take 1 to 1.5 MB at ``_TILE`` pairs.
+_WORKERS = 2
+#: Fewest tiles per worker thread of a split pass.  In process, with one
+#: BLAS thread on two CPUs, two workers took 4.3-5.1 ms for the 8 tiles of
+#: ``h`` at n = 20 against 3.4-4.1 ms for one, 6.0-6.4 ms against 5.6-6.9 ms
+#: for the 16 at n = 21, and 30 ms against 49 ms for the 128 at n = 24.
+_MIN_TILES = 8
 #: Allowance for the rounding of a ratio in [0, 1], on each side of a comparison.
 _TOL = 1e-9
 
@@ -175,15 +180,17 @@ def _candidates(starts: np.ndarray, base: int, m: int, block, tol: float) -> np.
     witness of the scan over every chunk.
 
     The tiles are split into contiguous runs, one per worker thread of
-    ``_split``: numpy releases the interpreter lock in the product and the
-    division, so the workers run on separate CPUs.  The digit matrices and
-    the block's terms are shared; each worker has its own tile buffer,
-    scratch and chunk maxima, 1 to 1.5 MB at ``_TILE`` pairs, and the
-    maxima are merged with ``np.maximum``,
-    which keeps NaN.  A worker computes its tiles exactly as the one-thread
-    pass does, and maxima do not depend on the order they are taken in, so
-    the candidates, and the values and witnesses, do not depend on the
-    number of CPUs.
+    ``_split``: two when BLAS runs on one thread and the process may use
+    two CPUs, and at least ``_MIN_TILES`` tiles each (every pass of ``h``
+    and balance from 21 vertices on, of ``hbar`` at 14).  numpy releases
+    the interpreter lock in the product and the division, so the workers
+    run on separate CPUs.  The digit matrices and the block's terms are
+    shared; each worker has its own tile buffer, scratch and chunk maxima,
+    1 to 1.5 MB at ``_TILE`` pairs, and the maxima are merged with
+    ``np.maximum``, which keeps NaN.  A worker computes its tiles exactly
+    as the one-thread pass does, and maxima do not depend on the order
+    they are taken in, so the candidates, and the values and witnesses, do
+    not depend on the number of workers.
     """
     start = int(starts[0])
     k = (m + 1) // 2
@@ -237,52 +244,84 @@ def _candidates(starts: np.ndarray, base: int, m: int, block, tol: float) -> np.
     return starts[~((cmax + tol < cmax.max()) | (cmax + tol <= earlier))]
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
+def _workers() -> int:
+    """Worker threads for a split pass: up to ``_WORKERS`` when BLAS runs on one thread, else one.
+
+    After a product large enough for several threads (a chunk's rescoring
+    is one), OpenBLAS keeps its idle threads spinning for about 0.1 s, and
+    a second worker competes with them for the CPUs: on two CPUs with BLAS
+    on two threads, two workers made ``lapspec bounds`` on 24 vertices 6%
+    slower.  A BLAS other than OpenBLAS is not asked, and gets one worker.
+    """
+    if _blas_threads() != 1:
+        return 1
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return min(_WORKERS, cpus)
+
+
+@functools.cache
+def _blas_threads() -> int:
+    """The threads numpy's OpenBLAS may run a product on; 0 if that cannot be found."""
+    import ctypes  # numpy has loaded it already
+
+    try:
+        from numpy._core import _multiarray_umath as linked
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as linked
+    try:
+        lib = ctypes.CDLL(linked.__file__)  # its symbols include those of the BLAS it links
+    except OSError:
+        return 0
+    # numpy's own OpenBLAS, as numpy 2 and numpy 1 wheels name it, or a system one
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                 "openblas_get_num_threads"):
+        get = getattr(lib, name, None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            return get()
+    return 0
 
 
 def _split(new_fn, items) -> list:
     """``new_fn()(share)`` of each contiguous share of ``items``, one share per worker thread.
 
-    One worker per CPU, each with at least ``_MIN_TILES`` items, so a short
-    ``items`` stays on the calling thread; the caller runs the first share
-    itself.  Every ``new_fn()`` runs on the calling thread, so that the
-    workers' buffers come from its allocator: memory a worker allocated
-    itself would stay with that thread's malloc arena, out of reach of the
-    caller's later arrays, and raise the process's peak memory (by about
-    2 MB in ``lapspec bounds`` at n = 24).  An exception in a share is
-    raised here, the earliest share's first, as the one-thread loop would
-    raise it.
+    Up to ``_workers()`` workers, each with at least ``_MIN_TILES`` items,
+    so a short ``items`` stays on the calling thread; the caller runs the
+    first share itself.  Every ``new_fn()`` runs on the calling thread, so
+    that the workers' buffers come from its allocator: memory a worker
+    allocated itself would stay with that thread's malloc arena, out of
+    reach of the caller's later arrays, and raise the process's peak memory
+    (by about 2 MB in ``lapspec bounds`` at n = 24).  An exception in a
+    share is raised here, the earliest share's first, as the one-thread
+    loop would raise it.  (``concurrent.futures`` would do the same, but
+    importing it takes 11 ms per process, against the about 50 ms that two
+    workers save the three scans of ``lapspec bounds`` on 24 vertices.)
     """
-    count = max(1, min(_cpus(), len(items) // _MIN_TILES))
+    count = len(items) // _MIN_TILES
+    count = min(count, _workers()) if count > 1 else 1
     fns = [new_fn() for _ in range(count)]
     shares = [items[len(items) * i // count : len(items) * (i + 1) // count] for i in range(count)]
-    results: list = [None] * count
-    errors: list = [None] * count
+    outcomes: list = [None] * count
 
     def work(i):
         try:
-            results[i] = fns[i](shares[i])
+            outcomes[i] = (fns[i](shares[i]), None)
         except BaseException as err:  # raised again in the caller, below
-            errors[i] = err
+            outcomes[i] = (None, err)
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(1, count)]
-    try:
-        for t in threads:
-            t.start()
-        results[0] = fns[0](shares[0])
-    finally:
-        for t in threads:
-            if t.ident is not None:  # started
-                t.join()
-    for err in errors:
+    for t in threads:
+        t.start()
+    work(0)
+    for t in threads:
+        t.join()
+    for _, err in outcomes:
         if err is not None:
             raise err
-    return results
+    return [result for result, _ in outcomes]
 
 
 def _tolerance(g: WeightedGraph) -> float:

@@ -246,7 +246,7 @@ def test_split_pass_does_not_depend_on_the_worker_count(monkeypatch, name):
 
                 return split(new_recording_scan, tiles)
 
-            monkeypatch.setattr(partitions, "_cpus", lambda: count)
+            monkeypatch.setattr(partitions, "_workers", lambda: count)
             monkeypatch.setattr(partitions, "_candidates", recording_candidates)
             monkeypatch.setattr(partitions, "_split", recording_split)
             # threads switched every microsecond, up to three on however many CPUs
@@ -301,7 +301,8 @@ def test_worker_failure_is_raised_in_the_caller(monkeypatch, capfd, fn):
         tile(rows, *arrays)
 
     _patched_tiles(monkeypatch, failing)
-    monkeypatch.setattr(partitions, "_cpus", lambda: 2)
+    monkeypatch.setattr(partitions, "_workers", lambda: 2)
+    monkeypatch.setattr(partitions, "_MIN_TILES", 1)
     monkeypatch.setattr(threading, "excepthook", hooked.append)
     with pytest.raises(ArithmeticError, match="^tile failed$"):
         fn(g)
@@ -316,12 +317,13 @@ def test_worker_nan_is_silent_and_kept(monkeypatch, capfd, fn):
     # NaN makes its chunk's maximum NaN, which the merge keeps, so the chunks
     # from it on are all candidates, as in the one-thread pass.
     g = SPLIT_PASS_GRAPHS["G(20, 0.4)[2]" if fn is cheeger_exact else "G(14, 0.4)[3]"]
+    monkeypatch.setattr(partitions, "_MIN_TILES", 1)
 
     def run(count):
         picked, candidates = [], partitions._candidates
         monkeypatch.setattr(partitions, "_candidates",
                             lambda *a: picked.append(candidates(*a).tolist()) or picked[-1])
-        monkeypatch.setattr(partitions, "_cpus", lambda: count)
+        monkeypatch.setattr(partitions, "_workers", lambda: count)
         res = fn(g)
         monkeypatch.setattr(partitions, "_candidates", candidates)
         return picked, res.value.hex(), res.witness
@@ -342,24 +344,37 @@ def test_worker_nan_is_silent_and_kept(monkeypatch, capfd, fn):
 
 
 _FAULT_PROBE = """
-import resource, sys
+import os, resource, sys
 import numpy as np
 from lapspec.graphs import WeightedGraph
 from lapspec import partitions
 
+# as on a 64-CPU host, with numpy's BLAS on one thread
+os.sched_getaffinity = lambda pid: range(64)
+partitions._blas_threads = lambda: 1
+split, shares = partitions._split, []
+
+def counting_split(new_fn, items):
+    results = split(new_fn, items)
+    shares.append(len(results))
+    return results
+
+partitions._split = counting_split
 w = np.load(sys.argv[1])
 g = WeightedGraph(n=len(w), weights=w)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 getattr(partitions, sys.argv[2])(g)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, *shares)
 """
 
 
 _FAULT_PROBE_GRAPHS = {
-    # 128 split-pass tiles and one rescored chunk
-    "G(24, 0.4)": ("cheeger_exact", lambda: _gnp(np.random.default_rng(24), 24)),
-    # rounding ties: 16 of the 49 chunks are rescored
-    "K13[3]": ("dual_cheeger_exact", lambda: neighborhood_graph(complete_graph(13), 3)),
+    # 128 split-pass tiles on two workers, and one rescored chunk
+    "G(24, 0.4)": ("cheeger_exact", 2, lambda: _gnp(np.random.default_rng(24), 24)),
+    # 13 tiles on one worker; rounding ties: 16 of the 49 chunks are rescored
+    "K13[3]": ("dual_cheeger_exact", 1, lambda: neighborhood_graph(complete_graph(13), 3)),
+    # 38 tiles on two workers
+    "K14[3]": ("dual_cheeger_exact", 2, lambda: neighborhood_graph(complete_graph(14), 3)),
 }
 
 
@@ -371,9 +386,10 @@ def test_split_pass_reuses_its_buffers(tmp_path, name):
     # about 31,000 pages; with buffers allocated once per pass, about 2,500.
     # With fresh arrays per rescored chunk, the 16 chunks that hbar rescores
     # on K13[3] fault in about 24,000; with arrays allocated once per call,
-    # about 5,300.
+    # about 5,300.  Each pass runs on as many workers as it may have on any
+    # host; a second worker adds about 900 pages at n = 24, 300 on K14[3].
     pytest.importorskip("resource")
-    fn, graph = _FAULT_PROBE_GRAPHS[name]
+    fn, workers, graph = _FAULT_PROBE_GRAPHS[name]
     np.save(tmp_path / "w.npy", graph().weights)
     # one BLAS thread, as in the benchmark's children: each thread faults in its own buffers
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(partitions.__file__)),
@@ -381,7 +397,31 @@ def test_split_pass_reuses_its_buffers(tmp_path, name):
     proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE, str(tmp_path / "w.npy"), fn],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 10_000
+    faults, shares = proc.stdout.split()
+    assert int(faults) < 10_000
+    assert int(shares) == workers
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="sched_getaffinity")
+def test_workers_follow_the_blas_threads():
+    # OpenBLAS reads its thread count from the environment when numpy loads,
+    # at most one per CPU.  Two workers only beside a BLAS on one thread.
+    def probe(threads):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(partitions.__file__)),
+                   OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from lapspec import partitions as p; print(p._blas_threads(), p._workers())"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return tuple(int(x) for x in proc.stdout.split())
+
+    one = probe("1")
+    if one[0] == 0:
+        pytest.skip("numpy's BLAS is not an OpenBLAS this can ask")
+    cpus = len(os.sched_getaffinity(0))
+    assert one == (1, min(2, cpus))
+    assert probe("2") == (min(2, cpus), 1)
 
 
 # ---------------------------------------------------------------------------
