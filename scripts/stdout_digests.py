@@ -24,8 +24,10 @@ flags ``constants --walks``, ``walk --f``, ``cml --map tent:2``,
 with the invocation; the usage refusals of ``bounds --l-list 0``,
 ``curves --grid 1:0:1``, ``cml --map cubic:1`` and ``walk --steps
 100001``; the refused inputs ``{"n": 0}`` and an edge list with a
-``nan`` weight; and a ``cml`` run on K3 in which only some trials
-synchronize exactly.
+``nan`` weight; a ``cml`` run on K3 in which only some trials
+synchronize exactly; and ``bounds`` on the seed-1 G(24, 0.4) and
+``constants`` on the seed-1 G(14, 0.4) with every weight 2**-300 or
+2**300, which the float32 stage of the split pass scales back.
 """
 
 from __future__ import annotations
@@ -103,6 +105,10 @@ K3_ARGS = {
     "cml-partial-sync": ["cml", "--eps", "0.95", "--steps", "200", "--transient", "20"],
 }
 
+#: Subcommands run on the seed-1 G(n, 0.4) with every weight 2**k, by n.
+SCALED_ARGS = {24: {"bounds": ["bounds", "--l-list", "2,3"]}, 14: {"constants": ["constants"]}}
+SCALES = (-300, 300)
+
 #: Inputs refused as malformed or non-finite.
 BROKEN_INPUTS = {"n0.json": '{"n": 0}', "nan-weight.txt": "a b 1\nb c nan\n"}
 
@@ -127,8 +133,8 @@ def corpus(workloads, workdir: Path):
             for inv in [*wl.warmup, *wl.invocations]:
                 yield f"s{seed}:{name}:{inv.id}", inv.argv(sub)
 
-    def unit_graph(n, edges) -> str:
-        return json.dumps({"n": n, "edges": [[i, j, 1.0] for i, j in edges]})
+    def unit_graph(n, edges, weight=1.0) -> str:
+        return json.dumps({"n": n, "edges": [[i, j, weight] for i, j in edges]})
 
     graphs = {"looped.txt": LOOPED_EDGES, "k7.json": unit_graph(*workloads.complete_graph(7)),
               "c10.json": unit_graph(*workloads.cycle_graph(10))}
@@ -146,7 +152,9 @@ def corpus(workloads, workdir: Path):
              ({"two-triangles.json": two_triangles}, DISCONNECTED_ARGS),
              ({"k7.json": graphs["k7.json"]}, K7_ARGS),
              ({"k3.json": unit_graph(*workloads.complete_graph(3))}, K3_ARGS),
-             (BROKEN_INPUTS, {"spectrum": ["spectrum"]}))
+             (BROKEN_INPUTS, {"spectrum": ["spectrum"]}),
+             *(({f"g{n}-2^{k}.json": unit_graph(*workloads.gnp_graph(1, n), 2.0**k)
+                 for k in SCALES}, arg_sets) for n, arg_sets in SCALED_ARGS.items()))
     for files, arg_sets in cases:
         for fname, text in files.items():
             (workdir / fname).write_text(text)

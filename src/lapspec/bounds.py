@@ -278,8 +278,14 @@ def clustering_constants(g: WeightedGraph) -> ClusteringConstants:
     c0 = (0.5 * (alpha[:, None] + alpha[None, :]))[adj].min()
 
     # acc[i, k] = sum over common neighbours l (ascending) of
-    # (d_i / d_l) w_li w_lk / w_ik; each other l adds an exact 0.0
-    d = g.degrees
+    # (d_i / d_l) w_li w_lk / w_ik; each other l adds an exact 0.0.  acc is
+    # a weight in scale: it runs on w and d times 2**-e, with e even and the
+    # largest weight then in [1/2, 2), so that w_li w_lk neither overflows
+    # nor underflows at any scale of the weights.  Powers of two round
+    # nothing: w_tri is the unscaled loop's, times 2**(e/2) after the square
+    # root.
+    e = 2 * (math.frexp(float(w.max()))[1] // 2)
+    w, d = np.ldexp(w, -e), np.ldexp(g.degrees, -e)
     acc = np.zeros((g.n, g.n))
     with np.errstate(divide="ignore", invalid="ignore"):
         for l in range(g.n):
@@ -288,7 +294,7 @@ def clustering_constants(g: WeightedGraph) -> ClusteringConstants:
 
     return ClusteringConstants(
         c0=float(c0),
-        w_tri=math.sqrt(acc[tri_edge].min()),
+        w_tri=math.ldexp(math.sqrt(acc[tri_edge].min()), e // 2),
         d_bar=float(g.degrees[in_tri].max()),
     )
 

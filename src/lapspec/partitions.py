@@ -16,6 +16,8 @@ families of odd closed walks give computable upper bounds for ``hbar``.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -40,16 +42,31 @@ DUAL_CHEEGER_EXACT_CAP = 14
 #: Codes per exact scoring call.  Part of every result: a product rounds
 #: differently at different shapes, so a code's value bits depend on its chunk.
 _CHUNK = 1 << 15
-#: Pairs per tile of the split pass.
+#: Pairs per float64 tile of the split pass; a float32 tile has twice as
+#: many, in the same bytes.
 _TILE = 1 << 16
 #: Most worker threads of a split pass: two, the only count measured.
 #: Each worker's buffers take 1 to 1.5 MB at ``_TILE`` pairs.
 _WORKERS = 2
 #: Fewest tiles per worker thread of a split pass.  In process, with one
-#: BLAS thread on two CPUs, two workers took 4.3-5.1 ms for the 8 tiles of
-#: ``h`` at n = 20 against 3.4-4.1 ms for one, 6.0-6.4 ms against 5.6-6.9 ms
-#: for the 16 at n = 21, and 30 ms against 49 ms for the 128 at n = 24.
+#: BLAS thread on two CPUs, two workers took 4.3-5.1 ms for the 8 float64
+#: tiles of ``h`` at n = 20 against 3.4-4.1 ms for one, 6.0-6.4 ms against
+#: 5.6-6.9 ms for the 16 at n = 21, and 30 ms against 49 ms for the 128 at
+#: n = 24.  For the float32 stage of Gamma[2] of a G(n, 0.4), two workers
+#: took 2.0 ms against 1.9 ms for the 8 tiles at n = 21, 3.1 ms against
+#: 3.7 ms for the 16 at n = 22, and 2.9 ms against 3.5 ms for the 19 of
+#: ``hbar`` at n = 14 (the whole pass each time).
 _MIN_TILES = 8
+#: Most float64 tiles of a split pass that skips the float32 stage, which
+#: only pays where it spares float64 tiles.  In process, with one BLAS
+#: thread, the stage took the pass of ``hbar`` on a G(11, 0.4) (2 tiles)
+#: from 0.42 to 0.52 ms, of ``h`` on a G(19, 0.4) (4 tiles) from 1.17 to
+#: 1.19 ms, of ``hbar`` on a G(12, 0.4) (5 tiles) from 0.84 to 0.81 ms and
+#: of ``h`` on a G(20, 0.4) (8 tiles) from 1.59 to 1.40 ms.
+_SCREEN_TILES = 4
+#: Largest ``|e|`` of a total volume in [2**(e - 1), 2**e) whose terms the
+#: float32 stage of a split pass takes unscaled; see ``_tolerance32``.
+_SCALE_FREE = 64
 #: Allowance for the rounding of a ratio in [0, 1], on each side of a comparison.
 _TOL = 1e-9
 
@@ -151,97 +168,171 @@ def _exact_scan(g: WeightedGraph, what: str, cap: int, base: int, score, block):
     stop = base**m
     starts = np.arange(start, stop, _CHUNK)
     if len(starts) > 1:  # a function of its own, so the pass's arrays are freed first
-        starts = _candidates(starts, base, m, block, _tolerance(g))
+        tol = _tolerance(g)
+        # 1, or the power of two that brings a total volume far from 1 into [1/2, 1)
+        e = math.frexp(g.volume)[1]
+        scale = 1.0 if abs(e) <= _SCALE_FREE else math.ldexp(1.0, -e)
+        starts = _candidates(starts, base, m, block, tol, _tolerance32(g, tol), scale)
     best, code = _first_max(starts, stop, score)
     return best, _digits(np.array([code]), base, m)[0]
 
 
-def _candidates(starts: np.ndarray, base: int, m: int, block, tol: float) -> np.ndarray:
+def _candidates(
+    starts: np.ndarray, base: int, m: int, block, tol: float, err32: float, scale: float
+) -> np.ndarray:
     """The chunk starts that can hold the first exact optimum.
 
     The split pass scores every code approximately by splitting the digits
-    into a low block of ``k`` and a high block of ``m - k``: ``block(lo, hi)``
-    gets every low and every high labeling as digit matrices and returns
-    the lows to keep, ``tile`` and the number ``s`` of its scratch arrays:
-    ``tile(rows, out, *scratch)`` writes the values of the pairs of the
-    highs at ``rows`` with the kept lows into ``out``, using ``s`` more
-    arrays of the shape of ``out``.  The block's terms are computed once
-    and only read by the tiles.  A tile is one
-    product: each high's and each low's own term ride in it as two more
-    columns ``[term_hi, 1]`` of the highs and rows ``[1; term_lo]`` of the
-    lows, then one division.  Code = low + base**k * high, so a tile read
-    row by row is in code order.  The pass keeps each chunk's largest
-    value.  ``_tolerance`` bounds the gap between a code's tile and chunk
+    into a low block of ``k`` and a high block of ``m - k``: ``block(lo, hi,
+    s)`` gets every low and every high labeling as digit matrices and
+    returns the lows to keep, ``tile``, the number ``scratch`` of its
+    scratch arrays, and its terms, computed in float64 from the weights,
+    degrees and total volume times the power of two ``s``.  ``tile(terms,
+    rows, out, *arrays)`` writes the values of the pairs of the highs at
+    ``rows`` with the kept lows into ``out``, in the precision of ``terms``
+    and ``out``, using ``scratch`` more arrays of the shape of ``out``.
+    The terms are only read by the tiles.  A tile is one product: each
+    high's and each low's own term ride in it as two more columns ``[term_hi,
+    1]`` of the highs and rows ``[1; term_lo]`` of the lows, then one
+    division.  Code = low + base**k * high, so a tile read row by row is in
+    code order.  A stage of the pass keeps each chunk's largest value.
+
+    Stage 1 scores every code in float32, from the terms at ``s = scale``
+    rounded to float32, in tiles of twice the highs of a float64 tile.  It
+    keeps a chunk unless its maximum plus ``2 err32 + tol`` is below the
+    best chunk's.  Stage 2 scores in float64, from the terms at ``s = 1``,
+    only the tiles that hold a kept chunk, and puts every dropped chunk's
+    maximum at -inf.  It returns the chunks within ``tol`` of the best one
+    and more than ``tol`` above every earlier one; a NaN maximum fails
+    every comparison it enters, so it keeps its chunk and every later one.
+    ``_tolerance`` bounds the gap between a code's float64 tile and chunk
     values, the product's extra terms included.  With ``|approximate -
     exact| <= tol / 2`` for every code, the first chunk holding the exact
-    optimum is within ``tol`` of the best chunk and more than ``tol`` above
-    no earlier chunk.  The chunks that pass both tests (or whose maximum is
-    NaN) are returned, so their exact scores give the value bits and
-    witness of the scan over every chunk.
+    optimum passes both tests, so the exact scores of the returned chunks
+    give the value bits and witness of the scan over every chunk.
 
-    The tiles are split into contiguous runs, one per worker thread of
-    ``_split``: two when BLAS runs on one thread and the process may use
-    two CPUs, and at least ``_MIN_TILES`` tiles each (every pass of ``h``
-    and balance from 21 vertices on, of ``hbar`` at 14).  numpy releases
-    the interpreter lock in the product and the division, so the workers
-    run on separate CPUs.  The digit matrices and the block's terms are
-    shared; each worker has its own tile buffer, scratch and chunk maxima,
-    1 to 1.5 MB at ``_TILE`` pairs, and the maxima are merged with
-    ``np.maximum``, which keeps NaN.  A worker computes its tiles exactly
-    as the one-thread pass does, and maxima do not depend on the order
-    they are taken in, so the candidates, and the values and witnesses, do
-    not depend on the number of workers.
+    The two stages return the same chunks as a float64 pass over every tile.
+    Every code's float32 value is within ``err32`` of its float64 one
+    (``_tolerance32``), so each chunk's float32 maximum is within ``err32``
+    of its float64 maximum ``c``, and the best one of the best ``c_best``.
+    A chunk that stage 1 drops thus has ``c + tol < c_best``, by more than
+    the rounding of the sums compared (``err32`` is twice its float32
+    part): the first test would drop it too.  It is not the best chunk, so
+    ``c_best``, and the first test on a kept chunk, are unchanged.  The
+    second test may see a lower earlier maximum, -inf for a dropped chunk.
+    If that spares a kept chunk, the dropped one had ``c' >= c + tol``, so
+    ``c + 2 tol <= c' + tol < c_best``, and the first test drops it.  A
+    NaN in stage 1 makes the best maximum NaN, which keeps every chunk.
+    With ``err32`` infinite, or at most ``_SCREEN_TILES`` float64 tiles,
+    stage 1 is skipped; with ``tol`` infinite, every chunk is returned,
+    with no pass at all.
+
+    The tiles of each stage are split into contiguous runs, one per worker
+    thread of ``_split``: two when BLAS runs on one thread and the process
+    may use two CPUs, and at least ``_MIN_TILES`` tiles each (stage 1 of
+    every pass of ``h`` and balance from 22 vertices on, of ``hbar`` at
+    14).  numpy releases the interpreter lock in the product and the
+    division, so the workers run on separate CPUs.  The digit matrices and
+    the terms are shared; each worker has its own chunk maxima, and its own
+    tile buffer and scratch, 1 to 1.5 MB at ``_TILE`` pairs, which stage 1
+    views as float32 and stage 2 reuses.  The maxima are merged with
+    ``np.maximum``, which keeps NaN.  A worker computes its tiles exactly as
+    the one-thread pass does, and maxima do not depend on the order they
+    are taken in, so the candidates, and the values and witnesses, do not
+    depend on the number of workers.
     """
+    if not tol < np.inf:
+        return starts  # no pass can tell the chunks apart
     start = int(starts[0])
     k = (m + 1) // 2
-    highs = _digits(np.arange(base ** (m - k)), base, m - k)
-    kept, tile, scratch = block(_digits(np.arange(base**k), base, k), highs)
+    lo, hi = _digits(np.arange(base**k), base, k), _digits(np.arange(base ** (m - k)), base, m - k)
+    kept, tile, scratch, terms = block(lo, hi, 1.0)
     lows = np.flatnonzero(kept)
-    rows = min(_TILE // len(lows), len(highs))  # highs per tile: about _TILE pairs
+    tile_rows = min(_TILE // len(lows), len(hi))  # highs per tile: about _TILE pairs
 
     def pair(codes):
         """Index in pass order of the first pair at or after each code."""
-        hi, lo = np.divmod(codes, base**k)
-        return hi * len(lows) + np.searchsorted(lows, lo)
+        q, r = np.divmod(codes, base**k)
+        return q * len(lows) + np.searchsorted(lows, r)
 
-    # Each tile as (h0, c0, c1, at): its first high, its chunks c0 .. c1 - 1,
-    # and the positions in it where each of these chunks begins.  Worked out
-    # here, since the workers hold the interpreter lock for Python code.
     edges = pair(starts[1:])  # where each chunk after the first begins
-    tiles = []
-    for h0 in range(0, len(highs), rows):
-        p0, p1 = h0 * len(lows), min(h0 + rows, len(highs)) * len(lows)
-        c0, c1 = np.searchsorted(edges, p0, side="right"), np.searchsorted(edges, p1)
-        tiles.append((h0, c0, c1 + 1, np.concatenate(([0], edges[c0:c1] - p0))))
     skip = int(pair(np.array([start]))[0])  # pairs before the first code of the scan
 
-    def new_scan():
-        """``scan(run)``, with buffers of its own: each chunk's largest value
-        over the tiles of ``run``."""
-        # Every tile is written into these buffers, its values and its
-        # scratch: a fresh half-megabyte array per tile goes back to the OS
-        # when freed and is page-faulted in again by the next tile.  (As one
-        # array of both, they raised the peak memory of ``lapspec walk`` at
-        # n = 24 by 1.5 MB: malloc returns less to the OS after freeing it.)
-        buf, tmp = np.empty((rows, len(lows))), np.empty((scratch, rows, len(lows)))
-        cmax = np.full(len(starts), -np.inf)
+    def tiling(rows):
+        """Each tile of ``rows`` highs as (h0, c0, c1, at): its first high, its
+        chunks c0 .. c1 - 1, and the positions in it where each of these
+        chunks begins.  Worked out here, since the workers hold the
+        interpreter lock for Python code."""
+        tiles = []
+        for h0 in range(0, len(hi), rows):
+            p0, p1 = h0 * len(lows), min(h0 + rows, len(hi)) * len(lows)
+            c0, c1 = np.searchsorted(edges, p0, side="right"), np.searchsorted(edges, p1)
+            tiles.append((h0, c0, c1 + 1, np.concatenate(([0], edges[c0:c1] - p0))))
+        return tiles
 
-        def scan(run):
-            with np.errstate(all="ignore"):  # numpy's error state is per thread
-                for h0, c0, c1, at in run:
-                    out = buf[: min(rows, len(highs) - h0)]
-                    tile(slice(h0, h0 + len(out)), out, *tmp[:, : len(out)])
-                    vals = out.ravel()
-                    if h0 == 0:
-                        vals[:skip] = -np.inf
-                    np.maximum(cmax[c0:c1], np.maximum.reduceat(vals, at), out=cmax[c0:c1])
-            return cmax
+    # Every tile is written into these buffers, its values and its scratch,
+    # one pair per worker, shared by both stages: a fresh half-megabyte
+    # array per tile goes back to the OS when freed and is page-faulted in
+    # again by the next tile.  (As one array of both, they raised the peak
+    # memory of ``lapspec walk`` at n = 24 by 1.5 MB: malloc returns less to
+    # the OS after freeing it.)
+    buffers = []
 
-        return scan
+    def scan_with(terms, dtype, rows):
+        """``new_scan`` for ``_split``: ``scan(run)``, each chunk's largest
+        value over the tiles of ``run``, in ``dtype`` with ``rows`` highs
+        per tile, on the next worker's buffers."""
+        taken = itertools.count()
 
-    cmax = functools.reduce(np.maximum, _split(new_scan, tiles))
+        def new_scan():
+            i = next(taken)
+            if i == len(buffers):
+                size = tile_rows * len(lows)
+                buffers.append((np.empty(size), np.empty((scratch, size))))
+            buf, tmp = (b.view(dtype) for b in buffers[i])
+            size = rows * len(lows)
+            buf, tmp = buf[:size].reshape(rows, -1), tmp[:, :size].reshape(scratch, rows, -1)
+
+            def scan(run):
+                cmax = np.full(len(starts), -np.inf)
+                with np.errstate(all="ignore"):  # numpy's error state is per thread
+                    for h0, c0, c1, at in run:
+                        out = buf[: min(rows, len(hi) - h0)]
+                        tile(terms, slice(h0, h0 + len(out)), out, *tmp[:, : len(out)])
+                        vals = out.ravel()
+                        if h0 == 0:
+                            vals[:skip] = -np.inf
+                        np.maximum(cmax[c0:c1], np.maximum.reduceat(vals, at), out=cmax[c0:c1])
+                return cmax
+
+            return scan
+
+        return new_scan
+
+    tiles = tiling(tile_rows)
+    keep = np.ones(len(starts), dtype=bool)
+    if err32 < np.inf and len(tiles) > _SCREEN_TILES:
+        # stage 1: float32 tiles of twice the highs, in the same bytes
+        single = tuple(_single(t) for t in (terms if scale == 1.0 else block(lo, hi, scale)[3]))
+        rows32 = min(2 * tile_rows, len(hi))
+        cmax = functools.reduce(
+            np.maximum, _split(scan_with(single, np.float32, rows32), tiling(rows32))
+        )
+        del single  # the float32 terms, freed before stage 2
+        keep = ~(cmax + (2 * err32 + tol) < cmax.max())
+        # stage 2: the tiles that hold a kept chunk
+        tiles = [t for t in tiles if keep[t[1] : t[2]].any()]
+    cmax = functools.reduce(np.maximum, _split(scan_with(terms, np.float64, tile_rows), tiles))
+    cmax[~keep] = -np.inf
     earlier = np.maximum.accumulate(np.concatenate(([-np.inf], cmax[:-1])))
     return starts[~((cmax + tol < cmax.max()) | (cmax + tol <= earlier))]
+
+
+def _single(term):
+    """A float64 term of a split pass in float32; boolean masks as they are."""
+    if isinstance(term, np.ndarray):
+        return term.astype(np.float32) if term.dtype == np.float64 else term
+    return np.float32(term)
 
 
 def _workers() -> int:
@@ -352,6 +443,57 @@ def _tolerance(g: WeightedGraph) -> float:
     return tol if tol < 1 else np.inf
 
 
+def _tolerance32(g: WeightedGraph, tol: float) -> float:
+    """The largest gap ``err32`` between a code's float32 and float64 split-pass values.
+
+    The float32 stage scores the terms of the float64 one, computed from
+    the weights, degrees and total volume times a power of two ``s`` and
+    rounded to float32: ``s = 1`` for a total volume in ``[2**-65,
+    2**64)``, else the one that puts ``T = s * total`` in [1/2, 1)
+    (``_exact_scan``).  The power of two changes no ratio and no float64
+    bit, and it keeps every float32 value of a tile far from overflow, at
+    ``2**128``: each term, each partial sum and each denominator lies
+    within ``+-T``, and ``T < 2**64``.  Let ``u = 2**-24``, the unit
+    roundoff of float32, and ``d_min`` the smallest degree, times s; the
+    denominators of every proper labeling are at least ``d_min``, and every
+    value is at most 1.  Rounding a number to float32 moves it by at most
+    ``u`` times itself plus ``2**-150`` (below the normal range); when
+    ``d_min`` is in the normal range, ``2**-150 <= u * d_min``.
+
+    * The numerator is one product of at most ``n/2 + 2`` nonzero terms,
+      each times an exact 0 or 1 (``_tolerance``).  Rounding the terms
+      moves it by at most ``u`` times the sum of their sizes, at most
+      ``2 T``, plus ``(n/2 + 2) u d_min``.  Every partial sum, in any
+      order, lies within ``+-T``, so each of the at most ``n/2 + 1``
+      additions rounds by at most ``u T``.  In all, at most ``(n + 5) u T``.
+    * The denominator rounds the two volumes, their sum, ``T`` and ``T -
+      vol``, each at most T: at most ``6 u T``, with ``2 u d_min`` for
+      the volumes below the normal range.
+    * So with ``X = (n + 11) u T / d_min`` the ratio ``N / D``, at most 1,
+      moves by at most ``(|dN| + |dD|) / (D - |dD|) <= X / (1 - X) <= 2 X``
+      for ``X <= 1/2``, and the division adds ``u`` of a value below ``1 +
+      2 X``, plus ``2**-150``: at most ``2 u``, and ``2 u <= u T / d_min``.
+      The float32 value is within ``(n + 11.5) eps32 T / d_min`` of the
+      quotient of the float64 terms, ``eps32 = 2 u``.
+    * The float64 tile value is off that quotient only by its own sums and
+      division: by the same count in float64, far less than ``tol / 2``
+      (``_tolerance``).  When ``tol`` is 0 only its division rounds, by
+      less than ``eps32 T / d_min``.
+
+    ``err32 = tol / 2 + 2 (n + 12) eps32 T / d_min`` is twice the float32
+    part of the sum, room to spare for the rounding of the margins that
+    ``_candidates`` compares.  Where it would reach 1, ``X`` would pass 1/4
+    and the stage cannot tell chunks apart: ``err32`` is then infinite.
+    Below 1, ``T / d_min < 2**17``, so ``d_min > 2**-83`` is in float32's
+    normal range, as the bound assumes.
+    """
+    if not tol < np.inf:
+        return np.inf
+    eps32 = float(np.finfo(np.float32).eps)
+    err = tol / 2 + 2 * (g.n + 12) * eps32 * g.volume / float(g.degrees.min())
+    return err if err < 1 else np.inf
+
+
 def _digits(codes: np.ndarray, base: int, k: int) -> np.ndarray:
     """Digit i of each code, the label of vertex i, for i < k."""
     # code = q * base**j + r: one division per code, then both halves' digits
@@ -409,23 +551,24 @@ def cheeger_exact(g: WeightedGraph) -> CheegerResult:
         boundary = vol - internal
         return -(boundary / np.minimum(vol, total - vol))
 
-    def block(lo, hi):
+    def block(lo, hi, s):
         k = lo.shape[1]
+        d_, w_ = s * d, s * w
         a, b = lo.astype(float), hi.astype(float)
-        vol_lo, vol_hi = a @ d[:k], b @ d[k:]
+        vol_lo, vol_hi = a @ d_[:k], b @ d_[k:]
         # -boundary = internal - vol = (I - V)_lo + (I - V)_hi + 2 L W_lh H^T
         #           = [H, (I - V)_hi, 1] [2 (L W_lh)^T; 1; (I - V)_lo]
-        neg_lo = ((a @ w[:k, :k]) * a).sum(axis=1) - vol_lo
-        neg_hi = ((b @ w[k:, k:]) * b).sum(axis=1) - vol_hi
+        neg_lo = ((a @ w_[:k, :k]) * a).sum(axis=1) - vol_lo
+        neg_hi = ((b @ w_[k:, k:]) * b).sum(axis=1) - vol_hi
         hi_terms = np.column_stack([b, neg_hi, np.ones(len(b))])
-        lo_terms = np.vstack([2.0 * (a @ w[:k, k:]).T, np.ones(len(a)), neg_lo])
+        lo_terms = np.vstack([2.0 * (a @ w_[:k, k:]).T, np.ones(len(a)), neg_lo])
+        return np.ones(len(lo), dtype=bool), tile, 2, (hi_terms, lo_terms, vol_hi, vol_lo, s * total)
 
-        def tile(rows, out, v, o):
-            np.matmul(hi_terms[rows], lo_terms, out=out)
-            np.add(vol_hi[rows, None], vol_lo, out=v)
-            out /= np.minimum(v, np.subtract(total, v, out=o), out=v)
-
-        return np.ones(len(lo), dtype=bool), tile, 2
+    def tile(terms, rows, out, v, o):
+        hi_terms, lo_terms, vol_hi, vol_lo, total = terms
+        np.matmul(hi_terms[rows], lo_terms, out=out)
+        np.add(vol_hi[rows, None], vol_lo, out=v)
+        out /= np.minimum(v, np.subtract(total, v, out=o), out=v)
 
     # Negation is exact, so the first maximizer of -ratio is the first minimizer.
     neg_best, digits = _exact_scan(g, "Cheeger constant", CHEEGER_EXACT_CAP, 2, neg_ratio, block)
@@ -488,32 +631,33 @@ def dual_cheeger_exact(g: WeightedGraph) -> CheegerResult:
         cross[~valid] = -np.inf
         return cross
 
-    def block(lo, hi):
+    def block(lo, hi, s):
         k = lo.shape[1]
+        d_, w_ = s * d, s * w
         kept = _first_label(lo) != 2  # all V3, or the first non-V3 label is 1
         lo = lo[kept]
         a1, a2 = (lo == 1).astype(float), (lo == 2).astype(float)
         b1, b2 = (hi == 1).astype(float), (hi == 2).astype(float)
         # 2 cross = 2 C_lo + 2 C_hi + [2 A1 W_lh, 2 A2 W_lh] [B2, B1]^T
         #         = [B2, B1, 2 C_hi, 1] [[2 A1 W_lh, 2 A2 W_lh]^T; 1; 2 C_lo]
-        cross_lo = 2.0 * ((a1 @ w[:k, :k]) * a2).sum(axis=1)
-        cross_hi = 2.0 * ((b1 @ w[k:, k:]) * b2).sum(axis=1)
+        cross_lo = 2.0 * ((a1 @ w_[:k, :k]) * a2).sum(axis=1)
+        cross_hi = 2.0 * ((b1 @ w_[k:, k:]) * b2).sum(axis=1)
         hi_terms = np.column_stack([b2, b1, cross_hi, np.ones(len(hi))])
         lo_terms = np.vstack(
-            [2.0 * np.hstack([a1 @ w[:k, k:], a2 @ w[:k, k:]]).T, np.ones(len(lo)), cross_lo]
+            [2.0 * np.hstack([a1 @ w_[:k, k:], a2 @ w_[:k, k:]]).T, np.ones(len(lo)), cross_lo]
         )
-        vol_lo, vol_hi = (a1 + a2) @ d[:k], (b1 + b2) @ d[k:][:, None]
+        vol_lo, vol_hi = (a1 + a2) @ d_[:k], (b1 + b2) @ d_[k:][:, None]
         # invalid: V2 empty, or all V3 below and the first high label 2
         no2_lo, no2_hi = ~a2.any(axis=1), ~b2.any(axis=1)
         not1_hi = _first_label(hi) != 1
+        return kept, tile, 1, (hi_terms, lo_terms, vol_hi, vol_lo, no2_hi, no2_lo, not1_hi)
 
-        def tile(rows, out, den):
-            np.matmul(hi_terms[rows], lo_terms, out=out)
-            out /= np.add(vol_hi[rows], vol_lo, out=den)
-            out[np.ix_(no2_hi[rows], no2_lo)] = -np.inf
-            out[not1_hi[rows], 0] = -np.inf
-
-        return kept, tile, 1
+    def tile(terms, rows, out, den):
+        hi_terms, lo_terms, vol_hi, vol_lo, no2_hi, no2_lo, not1_hi = terms
+        np.matmul(hi_terms[rows], lo_terms, out=out)
+        out /= np.add(vol_hi[rows], vol_lo, out=den)
+        out[np.ix_(no2_hi[rows], no2_lo)] = -np.inf
+        out[not1_hi[rows], 0] = -np.inf
 
     best, digits = _exact_scan(g, "dual Cheeger constant", DUAL_CHEEGER_EXACT_CAP, 3, ratio, block)
     # same ulp guard as in cheeger_exact: hbar <= 1 holds mathematically
@@ -578,17 +722,17 @@ def balance_ratio_exact(g: WeightedGraph) -> CheegerResult:
         vol = _digits(codes, 2, n - 1).astype(float) @ d
         return np.minimum(vol, total - vol) / np.maximum(vol, total - vol)
 
-    def block(lo, hi):
+    def block(lo, hi, s):
         k = lo.shape[1]
-        vol_lo, vol_hi = lo.astype(float) @ d[:k], hi.astype(float) @ d[k:]
+        vol_lo, vol_hi = lo.astype(float) @ (s * d[:k]), hi.astype(float) @ (s * d[k:])
+        return np.ones(len(lo), dtype=bool), tile, 2, (vol_hi, vol_lo, s * total)
 
-        def tile(rows, out, v, o):
-            np.add(vol_hi[rows, None], vol_lo, out=v)
-            np.subtract(total, v, out=o)
-            np.minimum(v, o, out=out)
-            out /= np.maximum(v, o, out=v)
-
-        return np.ones(len(lo), dtype=bool), tile, 2
+    def tile(terms, rows, out, v, o):
+        vol_hi, vol_lo, total = terms
+        np.add(vol_hi[rows, None], vol_lo, out=v)
+        np.subtract(total, v, out=o)
+        np.minimum(v, o, out=out)
+        out /= np.maximum(v, o, out=v)
 
     best, digits = _exact_scan(g, "balance ratio", CHEEGER_EXACT_CAP, 2, balance, block)
     return CheegerResult(value=best, witness=Bipartition.of(g, np.flatnonzero(digits)))

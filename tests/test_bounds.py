@@ -35,6 +35,7 @@ from lapspec.bounds import (
     poincare_upper,
 )
 from lapspec.graphs import (
+    WeightedGraph,
     build_graph,
     complete_graph,
     cycle_graph,
@@ -268,6 +269,23 @@ def test_clustering_c0_matches_edge_loop(seed):
     cc = clustering_constants(g)
     assert cc.c0 == want
     assert cc.w_tri == math.sqrt(w_sq)
+
+
+@pytest.mark.parametrize("k", [-900, -300, 300, 900])
+def test_clustering_constants_follow_power_of_two_scaling(k):
+    # Weights times 2**k: c0 is a ratio of weights, w_tri the square root of
+    # one and d_bar a degree, so each moves by an exact power of two.  The
+    # loop behind w_tri multiplies two weights: run unscaled, it overflowed
+    # at 2**900 and flushed to 0.0 at 2**-900.
+    for seed in (0, 2, 6):  # graphs with triangles; c0 = 0 on the last
+        g = _random_graph(seed, n_min=14, n_max=14, weighted=True, allow_loops=True)
+        w = np.triu(g.weights * np.random.default_rng(seed).uniform(0.1, 10.0, size=(14, 14)))
+        g = WeightedGraph(n=14, weights=w + np.triu(w, 1).T)
+        cc = clustering_constants(g)
+        assert cc.w_tri > 0, seed
+        scaled = clustering_constants(WeightedGraph(n=14, weights=np.ldexp(g.weights, k)))
+        assert (scaled.c0, scaled.w_tri, scaled.d_bar) == (
+            cc.c0, math.ldexp(cc.w_tri, k // 2), math.ldexp(cc.d_bar, k)), seed
 
 
 def test_clustering_trivial_without_triangles():

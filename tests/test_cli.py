@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_connected_graph
 from lapspec.cli import main
 from lapspec.graphs import (
     GraphError,
@@ -339,6 +340,20 @@ def test_constants_refuses_before_enumerating(capsys, monkeypatch, tmp_path):
     write_graph(complete_graph(5), path)
     assert _run(capsys, "constants", "--input", str(path))[0] == 0
     assert calls == [5, 5, 5]
+
+
+@pytest.mark.parametrize("k", [-900, 900])
+@pytest.mark.parametrize("command", ["bounds", "constants"])
+def test_extreme_weight_scales_print_finite_numbers(capsys, tmp_path, command, k):
+    # A connected 14-vertex graph with every weight 2**k: each constant is
+    # computed without overflow or underflow, so nothing is warned on stderr
+    # and no NaN or Infinity is printed.
+    g = random_connected_graph(np.random.default_rng(14), n_min=14, n_max=14)
+    path = tmp_path / "g.json"
+    write_graph(WeightedGraph(n=14, weights=np.ldexp(g.weights, k)), path)
+    code, out, err = _run(capsys, command, "--input", str(path))
+    assert (code, err) == (0, "")
+    assert "NaN" not in out and "Infinity" not in out
 
 
 def test_missing_file_exit_2(capsys):

@@ -135,7 +135,7 @@ def _split_pass_graphs():
     Gamma[l] need the rounding tolerance; dyadic weights, K_n and C_n are
     scored exactly and tie across many chunks; the ties of K_n and C_n
     with weight 0.1 round apart.  A pendant edge of weight 3e-14 puts the
-    tolerance at infinity, so that every chunk is a candidate.
+    tolerance at infinity, so that every chunk is a candidate, with no pass.
     """
     rng = np.random.default_rng(20261018)
     graphs = {}
@@ -218,66 +218,137 @@ def test_split_pass_bit_identical_to_every_chunk_scan(monkeypatch, name):
         assert len(lengths) == 2 and partitions._CHUNK in lengths, (fn.__name__, lengths)
 
 
+def _scaled(g, k):
+    """g with every weight times 2**k."""
+    return WeightedGraph(n=g.n, weights=np.ldexp(g.weights, k))
+
+
+def _picked_run(monkeypatch, fn, g):
+    """``fn(g)``'s candidate starts of each split pass, value bits and witness."""
+    picked, candidates = [], partitions._candidates
+    with monkeypatch.context() as m:
+        m.setattr(partitions, "_candidates",
+                  lambda *args: picked.append(candidates(*args).tolist()) or picked[-1])
+        res = fn(g)
+    return picked, res.value.hex(), res.witness
+
+
 @pytest.mark.parametrize("name", list(SPLIT_PASS_GRAPHS))
 def test_split_pass_does_not_depend_on_the_worker_count(monkeypatch, name):
     # Every pass of two tiles or more is split into as many shares as there
     # are workers.  A share's first tile starts at code base**k * h0 with
     # 0 < h0 < 3**7, never at a chunk boundary, so every boundary between
-    # two workers falls inside a chunk.
+    # two workers falls inside a chunk.  The candidates, value bits and
+    # witness are those of the float64 stage alone (err32 infinite), on the
+    # graph and on its copies with weights times 2**-900 and 2**900.  Every
+    # pass with a finite err32 runs the float32 stage, however few its tiles.
     g = SPLIT_PASS_GRAPHS[name]
-    candidates, split = partitions._candidates, partitions._split
+    split = partitions._split
     monkeypatch.setattr(partitions, "_MIN_TILES", 1)
+    monkeypatch.setattr(partitions, "_SCREEN_TILES", 0)
     for fn in _enumerators(g):
-        seen = {}
-        for count in (1, 2, 3):
-            picked, passes = [], []
+        with monkeypatch.context() as m:
+            m.setattr(partitions, "_tolerance32", lambda g, tol: np.inf)
+            want = _picked_run(m, fn, g)
+        for k in (0, -900, 900):
+            for count in (1, 2, 3):
+                passes = []
 
-            def recording_candidates(*args):
-                picked.append(candidates(*args).tolist())
-                return picked[-1]
+                def recording_split(new_scan, tiles):
+                    shares = []
+                    passes.append((tiles, shares))
 
-            def recording_split(new_scan, tiles):
-                shares = []
-                passes.append((tiles, shares))
+                    def new_recording_scan():
+                        scan = new_scan()
+                        return lambda share: shares.append(share) or scan(share)
 
-                def new_recording_scan():
-                    scan = new_scan()
-                    return lambda share: shares.append(share) or scan(share)
+                    return split(new_recording_scan, tiles)
 
-                return split(new_recording_scan, tiles)
-
-            monkeypatch.setattr(partitions, "_workers", lambda: count)
-            monkeypatch.setattr(partitions, "_candidates", recording_candidates)
-            monkeypatch.setattr(partitions, "_split", recording_split)
-            # threads switched every microsecond, up to three on however many CPUs
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                res = fn(g)
-            finally:
-                sys.setswitchinterval(interval)
-            for tiles, shares in passes:
-                assert len(shares) == min(count, len(tiles)), (fn.__name__, count)
-                # workers finish in any order; a tile is (h0, ...)
-                shares.sort(key=lambda share: share[0][0])
-                assert [t[0] for share in shares for t in share] == [t[0] for t in tiles]
-            seen[count] = (picked, res.value.hex(), res.witness)
-        assert seen[1] == seen[2] == seen[3], fn.__name__
-        if name.startswith("pendant"):  # tol = inf: every chunk is a candidate
+                monkeypatch.setattr(partitions, "_workers", lambda: count)
+                monkeypatch.setattr(partitions, "_split", recording_split)
+                # threads switched every microsecond, up to three on however many CPUs
+                interval = sys.getswitchinterval()
+                sys.setswitchinterval(1e-6)
+                try:
+                    seen = _picked_run(monkeypatch, fn, _scaled(g, k))
+                finally:
+                    sys.setswitchinterval(interval)
+                for tiles, shares in passes:
+                    assert len(shares) == min(count, len(tiles)), (fn.__name__, k, count)
+                    # workers finish in any order; a tile is (h0, ...)
+                    shares.sort(key=lambda share: share[0][0])
+                    assert [t[0] for share in shares for t in share] == [t[0] for t in tiles]
+                assert seen == want, (fn.__name__, k, count)
+        if name.startswith("pendant"):  # tol = inf: every chunk is a candidate, with no pass
             start, stop = (0, 3**g.n) if fn is dual_cheeger_exact else (1, 2 ** (g.n - 1))
-            assert seen[1][0] == [list(range(start, stop, partitions._CHUNK))], fn.__name__
+            assert want[0] == [list(range(start, stop, partitions._CHUNK))], fn.__name__
+            assert not passes, fn.__name__
+
+
+@pytest.mark.parametrize("k", [-900, 900])
+@pytest.mark.parametrize("name", list(SPLIT_PASS_GRAPHS))
+def test_enumerators_invariant_under_power_of_two_scaling(monkeypatch, name, k):
+    # A power of two changes no ratio and no rounding, so the value bits,
+    # witness and candidates of 2**k g are those of g.  The float32 stage
+    # scales 2**k g back: a plain cast would overflow (a warning, an error
+    # under this suite's filter) or flush the weights to zero.
+    g = SPLIT_PASS_GRAPHS[name]
+    for fn in _enumerators(g):
+        assert _picked_run(monkeypatch, fn, _scaled(g, k)) == _picked_run(monkeypatch, fn, g), (
+            fn.__name__)
+
+
+@pytest.mark.parametrize("k", [0, 900])
+@pytest.mark.parametrize("name", [name for name in SPLIT_PASS_GRAPHS if "pendant" not in name])
+def test_float32_tiles_within_err32_of_float64(monkeypatch, name, k):
+    # Every code's float32 tile value is within err32 of its float64 one:
+    # the bound that makes the float32 stage drop no chunk the float64 one
+    # keeps.  err32 just below 1 makes the float32 stage keep every chunk,
+    # so that the float64 stage scores every tile too, and every pass runs
+    # the float32 stage, however few its tiles.  At 2**900 the float32 terms
+    # come from weights scaled back by a power of two.
+    monkeypatch.setattr(partitions, "_SCREEN_TILES", 0)
+    g = _scaled(SPLIT_PASS_GRAPHS[name], k)
+    err32 = partitions._tolerance32(g, partitions._tolerance(g))
+    assert err32 < 0.02
+    for fn in _enumerators(g):
+        values = {np.float32: {}, np.float64: {}}
+
+        def recording_tile(tile, terms, rows, arrays, hi):
+            tile(terms, rows, *arrays)
+            values[arrays[0].dtype.type][rows.start] = arrays[0].copy()
+
+        with monkeypatch.context() as m:
+            _patched_tiles(m, recording_tile)
+            _every_tile_in_float64(m)
+            fn(g)
+        single, double = (np.concatenate([v for _, v in sorted(values[t].items())])
+                          for t in (np.float32, np.float64))
+        assert single.shape == double.shape, fn.__name__
+        # -inf: the tripartitions without a V2, or starting with V2; NaN: the
+        # empty side of code 0 in h, before the first code of the scan
+        finite = np.isfinite(double)
+        assert np.array_equal(np.isfinite(single), finite), fn.__name__
+        assert np.array_equal(single[~finite], double[~finite], equal_nan=True), fn.__name__
+        assert np.isnan(double).sum() == (fn is cheeger_exact), fn.__name__
+        gap = np.abs(single[finite].astype(float) - double[finite])
+        assert gap.max() <= err32, (fn.__name__, gap.max(), err32)
 
 
 def _patched_tiles(monkeypatch, patch):
-    """Run every tile of a split pass as ``patch(tile, rows, arrays, hi)``."""
+    """Run every tile of a split pass as ``patch(tile, terms, rows, arrays, hi)``."""
     candidates = partitions._candidates
 
-    def patched_candidates(starts, base, m, block, tol):
-        def patched_block(lo, hi):
-            kept, tile, scratch = block(lo, hi)
-            return kept, lambda rows, *arrays: patch(tile, rows, arrays, hi), scratch
+    def patched_candidates(starts, base, m, block, *bounds):
+        def patched_block(lo, hi, s):
+            kept, tile, scratch, terms = block(lo, hi, s)
 
-        return candidates(starts, base, m, patched_block, tol)
+            def patched_tile(terms, rows, *arrays):
+                return patch(tile, terms, rows, arrays, hi)
+
+            return kept, patched_tile, scratch, terms
+
+        return candidates(starts, base, m, patched_block, *bounds)
 
     monkeypatch.setattr(partitions, "_candidates", patched_candidates)
 
@@ -287,60 +358,91 @@ def _in_second_half(rows, hi) -> bool:
     return rows.start >= len(hi) // 2
 
 
+def _every_tile_in_float64(monkeypatch):
+    """Make the float32 stage keep every chunk, so that the float64 stage scores every tile."""
+    monkeypatch.setattr(partitions, "_tolerance32", lambda g, tol: 0.999)
+
+
+#: The two stages of a split pass, by the dtype of their tiles.
+_STAGES = (np.float32, np.float64)
+
+
 @pytest.mark.parametrize("fn", [cheeger_exact, dual_cheeger_exact])
 def test_worker_failure_is_raised_in_the_caller(monkeypatch, capfd, fn):
     # A worker's exception reaches the caller as a one-thread pass raises it,
-    # and never the thread's own hook, which would print a traceback.
+    # and never the thread's own hook, which would print a traceback; in
+    # either stage.
     g = SPLIT_PASS_GRAPHS["G(20, 0.4)[2]" if fn is cheeger_exact else "G(14, 0.4)[3]"]
-    failed, hooked = [], []
+    for stage in _STAGES:
+        failed, hooked = [], []
 
-    def failing(tile, rows, arrays, hi):
-        if _in_second_half(rows, hi):
-            failed.append(threading.current_thread() is threading.main_thread())
-            raise ArithmeticError("tile failed")
-        tile(rows, *arrays)
+        def failing(tile, terms, rows, arrays, hi):
+            if arrays[0].dtype == stage and _in_second_half(rows, hi):
+                failed.append(threading.current_thread() is threading.main_thread())
+                raise ArithmeticError("tile failed")
+            tile(terms, rows, *arrays)
 
-    _patched_tiles(monkeypatch, failing)
-    monkeypatch.setattr(partitions, "_workers", lambda: 2)
-    monkeypatch.setattr(partitions, "_MIN_TILES", 1)
-    monkeypatch.setattr(threading, "excepthook", hooked.append)
-    with pytest.raises(ArithmeticError, match="^tile failed$"):
-        fn(g)
-    assert failed == [False] and hooked == []
-    assert capfd.readouterr() == ("", "")
+        with monkeypatch.context() as m:
+            _patched_tiles(m, failing)
+            if stage is np.float64:
+                _every_tile_in_float64(m)
+            m.setattr(partitions, "_workers", lambda: 2)
+            m.setattr(partitions, "_MIN_TILES", 1)
+            m.setattr(threading, "excepthook", hooked.append)
+            with pytest.raises(ArithmeticError, match="^tile failed$"):
+                fn(g)
+        assert failed == [False] and hooked == [], stage
+        assert capfd.readouterr() == ("", ""), stage
 
 
 @pytest.mark.parametrize("fn", [cheeger_exact, dual_cheeger_exact])
 def test_worker_nan_is_silent_and_kept(monkeypatch, capfd, fn):
     # numpy's error state is per thread: a worker that did not silence it
     # would warn (an error under this suite's warning filter) on 0 / 0.  The
-    # NaN makes its chunk's maximum NaN, which the merge keeps, so the chunks
-    # from it on are all candidates, as in the one-thread pass.
+    # NaN makes its chunk's maximum NaN, which the merge keeps.  In the
+    # float32 stage that keeps every chunk for the float64 stage, which
+    # then picks today's candidates; in the float64 stage it makes the
+    # chunks from it on all candidates, as in the one-thread pass.
     g = SPLIT_PASS_GRAPHS["G(20, 0.4)[2]" if fn is cheeger_exact else "G(14, 0.4)[3]"]
     monkeypatch.setattr(partitions, "_MIN_TILES", 1)
+    split = partitions._split
 
     def run(count):
-        picked, candidates = [], partitions._candidates
-        monkeypatch.setattr(partitions, "_candidates",
-                            lambda *a: picked.append(candidates(*a).tolist()) or picked[-1])
-        monkeypatch.setattr(partitions, "_workers", lambda: count)
-        res = fn(g)
-        monkeypatch.setattr(partitions, "_candidates", candidates)
-        return picked, res.value.hex(), res.witness
+        picked, passes, candidates = [], [], partitions._candidates
+        with monkeypatch.context() as m:
+            m.setattr(partitions, "_candidates",
+                      lambda *a: picked.append(candidates(*a).tolist()) or picked[-1])
+            m.setattr(partitions, "_split", lambda new, tiles: passes.append(len(tiles))
+                      or split(new, tiles))
+            m.setattr(partitions, "_workers", lambda: count)
+            res = fn(g)
+        return (picked, res.value.hex(), res.witness), passes
 
-    def nan_tile(tile, rows, arrays, hi):
-        tile(rows, *arrays)
-        if _in_second_half(rows, hi):
-            out = arrays[0]
-            out[:, 0] = np.zeros(len(out)) / 0.0
+    want, want_passes = run(2)
+    with monkeypatch.context() as m:
+        m.setattr(partitions, "_tolerance32", lambda g, tol: np.inf)
+        every_tile = run(2)[1]  # the float64 stage alone: one pass over every tile
+    for stage in _STAGES:
+        def nan_tile(tile, terms, rows, arrays, hi):
+            tile(terms, rows, *arrays)
+            if arrays[0].dtype == stage and _in_second_half(rows, hi):
+                out = arrays[0]
+                out[:, 0] = np.zeros(len(out), dtype=out.dtype) / 0.0
 
-    want = run(2)
-    _patched_tiles(monkeypatch, nan_tile)
-    one, two = run(1), run(2)
-    assert one == two
-    assert two[1:] == want[1:]
-    assert len(two[0][0]) > len(want[0][0])
-    assert capfd.readouterr() == ("", "")
+        with monkeypatch.context() as m:
+            _patched_tiles(m, nan_tile)
+            if stage is np.float64:
+                _every_tile_in_float64(m)
+            (one, _), (two, passes) = run(1), run(2)
+        assert one == two, stage
+        assert two[1:] == want[1:], stage
+        if stage is np.float32:
+            assert two == want
+            # the float64 stage scored every tile
+            assert passes[1:] == every_tile and want_passes[1] < every_tile[0]
+        else:
+            assert len(two[0][0]) > len(want[0][0])
+        assert capfd.readouterr() == ("", ""), stage
 
 
 _FAULT_PROBE = """
@@ -369,11 +471,11 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, *shares)
 
 
 _FAULT_PROBE_GRAPHS = {
-    # 128 split-pass tiles on two workers, and one rescored chunk
+    # 64 float32 tiles on two workers, then two float64 tiles, and one rescored chunk
     "G(24, 0.4)": ("cheeger_exact", 2, lambda: _gnp(np.random.default_rng(24), 24)),
-    # 13 tiles on one worker; rounding ties: 16 of the 49 chunks are rescored
+    # 7 float32 tiles on one worker; rounding ties: 16 of the 49 chunks are rescored
     "K13[3]": ("dual_cheeger_exact", 1, lambda: neighborhood_graph(complete_graph(13), 3)),
-    # 38 tiles on two workers
+    # 19 float32 tiles on two workers
     "K14[3]": ("dual_cheeger_exact", 2, lambda: neighborhood_graph(complete_graph(14), 3)),
 }
 
@@ -388,6 +490,8 @@ def test_split_pass_reuses_its_buffers(tmp_path, name):
     # on K13[3] fault in about 24,000; with arrays allocated once per call,
     # about 5,300.  Each pass runs on as many workers as it may have on any
     # host; a second worker adds about 900 pages at n = 24, 300 on K14[3].
+    # The float32 stage works in the float64 stage's buffers, which it
+    # views as float32, so it adds no pages of its own.
     pytest.importorskip("resource")
     fn, workers, graph = _FAULT_PROBE_GRAPHS[name]
     np.save(tmp_path / "w.npy", graph().weights)
@@ -397,9 +501,9 @@ def test_split_pass_reuses_its_buffers(tmp_path, name):
     proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE, str(tmp_path / "w.npy"), fn],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    faults, shares = proc.stdout.split()
+    faults, *shares = proc.stdout.split()  # the workers of each stage's _split
     assert int(faults) < 10_000
-    assert int(shares) == workers
+    assert int(shares[0]) == workers
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="sched_getaffinity")
