@@ -27,7 +27,7 @@ with the invocation; the usage refusals of ``bounds --l-list 0``,
 ``nan`` weight; a ``cml`` run on K3 in which only some trials
 synchronize exactly; and ``bounds`` on the seed-1 G(24, 0.4) and
 ``constants`` on the seed-1 G(14, 0.4) with every weight 2**-300 or
-2**300, which the float32 stage of the split pass scales back.
+2**300, on which the split pass skips its float32 stage.
 """
 
 from __future__ import annotations

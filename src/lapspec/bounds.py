@@ -279,13 +279,19 @@ def clustering_constants(g: WeightedGraph) -> ClusteringConstants:
 
     # acc[i, k] = sum over common neighbours l (ascending) of
     # (d_i / d_l) w_li w_lk / w_ik; each other l adds an exact 0.0.  acc is
-    # a weight in scale: it runs on w and d times 2**-e, with e even and the
-    # largest weight then in [1/2, 2), so that w_li w_lk neither overflows
-    # nor underflows at any scale of the weights.  Powers of two round
-    # nothing: w_tri is the unscaled loop's, times 2**(e/2) after the square
-    # root.
-    e = 2 * (math.frexp(float(w.max()))[1] // 2)
-    w, d = np.ldexp(w, -e), np.ldexp(g.degrees, -e)
+    # a weight in scale, so the loop runs on the weights times 2**-e, with e
+    # even: the largest weight then lies in [1/2, 2), unless that would take
+    # the smallest positive one below 2**-1021, near the end of float64's
+    # normal range, and then e is the largest that keeps it above.  A power of two rounds nothing, so at a
+    # common scale of the weights, such as 2**900 or 2**-900, the loop
+    # rounds as on the unscaled ones, and w_tri is its value times 2**(e/2)
+    # after the square root.  Weights too far apart for any one scale
+    # overflow a product, with numpy's warning, as they would unscaled.
+    d = g.degrees
+    positive = w[w > 0]
+    e = min(math.frexp(float(positive.max()))[1], math.frexp(float(positive.min()))[1] + 1020)
+    e -= e % 2
+    w = np.ldexp(w, -e)
     acc = np.zeros((g.n, g.n))
     with np.errstate(divide="ignore", invalid="ignore"):
         for l in range(g.n):

@@ -64,9 +64,6 @@ _MIN_TILES = 8
 #: 1.19 ms, of ``hbar`` on a G(12, 0.4) (5 tiles) from 0.84 to 0.81 ms and
 #: of ``h`` on a G(20, 0.4) (8 tiles) from 1.59 to 1.40 ms.
 _SCREEN_TILES = 4
-#: Largest ``|e|`` of a total volume in [2**(e - 1), 2**e) whose terms the
-#: float32 stage of a split pass takes unscaled; see ``_tolerance32``.
-_SCALE_FREE = 64
 #: Allowance for the rounding of a ratio in [0, 1], on each side of a comparison.
 _TOL = 1e-9
 
@@ -169,26 +166,22 @@ def _exact_scan(g: WeightedGraph, what: str, cap: int, base: int, score, block):
     starts = np.arange(start, stop, _CHUNK)
     if len(starts) > 1:  # a function of its own, so the pass's arrays are freed first
         tol = _tolerance(g)
-        # 1, or the power of two that brings a total volume far from 1 into [1/2, 1)
-        e = math.frexp(g.volume)[1]
-        scale = 1.0 if abs(e) <= _SCALE_FREE else math.ldexp(1.0, -e)
-        starts = _candidates(starts, base, m, block, tol, _tolerance32(g, tol), scale)
+        starts = _candidates(starts, base, m, block, tol, _tolerance32(g, tol))
     best, code = _first_max(starts, stop, score)
     return best, _digits(np.array([code]), base, m)[0]
 
 
 def _candidates(
-    starts: np.ndarray, base: int, m: int, block, tol: float, err32: float, scale: float
+    starts: np.ndarray, base: int, m: int, block, tol: float, err32: float
 ) -> np.ndarray:
     """The chunk starts that can hold the first exact optimum.
 
     The split pass scores every code approximately by splitting the digits
-    into a low block of ``k`` and a high block of ``m - k``: ``block(lo, hi,
-    s)`` gets every low and every high labeling as digit matrices and
+    into a low block of ``k`` and a high block of ``m - k``: ``block(lo,
+    hi)`` gets every low and every high labeling as digit matrices and
     returns the lows to keep, ``tile``, the number ``scratch`` of its
-    scratch arrays, and its terms, computed in float64 from the weights,
-    degrees and total volume times the power of two ``s``.  ``tile(terms,
-    rows, out, *arrays)`` writes the values of the pairs of the highs at
+    scratch arrays, and its terms, in float64.  ``tile(terms, rows, out,
+    *arrays)`` writes the values of the pairs of the highs at
     ``rows`` with the kept lows into ``out``, in the precision of ``terms``
     and ``out``, using ``scratch`` more arrays of the shape of ``out``.
     The terms are only read by the tiles.  A tile is one product: each
@@ -197,12 +190,11 @@ def _candidates(
     division.  Code = low + base**k * high, so a tile read row by row is in
     code order.  A stage of the pass keeps each chunk's largest value.
 
-    Stage 1 scores every code in float32, from the terms at ``s = scale``
-    rounded to float32, in tiles of twice the highs of a float64 tile.  It
-    keeps a chunk unless its maximum plus ``2 err32 + tol`` is below the
-    best chunk's.  Stage 2 scores in float64, from the terms at ``s = 1``,
-    only the tiles that hold a kept chunk, and puts every dropped chunk's
-    maximum at -inf.  It returns the chunks within ``tol`` of the best one
+    Stage 1 scores every code in float32, from the terms rounded to
+    float32, in tiles of twice the highs of a float64 tile.  It keeps a
+    chunk unless its maximum plus ``2 err32 + tol`` is below the best
+    chunk's.  Stage 2 scores in float64 only the tiles that hold a kept
+    chunk, and puts every dropped chunk's maximum at -inf.  It returns the chunks within ``tol`` of the best one
     and more than ``tol`` above every earlier one; a NaN maximum fails
     every comparison it enters, so it keeps its chunk and every later one.
     ``_tolerance`` bounds the gap between a code's float64 tile and chunk
@@ -246,7 +238,7 @@ def _candidates(
     start = int(starts[0])
     k = (m + 1) // 2
     lo, hi = _digits(np.arange(base**k), base, k), _digits(np.arange(base ** (m - k)), base, m - k)
-    kept, tile, scratch, terms = block(lo, hi, 1.0)
+    kept, tile, scratch, terms = block(lo, hi)
     lows = np.flatnonzero(kept)
     tile_rows = min(_TILE // len(lows), len(hi))  # highs per tile: about _TILE pairs
 
@@ -313,7 +305,7 @@ def _candidates(
     keep = np.ones(len(starts), dtype=bool)
     if err32 < np.inf and len(tiles) > _SCREEN_TILES:
         # stage 1: float32 tiles of twice the highs, in the same bytes
-        single = tuple(_single(t) for t in (terms if scale == 1.0 else block(lo, hi, scale)[3]))
+        single = tuple(_single(t) for t in terms)
         rows32 = min(2 * tile_rows, len(hi))
         cmax = functools.reduce(
             np.maximum, _split(scan_with(single, np.float32, rows32), tiling(rows32))
@@ -446,19 +438,17 @@ def _tolerance(g: WeightedGraph) -> float:
 def _tolerance32(g: WeightedGraph, tol: float) -> float:
     """The largest gap ``err32`` between a code's float32 and float64 split-pass values.
 
-    The float32 stage scores the terms of the float64 one, computed from
-    the weights, degrees and total volume times a power of two ``s`` and
-    rounded to float32: ``s = 1`` for a total volume in ``[2**-65,
-    2**64)``, else the one that puts ``T = s * total`` in [1/2, 1)
-    (``_exact_scan``).  The power of two changes no ratio and no float64
-    bit, and it keeps every float32 value of a tile far from overflow, at
+    The float32 stage scores the terms of the float64 one rounded to
+    float32.  It runs only on a total volume ``T`` in ``[2**-65, 2**64)``;
+    any other gets an infinite ``err32``, and its pass is the float64 one
+    alone.  That keeps every float32 value of a tile far from overflow, at
     ``2**128``: each term, each partial sum and each denominator lies
-    within ``+-T``, and ``T < 2**64``.  Let ``u = 2**-24``, the unit
-    roundoff of float32, and ``d_min`` the smallest degree, times s; the
-    denominators of every proper labeling are at least ``d_min``, and every
-    value is at most 1.  Rounding a number to float32 moves it by at most
-    ``u`` times itself plus ``2**-150`` (below the normal range); when
-    ``d_min`` is in the normal range, ``2**-150 <= u * d_min``.
+    within ``+-T``.  Let ``u = 2**-24``, the unit roundoff of float32, and
+    ``d_min`` the smallest degree; the denominators of every proper
+    labeling are at least ``d_min``, and every value is at most 1.
+    Rounding a number to float32 moves it by at most ``u`` times itself
+    plus ``2**-150`` (below the normal range); when ``d_min`` is in the
+    normal range, ``2**-150 <= u * d_min``.
 
     * The numerator is one product of at most ``n/2 + 2`` nonzero terms,
       each times an exact 0 or 1 (``_tolerance``).  Rounding the terms
@@ -487,7 +477,7 @@ def _tolerance32(g: WeightedGraph, tol: float) -> float:
     Below 1, ``T / d_min < 2**17``, so ``d_min > 2**-83`` is in float32's
     normal range, as the bound assumes.
     """
-    if not tol < np.inf:
+    if not tol < np.inf or abs(math.frexp(g.volume)[1]) > 64:
         return np.inf
     eps32 = float(np.finfo(np.float32).eps)
     err = tol / 2 + 2 * (g.n + 12) * eps32 * g.volume / float(g.degrees.min())
@@ -551,18 +541,17 @@ def cheeger_exact(g: WeightedGraph) -> CheegerResult:
         boundary = vol - internal
         return -(boundary / np.minimum(vol, total - vol))
 
-    def block(lo, hi, s):
+    def block(lo, hi):
         k = lo.shape[1]
-        d_, w_ = s * d, s * w
         a, b = lo.astype(float), hi.astype(float)
-        vol_lo, vol_hi = a @ d_[:k], b @ d_[k:]
+        vol_lo, vol_hi = a @ d[:k], b @ d[k:]
         # -boundary = internal - vol = (I - V)_lo + (I - V)_hi + 2 L W_lh H^T
         #           = [H, (I - V)_hi, 1] [2 (L W_lh)^T; 1; (I - V)_lo]
-        neg_lo = ((a @ w_[:k, :k]) * a).sum(axis=1) - vol_lo
-        neg_hi = ((b @ w_[k:, k:]) * b).sum(axis=1) - vol_hi
+        neg_lo = ((a @ w[:k, :k]) * a).sum(axis=1) - vol_lo
+        neg_hi = ((b @ w[k:, k:]) * b).sum(axis=1) - vol_hi
         hi_terms = np.column_stack([b, neg_hi, np.ones(len(b))])
-        lo_terms = np.vstack([2.0 * (a @ w_[:k, k:]).T, np.ones(len(a)), neg_lo])
-        return np.ones(len(lo), dtype=bool), tile, 2, (hi_terms, lo_terms, vol_hi, vol_lo, s * total)
+        lo_terms = np.vstack([2.0 * (a @ w[:k, k:]).T, np.ones(len(a)), neg_lo])
+        return np.ones(len(lo), dtype=bool), tile, 2, (hi_terms, lo_terms, vol_hi, vol_lo, total)
 
     def tile(terms, rows, out, v, o):
         hi_terms, lo_terms, vol_hi, vol_lo, total = terms
@@ -631,22 +620,21 @@ def dual_cheeger_exact(g: WeightedGraph) -> CheegerResult:
         cross[~valid] = -np.inf
         return cross
 
-    def block(lo, hi, s):
+    def block(lo, hi):
         k = lo.shape[1]
-        d_, w_ = s * d, s * w
         kept = _first_label(lo) != 2  # all V3, or the first non-V3 label is 1
         lo = lo[kept]
         a1, a2 = (lo == 1).astype(float), (lo == 2).astype(float)
         b1, b2 = (hi == 1).astype(float), (hi == 2).astype(float)
         # 2 cross = 2 C_lo + 2 C_hi + [2 A1 W_lh, 2 A2 W_lh] [B2, B1]^T
         #         = [B2, B1, 2 C_hi, 1] [[2 A1 W_lh, 2 A2 W_lh]^T; 1; 2 C_lo]
-        cross_lo = 2.0 * ((a1 @ w_[:k, :k]) * a2).sum(axis=1)
-        cross_hi = 2.0 * ((b1 @ w_[k:, k:]) * b2).sum(axis=1)
+        cross_lo = 2.0 * ((a1 @ w[:k, :k]) * a2).sum(axis=1)
+        cross_hi = 2.0 * ((b1 @ w[k:, k:]) * b2).sum(axis=1)
         hi_terms = np.column_stack([b2, b1, cross_hi, np.ones(len(hi))])
         lo_terms = np.vstack(
-            [2.0 * np.hstack([a1 @ w_[:k, k:], a2 @ w_[:k, k:]]).T, np.ones(len(lo)), cross_lo]
+            [2.0 * np.hstack([a1 @ w[:k, k:], a2 @ w[:k, k:]]).T, np.ones(len(lo)), cross_lo]
         )
-        vol_lo, vol_hi = (a1 + a2) @ d_[:k], (b1 + b2) @ d_[k:][:, None]
+        vol_lo, vol_hi = (a1 + a2) @ d[:k], (b1 + b2) @ d[k:][:, None]
         # invalid: V2 empty, or all V3 below and the first high label 2
         no2_lo, no2_hi = ~a2.any(axis=1), ~b2.any(axis=1)
         not1_hi = _first_label(hi) != 1
@@ -722,10 +710,10 @@ def balance_ratio_exact(g: WeightedGraph) -> CheegerResult:
         vol = _digits(codes, 2, n - 1).astype(float) @ d
         return np.minimum(vol, total - vol) / np.maximum(vol, total - vol)
 
-    def block(lo, hi, s):
+    def block(lo, hi):
         k = lo.shape[1]
-        vol_lo, vol_hi = lo.astype(float) @ (s * d[:k]), hi.astype(float) @ (s * d[k:])
-        return np.ones(len(lo), dtype=bool), tile, 2, (vol_hi, vol_lo, s * total)
+        vol_lo, vol_hi = lo.astype(float) @ d[:k], hi.astype(float) @ d[k:]
+        return np.ones(len(lo), dtype=bool), tile, 2, (vol_hi, vol_lo, total)
 
     def tile(terms, rows, out, v, o):
         vol_hi, vol_lo, total = terms

@@ -288,6 +288,20 @@ def test_clustering_constants_follow_power_of_two_scaling(k):
             cc.c0, math.ldexp(cc.w_tri, k // 2), math.ldexp(cc.d_bar, k)), seed
 
 
+def test_clustering_constants_of_a_triangle_with_weights_far_apart():
+    # Weights 2**600, 2**600 and 2**-600: scaled by the largest alone, the
+    # smallest would flush to 0 and w_tri with it.  Its square is the
+    # smallest (d_i / d_l) w_li w_lk / w_ik, (2**600 / 2**600) 2**-600,
+    # read on an edge of weight 2**600.  The edge of weight 2**-600 scores
+    # past 2**1024 at any one scale, and overflows with numpy's warning.
+    big, small = 2.0**600, 2.0**-600
+    w = np.array([[0.0, big, big], [big, 0.0, small], [big, small, 0.0]])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        cc = clustering_constants(WeightedGraph(n=3, weights=w))
+    assert cc.w_tri == 2.0**-300
+    assert cc.d_bar == 2.0**601
+
+
 def test_clustering_trivial_without_triangles():
     cc = clustering_constants(path_graph(4))
     assert (cc.c0, cc.w_tri, cc.d_bar) == (0.0, 0.0, 0.0)

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -240,8 +241,9 @@ def test_split_pass_does_not_depend_on_the_worker_count(monkeypatch, name):
     # 0 < h0 < 3**7, never at a chunk boundary, so every boundary between
     # two workers falls inside a chunk.  The candidates, value bits and
     # witness are those of the float64 stage alone (err32 infinite), on the
-    # graph and on its copies with weights times 2**-900 and 2**900.  Every
-    # pass with a finite err32 runs the float32 stage, however few its tiles.
+    # graph and on its copies with weights times 2**-900 and 2**900, which
+    # skip the float32 stage.  Every pass with a finite err32 runs the
+    # float32 stage, however few its tiles.
     g = SPLIT_PASS_GRAPHS[name]
     split = partitions._split
     monkeypatch.setattr(partitions, "_MIN_TILES", 1)
@@ -289,26 +291,50 @@ def test_split_pass_does_not_depend_on_the_worker_count(monkeypatch, name):
 @pytest.mark.parametrize("name", list(SPLIT_PASS_GRAPHS))
 def test_enumerators_invariant_under_power_of_two_scaling(monkeypatch, name, k):
     # A power of two changes no ratio and no rounding, so the value bits,
-    # witness and candidates of 2**k g are those of g.  The float32 stage
-    # scales 2**k g back: a plain cast would overflow (a warning, an error
-    # under this suite's filter) or flush the weights to zero.
+    # witness and candidates of 2**k g are those of g.  At 2**k the float32
+    # stage is skipped (err32 infinite): a plain cast would overflow (a
+    # warning, an error under this suite's filter) or flush the weights to
+    # zero.
     g = SPLIT_PASS_GRAPHS[name]
     for fn in _enumerators(g):
         assert _picked_run(monkeypatch, fn, _scaled(g, k)) == _picked_run(monkeypatch, fn, g), (
             fn.__name__)
 
 
-@pytest.mark.parametrize("k", [0, 900])
+def _volume_at(g, e):
+    """g times the power of two that puts its total volume in [2**(e - 1), 2**e)."""
+    return _scaled(g, e - math.frexp(g.volume)[1])
+
+
 @pytest.mark.parametrize("name", [name for name in SPLIT_PASS_GRAPHS if "pendant" not in name])
-def test_float32_tiles_within_err32_of_float64(monkeypatch, name, k):
+def test_float32_stage_runs_on_total_volumes_in_its_range(monkeypatch, name):
+    # At either end of its range the float32 stage runs, neither overflowing
+    # nor flushing a weight to zero, with the candidates, value bits and
+    # witness of g; a step beyond either end, err32 is infinite.
+    monkeypatch.setattr(partitions, "_SCREEN_TILES", 0)
+    g = SPLIT_PASS_GRAPHS[name]
+    for e in (-65, 65):
+        scaled = _volume_at(g, e)
+        assert partitions._tolerance32(scaled, partitions._tolerance(scaled)) == np.inf, e
+    for e in (-64, 64):
+        scaled = _volume_at(g, e)
+        assert partitions._tolerance32(scaled, partitions._tolerance(scaled)) < np.inf, e
+        for fn in _enumerators(g):
+            assert _picked_run(monkeypatch, fn, scaled) == _picked_run(monkeypatch, fn, g), (
+                fn.__name__, e)
+
+
+@pytest.mark.parametrize("e", [None, -64, 64])
+@pytest.mark.parametrize("name", [name for name in SPLIT_PASS_GRAPHS if "pendant" not in name])
+def test_float32_tiles_within_err32_of_float64(monkeypatch, name, e):
     # Every code's float32 tile value is within err32 of its float64 one:
     # the bound that makes the float32 stage drop no chunk the float64 one
     # keeps.  err32 just below 1 makes the float32 stage keep every chunk,
     # so that the float64 stage scores every tile too, and every pass runs
-    # the float32 stage, however few its tiles.  At 2**900 the float32 terms
-    # come from weights scaled back by a power of two.
+    # the float32 stage, however few its tiles.  Also with the total volume
+    # at either end of the float32 stage's range.
     monkeypatch.setattr(partitions, "_SCREEN_TILES", 0)
-    g = _scaled(SPLIT_PASS_GRAPHS[name], k)
+    g = SPLIT_PASS_GRAPHS[name] if e is None else _volume_at(SPLIT_PASS_GRAPHS[name], e)
     err32 = partitions._tolerance32(g, partitions._tolerance(g))
     assert err32 < 0.02
     for fn in _enumerators(g):
@@ -340,8 +366,8 @@ def _patched_tiles(monkeypatch, patch):
     candidates = partitions._candidates
 
     def patched_candidates(starts, base, m, block, *bounds):
-        def patched_block(lo, hi, s):
-            kept, tile, scratch, terms = block(lo, hi, s)
+        def patched_block(lo, hi):
+            kept, tile, scratch, terms = block(lo, hi)
 
             def patched_tile(terms, rows, *arrays):
                 return patch(tile, terms, rows, arrays, hi)
