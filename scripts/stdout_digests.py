@@ -25,9 +25,13 @@ with the invocation; the usage refusals of ``bounds --l-list 0``,
 ``curves --grid 1:0:1``, ``cml --map cubic:1`` and ``walk --steps
 100001``; the refused inputs ``{"n": 0}`` and an edge list with a
 ``nan`` weight; a ``cml`` run on K3 in which only some trials
-synchronize exactly; and ``bounds`` on the seed-1 G(24, 0.4) and
+synchronize exactly; ``bounds`` on the seed-1 G(24, 0.4) and
 ``constants`` on the seed-1 G(14, 0.4) with every weight 2**-300 or
-2**300, on which the split pass skips its float32 stage.
+2**300, on which the split pass skips its float32 stage; and, where every
+sum is exact and the value comes from the split pass's tiles, ``bounds`` on
+K17 and ``constants`` on K13, whose optima tie across chunks, and the same
+subcommands on the seed-1 G(20, 0.4) and G(13, 0.4) with weights 0.25, 0.5
+and 1 in turn.
 """
 
 from __future__ import annotations
@@ -109,6 +113,13 @@ K3_ARGS = {
 SCALED_ARGS = {24: {"bounds": ["bounds", "--l-list", "2,3"]}, 14: {"constants": ["constants"]}}
 SCALES = (-300, 300)
 
+#: Subcommands run on K_n, by n: h, h[2] and h[3] of K17 and hbar of K13 are
+#: exact sums whose optima tie across chunks.
+COMPLETE_ARGS = {17: {"bounds": ["bounds", "--l-list", "2,3"]}, 13: {"constants": ["constants"]}}
+#: Subcommands run on the seed-1 G(n, 0.4) with the weights CYCLED in edge order, by n.
+CYCLED_ARGS = {20: {"bounds": ["bounds", "--l-list", "2,3"]}, 13: {"constants": ["constants"]}}
+CYCLED = (0.25, 0.5, 1.0)
+
 #: Inputs refused as malformed or non-finite.
 BROKEN_INPUTS = {"n0.json": '{"n": 0}', "nan-weight.txt": "a b 1\nb c nan\n"}
 
@@ -136,6 +147,10 @@ def corpus(workloads, workdir: Path):
     def unit_graph(n, edges, weight=1.0) -> str:
         return json.dumps({"n": n, "edges": [[i, j, weight] for i, j in edges]})
 
+    def cycled_graph(n, edges) -> str:
+        return json.dumps({"n": n, "edges": [[i, j, CYCLED[e % len(CYCLED)]]
+                                             for e, (i, j) in enumerate(edges)]})
+
     graphs = {"looped.txt": LOOPED_EDGES, "k7.json": unit_graph(*workloads.complete_graph(7)),
               "c10.json": unit_graph(*workloads.cycle_graph(10))}
     def twice(n, edges) -> str:
@@ -154,7 +169,11 @@ def corpus(workloads, workdir: Path):
              ({"k3.json": unit_graph(*workloads.complete_graph(3))}, K3_ARGS),
              (BROKEN_INPUTS, {"spectrum": ["spectrum"]}),
              *(({f"g{n}-2^{k}.json": unit_graph(*workloads.gnp_graph(1, n), 2.0**k)
-                 for k in SCALES}, arg_sets) for n, arg_sets in SCALED_ARGS.items()))
+                 for k in SCALES}, arg_sets) for n, arg_sets in SCALED_ARGS.items()),
+             *(({f"k{n}.json": unit_graph(*workloads.complete_graph(n))}, arg_sets)
+               for n, arg_sets in COMPLETE_ARGS.items()),
+             *(({f"g{n}-cycled.json": cycled_graph(*workloads.gnp_graph(1, n))}, arg_sets)
+               for n, arg_sets in CYCLED_ARGS.items()))
     for files, arg_sets in cases:
         for fname, text in files.items():
             (workdir / fname).write_text(text)

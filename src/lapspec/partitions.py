@@ -39,8 +39,13 @@ from .graphs import (
 CHEEGER_EXACT_CAP = 24
 DUAL_CHEEGER_EXACT_CAP = 14
 
-#: Codes per exact scoring call.  Part of every result: a product rounds
-#: differently at different shapes, so a code's value bits depend on its chunk.
+#: Codes per exact scoring call.  Part of every result whose sums round: a
+#: BLAS product rounds a row differently in arrays of different shapes, so
+#: each score forms its products (``memb @ d`` and ``memb @ w``; ``ind @ d``
+#: and ``ind1 @ w`` for ``hbar``) on the whole chunk, and a code's value bits
+#: depend on its chunk.  The rest of a score is row by row, and runs only on
+#: the rows asked for.  Exact sums do not round, and take their values from
+#: the split pass's tiles.
 _CHUNK = 1 << 15
 #: Pairs per float64 tile of the split pass; a float32 tile has twice as
 #: many, in the same bytes.
@@ -105,10 +110,12 @@ class CheegerResult:
 
 
 def _first_max(starts, stop: int, score) -> tuple[float, int]:
-    """Largest ``score`` over the chunks at ``starts``, first in code order.
+    """Largest ``score`` over the chunks at ``starts``, first in code order, scoring every code.
 
     The chunk at ``lo`` holds the codes ``lo .. min(lo + _CHUNK, stop) - 1``;
     ``score`` maps that int64 array to its values.  Returns ``(value, code)``.
+    This is the scan of a single chunk, and of the candidates of a split
+    pass that did not run (``_tolerance`` infinite).
     """
     best_val, best_code = -np.inf, -1
     for lo in starts:
@@ -117,6 +124,51 @@ def _first_max(starts, stop: int, score) -> tuple[float, int]:
         k = int(np.argmax(vals))
         if vals[k] > best_val:
             best_val, best_code = float(vals[k]), int(codes[k])
+    return best_val, best_code
+
+
+def _first_kept(starts, stop: int, score, tol: float, kept, tile, scratch, terms):
+    """``_first_max`` over the candidate chunks of a split pass, from the pass's own tiles.
+
+    ``kept, tile, scratch, terms`` are what the pass's ``block`` returned
+    (``_candidates``); code = low + ``len(kept)`` * high.  Each chunk's
+    float64 tile values ``v`` are computed again, on the highs it spans,
+    and the chunk keeps the codes that pass the test ``_candidates`` puts to
+    whole chunks, ``~(v + tol < v.max())``.  With ``|v - exact| <= tol / 2``
+    for every code (``_tolerance``), a code ``c`` with the chunk's largest
+    exact value ``x`` has ``v(c) >= x - tol / 2 >= v.max() - tol``, so it
+    is kept; a NaN value keeps every code.  ``score(codes, rows)`` scores
+    the kept ``rows`` of the chunk's ``codes``, from products formed on the
+    whole chunk, so its values are the bits of the full scan's, and so are
+    the result's value and witness.  With ``tol`` 0 the tile values are the
+    chunk values, the sign of a zero aside, and are the result: nothing is
+    scored again.  Returns ``(value, code)``.
+    """
+    span, lows = len(kept), np.flatnonzero(kept)
+    highs = -(-_CHUNK // span) + 1  # the most highs a chunk spans
+    buf, tmp = np.empty(highs * len(lows)), np.empty((scratch, highs * len(lows)))
+
+    def code(h0, pairs):
+        """The codes of the pairs of a tile from the high ``h0``."""
+        return (h0 + pairs // len(lows)) * span + lows[pairs % len(lows)]
+
+    best_val, best_code = -np.inf, -1
+    for lo in starts:
+        hi = min(lo + _CHUNK, stop)
+        h0, h1 = lo // span, -(-hi // span)
+        size = (h1 - h0) * len(lows)
+        with np.errstate(all="ignore"):
+            tile(terms, slice(h0, h1), buf[:size].reshape(h1 - h0, -1),
+                 *tmp[:, :size].reshape(scratch, h1 - h0, -1))
+        # the chunk's pairs, in code order, from its first code's to its last one's
+        p0 = np.searchsorted(lows, lo - h0 * span)
+        vals = buf[p0 : size - len(lows) + np.searchsorted(lows, hi - (h1 - 1) * span)]
+        if tol > 0:
+            pairs = p0 + np.flatnonzero(~(vals + tol < vals.max()))
+            vals = score(np.arange(lo, hi, dtype=np.int64), code(h0, pairs) - lo)
+        k = int(np.argmax(vals))
+        if vals[k] > best_val:
+            best_val, best_code = float(vals[k]), int(code(h0, p0 + k if tol == 0 else pairs[k]))
     return best_val, best_code
 
 
@@ -154,9 +206,12 @@ def _exact_scan(g: WeightedGraph, what: str, cap: int, base: int, score, block):
     Refuses graphs as ``_check_size(g, what, cap)``.  Digit i of a code is
     the label of vertex i: base 2 labels the first n - 1 vertices (the last
     one is always 0) from code 1, base 3 labels all n from code 0.  A range
-    of one chunk is scored directly; a longer one first goes through the
-    split pass of ``_candidates``.  Returns the value and the optimum's
-    digits.
+    of one chunk is scored in full.  A longer one first goes through the
+    split pass of ``_candidates``; ``_first_kept`` then scores again only the
+    codes of its candidate chunks that the pass's tiles cannot rule out, and
+    none at all when the sums are exact.  ``score(codes, rows)`` gives the
+    values of ``rows`` (every row by default) of the chunk ``codes``.
+    Returns the value and the optimum's digits.
     """
     _check_size(g, what, cap)
     n = g.n
@@ -164,11 +219,20 @@ def _exact_scan(g: WeightedGraph, what: str, cap: int, base: int, score, block):
     m, start = (n - 1, 1) if base == 2 else (n, 0)
     stop = base**m
     starts = np.arange(start, stop, _CHUNK)
-    if len(starts) > 1:  # a function of its own, so the pass's arrays are freed first
+    made = []  # what the split pass's block returned, if the pass ran
+
+    def pass_block(lo, hi):
+        made.append(block(lo, hi))
+        return made[-1]
+
+    if len(starts) > 1:  # a function of its own, so the pass's buffers are freed first
         tol = _tolerance(g)
-        starts = _candidates(starts, base, m, block, tol, _tolerance32(g, tol))
-    best, code = _first_max(starts, stop, score)
-    return best, _digits(np.array([code]), base, m)[0]
+        starts = _candidates(starts, base, m, pass_block, tol, _tolerance32(g, tol))
+    if made:
+        best, code = _first_kept(starts, stop, score, tol, *made[0])
+    else:
+        best, code = _first_max(starts, stop, score)
+    return best, _digits(code, 1, base, m)[0]
 
 
 def _candidates(
@@ -201,7 +265,9 @@ def _candidates(
     values, the product's extra terms included.  With ``|approximate -
     exact| <= tol / 2`` for every code, the first chunk holding the exact
     optimum passes both tests, so the exact scores of the returned chunks
-    give the value bits and witness of the scan over every chunk.
+    give the value bits and witness of the scan over every chunk;
+    ``_first_kept`` scores again only the codes of each that can reach its
+    maximum.
 
     The two stages return the same chunks as a float64 pass over every tile.
     Every code's float32 value is within ``err32`` of its float64 one
@@ -237,7 +303,7 @@ def _candidates(
         return starts  # no pass can tell the chunks apart
     start = int(starts[0])
     k = (m + 1) // 2
-    lo, hi = _digits(np.arange(base**k), base, k), _digits(np.arange(base ** (m - k)), base, m - k)
+    lo, hi = _digits(0, base**k, base, k), _digits(0, base ** (m - k), base, m - k)
     kept, tile, scratch, terms = block(lo, hi)
     lows = np.flatnonzero(kept)
     tile_rows = min(_TILE // len(lows), len(hi))  # highs per tile: about _TILE pairs
@@ -250,17 +316,24 @@ def _candidates(
     edges = pair(starts[1:])  # where each chunk after the first begins
     skip = int(pair(np.array([start]))[0])  # pairs before the first code of the scan
 
-    def tiling(rows):
-        """Each tile of ``rows`` highs as (h0, c0, c1, at): its first high, its
-        chunks c0 .. c1 - 1, and the positions in it where each of these
-        chunks begins.  Worked out here, since the workers hold the
-        interpreter lock for Python code."""
-        tiles = []
-        for h0 in range(0, len(hi), rows):
-            p0, p1 = h0 * len(lows), min(h0 + rows, len(hi)) * len(lows)
-            c0, c1 = np.searchsorted(edges, p0, side="right"), np.searchsorted(edges, p1)
-            tiles.append((h0, c0, c1 + 1, np.concatenate(([0], edges[c0:c1] - p0))))
-        return tiles
+    def tiling(rows, keep):
+        """Each tile of ``rows`` highs that holds a chunk of the mask
+        ``keep``, as (h0, c0, c1, at): its first high, its chunks c0 .. c1 -
+        1, and the positions in it where each of these chunks begins.
+        Worked out here, since the workers hold the interpreter lock for
+        Python code."""
+        size, count = rows * len(lows), -(-len(hi) // rows)
+        where, at = np.divmod(edges, size)  # the tile and position where each later chunk begins
+        inner = (at > 0) & (edges < len(hi) * len(lows))  # past a tile's first pair
+        inside = np.bincount(where[inner], minlength=count)
+        c0 = np.searchsorted(edges, np.arange(count) * size, side="right")
+        c1 = c0 + inside + 1
+        # each tile's positions after a 0, one tile after the other
+        at = np.insert(at[inner], np.cumsum(inside) - inside, 0)
+        ends = np.cumsum(inside + 1)
+        held = np.concatenate(([0], np.cumsum(keep)))
+        return [(int(i) * rows, c0[i], c1[i], at[ends[i] - inside[i] - 1 : ends[i]])
+                for i in np.flatnonzero(held[c1] > held[c0])]
 
     # Every tile is written into these buffers, its values and its scratch,
     # one pair per worker, shared by both stages: a fresh half-megabyte
@@ -301,19 +374,18 @@ def _candidates(
 
         return new_scan
 
-    tiles = tiling(tile_rows)
     keep = np.ones(len(starts), dtype=bool)
-    if err32 < np.inf and len(tiles) > _SCREEN_TILES:
+    if err32 < np.inf and -(-len(hi) // tile_rows) > _SCREEN_TILES:
         # stage 1: float32 tiles of twice the highs, in the same bytes
         single = tuple(_single(t) for t in terms)
         rows32 = min(2 * tile_rows, len(hi))
         cmax = functools.reduce(
-            np.maximum, _split(scan_with(single, np.float32, rows32), tiling(rows32))
+            np.maximum, _split(scan_with(single, np.float32, rows32), tiling(rows32, keep))
         )
         del single  # the float32 terms, freed before stage 2
         keep = ~(cmax + (2 * err32 + tol) < cmax.max())
-        # stage 2: the tiles that hold a kept chunk
-        tiles = [t for t in tiles if keep[t[1] : t[2]].any()]
+    # stage 2: the tiles that hold a kept chunk
+    tiles = tiling(tile_rows, keep)
     cmax = functools.reduce(np.maximum, _split(scan_with(terms, np.float64, tile_rows), tiles))
     cmax[~keep] = -np.inf
     earlier = np.maximum.accumulate(np.concatenate(([-np.inf], cmax[:-1])))
@@ -484,14 +556,26 @@ def _tolerance32(g: WeightedGraph, tol: float) -> float:
     return err if err < 1 else np.inf
 
 
-def _digits(codes: np.ndarray, base: int, k: int) -> np.ndarray:
-    """Digit i of each code, the label of vertex i, for i < k."""
-    # code = q * base**j + r: one division per code, then both halves' digits
-    # from the table of every j-digit code, instead of k divisions
+def _digits(lo: int, count: int, base: int, k: int, out=None) -> np.ndarray:
+    """Digit i of each of the codes ``lo .. lo + count - 1``, the label of vertex i, for i < k.
+
+    With code = q * base**j + r, each block of base**j codes from a
+    multiple of base**j has every r in order and one q, so both halves'
+    digits are copied from the table of every j-digit code, with no
+    arithmetic per code.  The blocks that hold the codes are written into
+    the uint8 array ``out``, of at least ``count + 2 * base**j`` rows of k,
+    or a fresh one; the result is a view of them.
+    """
     j = (k + 1) // 2
     table = _digit_table(base, j)
-    q, r = np.divmod(codes, base**j)
-    return np.hstack([table.take(r, axis=0), table[:, : k - j].take(q, axis=0)])
+    q0, r0 = divmod(lo, base**j)
+    q1 = -(-(lo + count) // base**j)
+    if out is None:
+        out = np.empty(((q1 - q0) * base**j, k), dtype=np.uint8)
+    blocks = out[: (q1 - q0) * base**j].reshape(q1 - q0, base**j, k)
+    blocks[:, :, :j] = table
+    blocks[:, :, j:] = table[q0:q1, None, : k - j]
+    return blocks.reshape(-1, k)[r0 : r0 + count]
 
 
 @functools.cache
@@ -517,28 +601,65 @@ def _label_flags(j: int) -> tuple[np.ndarray, np.ndarray]:
     return flags
 
 
+def _chunk_arrays(base: int, k: int, mats: int, vecs: int, digits_in_last: bool = False):
+    """``arrays(codes)``: the digits of the consecutive ``codes`` (``_digits``),
+    then ``mats`` float arrays of shape ``(c, k)`` and ``vecs`` of ``(c,)``.
+
+    All are views of arrays allocated for the longest chunk so far: fresh
+    arrays of several MB per chunk go back to the OS when freed and are
+    page-faulted in again by the next chunk.  Each float array is
+    contiguous, with the strides of a fresh array of its shape, so a
+    product into it rounds the same.  The matrices lie in one array, for
+    which numpy asks the OS for huge pages from 4 MB on.  The digits have
+    an array of their own, or, with ``digits_in_last``, lie in the bytes of
+    the last matrix, if the score reads them before it writes that one.
+    """
+    mat, vec, digit_rows = np.empty((mats, 0, k)), np.empty((vecs, 0)), None
+
+    def arrays(codes):
+        nonlocal mat, vec, digit_rows
+        c = len(codes)
+        if mat.shape[1] < c:
+            mat, vec = np.empty((mats, c, k)), np.empty((vecs, c))
+            rows = c + 2 * base ** ((k + 1) // 2)
+            digit_rows = (mat[-1].view(np.uint8).reshape(-1)[: rows * k].reshape(rows, k)
+                          if digits_in_last else np.empty((rows, k), dtype=np.uint8))
+        return [_digits(int(codes[0]), c, base, k, digit_rows), *mat[:, :c], *vec[:, :c]]
+
+    return arrays
+
+
 def cheeger_exact(g: WeightedGraph) -> CheegerResult:
     """Exact Cheeger constant of any graph of 2 to 24 vertices, by enumerating bipartitions.
 
     Enumerates the 2^(n-1) - 1 proper subsets not containing the last
     vertex (one representative per complementary pair), code ``sum 2^i``
     over the members.  The witness is the first minimizer in code order
-    and the value is its ratio as scored in its chunk of ``_CHUNK`` codes.
-    Beyond one chunk (n > 16), a split pass scores every pair of low and
-    high labelings with ``internal = I_lo + I_hi + 2 L W_lh H^T`` and only
-    the chunks within a rounding tolerance of its best are scored.  A
-    disconnected graph has ``h = 0``, with a union of components as witness.
+    and the value is its ratio as its chunk of ``_CHUNK`` codes scores it:
+    ``memb @ d`` and ``memb @ w`` on the whole chunk, whose shape fixes
+    their rounding, then row by row.  Beyond one chunk (n > 16), a split
+    pass scores every pair of low and high labelings with ``internal = I_lo
+    + I_hi + 2 L W_lh H^T``, and only the codes within a rounding tolerance
+    of their chunk's best, in the chunks within it of the pass's best, are
+    scored again; on exact sums the pass's values are the result, with no
+    scoring again.  A disconnected graph has ``h = 0``, with a union of
+    components as witness.
     """
     n = g.n
     d = g.degrees[: n - 1]
     w = g.weights[: n - 1, : n - 1]
     total = g.volume
+    arrays = _chunk_arrays(2, n - 1, 2, 1, digits_in_last=True)
 
-    def neg_ratio(codes):
-        memb = _digits(codes, 2, n - 1).astype(float)
-        vol = memb @ d
-        internal = ((memb @ w) * memb).sum(axis=1)
-        boundary = vol - internal
+    def neg_ratio(codes, rows=slice(None)):
+        digits, memb, prod, vol = arrays(codes)
+        memb[...] = digits  # read from prod's bytes, before the product writes them
+        np.matmul(memb, d, out=vol)
+        np.matmul(memb, w, out=prod)
+        # row by row from here, on the rows asked for
+        memb, prod, vol = memb[rows], prod[rows], vol[rows]
+        prod *= memb
+        boundary = vol - prod.sum(axis=1)
         return -(boundary / np.minimum(vol, total - vol))
 
     def block(lo, hi):
@@ -562,9 +683,11 @@ def cheeger_exact(g: WeightedGraph) -> CheegerResult:
     # Negation is exact, so the first maximizer of -ratio is the first minimizer.
     neg_best, digits = _exact_scan(g, "Cheeger constant", CHEEGER_EXACT_CAP, 2, neg_ratio, block)
     # On float-valued weight matrices (e.g. walk graphs) the rounded sums can
-    # push the quotient an ulp past the mathematical ceiling h <= 1.
+    # push the quotient an ulp past the mathematical ceiling h <= 1.  A zero
+    # is -0.0 from a chunk, -(0 / den), and +0.0 from a tile, (-0) / den:
+    # 0.0 - x is +0.0 for both, and -x for every other x.
     side = np.flatnonzero(digits)
-    return CheegerResult(value=min(-neg_best, 1.0), witness=Bipartition.of(g, side))
+    return CheegerResult(value=min(0.0 - neg_best, 1.0), witness=Bipartition.of(g, side))
 
 
 def dual_cheeger_exact(g: WeightedGraph) -> CheegerResult:
@@ -573,37 +696,32 @@ def dual_cheeger_exact(g: WeightedGraph) -> CheegerResult:
     Ternary enumeration over vertex labels (V3, V1, V2), code ``sum t_i 3^i``,
     halved by the V1 <-> V2 swap symmetry: only labelings whose first non-V3
     vertex is in V1 count.  The witness is the first maximizer in code order
-    and the value is its ratio as scored in its chunk of ``_CHUNK`` codes.
-    Beyond one chunk (n > 9), a split pass builds only the low labelings that
-    are all V3 or start with V1, scores every pair with ``cross = C_lo + C_hi
-    + [A1 W_lh, A2 W_lh] [B2, B1]^T``, and only the chunks within a rounding
-    tolerance of its best are scored.  On a disconnected graph the optimum
-    may spread over several components.
+    and the value is its ratio as its chunk of ``_CHUNK`` codes scores it:
+    ``ind @ d`` and ``ind1 @ w`` on the whole chunk, whose shape fixes their
+    rounding, then row by row.  Beyond one chunk (n > 9), a split pass
+    builds only the low labelings that are all V3 or start with V1, scores
+    every pair with ``cross = C_lo + C_hi + [A1 W_lh, A2 W_lh] [B2, B1]^T``,
+    and scores again only the codes as ``cheeger_exact`` does, none on exact
+    sums.  On a disconnected graph the optimum may spread over several
+    components.
     """
     n = g.n
     d = g.degrees
     w = g.weights
-    # The float arrays of the longest chunk so far, as prefix views for a
-    # shorter one: fresh arrays of several MB per chunk go back to the OS
-    # when freed and are page-faulted in again by the next chunk.
-    mats, vecs = np.empty((2, 0, n)), np.empty((2, 0))
+    arrays = _chunk_arrays(3, n, 2, 2, digits_in_last=True)
 
-    def ratio(codes):
-        nonlocal mats, vecs
-        c = len(codes)
-        if mats.shape[1] < c:
-            mats, vecs = np.empty((2, c, n)), np.empty((2, c))
-        ind, prod = mats[:, :c]
-        cross, vols = vecs[:, :c]
-        digits = _digits(codes, 3, n)
-        # ind holds the indicator of V1 or V2, then of V1, then of V2: each
-        # is read before the next overwrites it
+    def ratio(codes, rows=slice(None)):
+        digits, ind, prod, cross, vols = arrays(codes)
+        # ind holds the indicator of V1 or V2, then of V1; the rows asked for
+        # take their indicator of V2 first, as the product overwrites the digits
+        two = digits[rows] == 2
         np.not_equal(digits, 0, out=ind, casting="unsafe")
         np.matmul(ind, d, out=vols)
         np.equal(digits, 1, out=ind, casting="unsafe")
         np.matmul(ind, w, out=prod)
-        np.equal(digits, 2, out=ind, casting="unsafe")
-        prod *= ind
+        # row by row from here, on the rows asked for
+        codes, prod, vols, cross = codes[rows], prod[rows], vols[rows], cross[: len(two)]
+        prod *= two
         prod.sum(axis=1, out=cross)
         with np.errstate(invalid="ignore", divide="ignore"):
             cross *= 2.0
@@ -699,15 +817,20 @@ def dual_cheeger_greedy_lower(g: WeightedGraph) -> CheegerResult:
 def balance_ratio_exact(g: WeightedGraph) -> CheegerResult:
     """Most balanced bipartition of any graph of 2 to 24 vertices, by full enumeration.
 
-    Same codes, cap, witness rule and split pass as ``cheeger_exact``, with
-    ``vol = V_lo + V_hi`` across the block boundary.
+    Same codes, cap, witness rule, split pass and scoring again as
+    ``cheeger_exact``, with ``vol = V_lo + V_hi`` across the block boundary
+    and one product, ``memb @ d``, on the whole chunk.
     """
     n = g.n
     d = g.degrees[: n - 1]
     total = g.volume
 
-    def balance(codes):
-        vol = _digits(codes, 2, n - 1).astype(float) @ d
+    arrays = _chunk_arrays(2, n - 1, 1, 1)
+
+    def balance(codes, rows=slice(None)):
+        digits, memb, vol = arrays(codes)
+        memb[...] = digits
+        vol = np.matmul(memb, d, out=vol)[rows]
         return np.minimum(vol, total - vol) / np.maximum(vol, total - vol)
 
     def block(lo, hi):

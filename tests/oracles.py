@@ -8,7 +8,10 @@ rationals like 0.5); Fraction(float) keeps them exact.
 
 The chunk scores and the coupled-map references are the second kind of
 oracle: the plain code that the buffered chunk scores, the batched
-simulation and the blocked Lyapunov average must match bit for bit.
+simulation and the blocked Lyapunov average must match bit for bit.  With
+the chunk scores, ``oracle_scan_of_candidates`` scores every candidate chunk
+of a split pass in full, as the enumerators did before the pass's tiles
+picked the codes to score again.
 
 The third kind measures how far the computed spectrum is from identities
 the paper proves: the two quotients equal to ``2 - lambda``, and the
@@ -22,6 +25,8 @@ from itertools import combinations, product
 import numpy as np
 
 from lapspec.cml import _LOG_FLOOR, DIVERGENCE_GUARD, PERTURBATION_RADIUS, step_cml
+from lapspec import partitions
+from lapspec.graphs import Bipartition
 from lapspec.neighborhood import neighborhood_graph
 from lapspec.spectral import spectrum
 
@@ -202,6 +207,37 @@ def oracle_dual_cheeger_chunk_score(g):
             return np.where(valid, 2.0 * cross / vols, -np.inf)
 
     return ratio
+
+
+def oracle_scan_of_candidates(name, g, starts):
+    """``(value, witness)`` of the enumerator ``name`` on g, chunks at ``starts`` scored in full.
+
+    ``starts`` are the candidate chunks of the enumerator's split pass on g.
+    Each chunk of ``_CHUNK`` codes is scored by the chunk-score oracle
+    above, and the first largest value and its code are turned into the
+    result as the enumerator does: h is ``min(-value, 1.0)``, hbar
+    ``min(value, 1.0)``.
+    """
+    base, chunk_score = {
+        "cheeger_exact": (2, oracle_cheeger_chunk_score),
+        "balance_ratio_exact": (2, oracle_balance_chunk_score),
+        "dual_cheeger_exact": (3, oracle_dual_cheeger_chunk_score),
+    }[name]
+    m = g.n - 1 if base == 2 else g.n
+    score = chunk_score(g)
+    best, code = -np.inf, -1
+    for lo in starts:
+        codes = np.arange(lo, min(lo + partitions._CHUNK, base**m), dtype=np.int64)
+        vals = score(codes)
+        k = int(np.argmax(vals))
+        if vals[k] > best:
+            best, code = float(vals[k]), int(codes[k])
+    digits = _code_digits(np.array([code]), base, m)[0]
+    if base == 3:
+        v1, v2 = np.flatnonzero(digits == 1), np.flatnonzero(digits == 2)
+        return min(best, 1.0), partitions.TriPartition.of(g, v1, v2)
+    value = min(-best, 1.0) if name == "cheeger_exact" else best
+    return value, Bipartition.of(g, np.flatnonzero(digits))
 
 
 def oracle_neighborhood_weights(g, l):

@@ -47,6 +47,7 @@ from oracles import (
     oracle_dual_cheeger,
     oracle_dual_cheeger_chunk_score,
     oracle_dual_cheeger_witness,
+    oracle_scan_of_candidates,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -217,6 +218,102 @@ def test_split_pass_bit_identical_to_every_chunk_scan(monkeypatch, name):
         assert fast.value.hex() == full.value.hex(), fn.__name__
         assert fast.witness == full.witness, fn.__name__
         assert len(lengths) == 2 and partitions._CHUNK in lengths, (fn.__name__, lengths)
+
+
+def _oracle_graphs():
+    """Seeded graphs for the rescoring of the candidate chunks.
+
+    h and balance at n = 17, 20 and 24, hbar at n = 10, 12 and 14: a unit
+    G(n, 0.4) (exact sums), its Gamma[2] and Gamma[3], and the same graph
+    with weights in [0.1, 10).  Gamma[2](K17) is dyadic and ties across
+    chunks; Gamma[2](K18), and Gamma[2](K12) for hbar, tie in exact
+    arithmetic and round apart.
+    """
+    rng = np.random.default_rng(20261019)
+    graphs = {}
+    for n in (10, 12, 14, 17, 20, 24):
+        g = _gnp(rng, n)
+        graphs[f"G({n}, 0.4)"] = g
+        for l in (2, 3):
+            graphs[f"G({n}, 0.4)[{l}]"] = neighborhood_graph(g, l)
+        w = np.triu(g.weights * rng.uniform(0.1, 10.0, size=(n, n)), 1)
+        graphs[f"weighted G({n}, 0.4)"] = WeightedGraph(n=n, weights=w + w.T)
+    for n in (12, 17, 18):
+        graphs[f"K{n}[2]"] = neighborhood_graph(complete_graph(n), 2)
+    return graphs
+
+
+ORACLE_GRAPHS = _oracle_graphs()
+
+
+def _scores(monkeypatch, fn, g):
+    """The chunk score that ``fn(g)`` scans with, and the lengths of its calls."""
+    calls, scores, scan = [], [], partitions._exact_scan
+
+    def recording_scan(g, what, cap, base, score, block):
+        def counted(codes, rows=slice(None)):
+            calls.append(len(codes))
+            return score(codes, rows)
+
+        scores.append(score)
+        return scan(g, what, cap, base, counted, block)
+
+    with monkeypatch.context() as m:
+        m.setattr(partitions, "_exact_scan", recording_scan)
+        fn(g)
+    return scores[0], calls
+
+
+@pytest.mark.parametrize("name", list(ORACLE_GRAPHS))
+def test_rescoring_bit_identical_to_scoring_every_candidate_chunk(monkeypatch, name):
+    # The pass's tiles pick the codes of each candidate chunk that are
+    # scored again, and none on exact sums.  The value bits and witness are
+    # those of scoring every candidate chunk in full, on one worker or two.
+    g = ORACLE_GRAPHS[name]
+    for fn in _enumerators(g):
+        for count in (1, 2):
+            monkeypatch.setattr(partitions, "_workers", lambda: count)
+            picked, value, witness = _picked_run(monkeypatch, fn, g)
+            want_value, want_witness = oracle_scan_of_candidates(fn.__name__, g, picked[0])
+            assert value == want_value.hex(), (fn.__name__, count)
+            assert witness == want_witness, (fn.__name__, count)
+            _, calls = _scores(monkeypatch, fn, g)
+            assert (not calls) == (partitions._tolerance(g) == 0), (fn.__name__, count)
+
+
+@pytest.mark.parametrize("name", [name for name in ORACLE_GRAPHS
+                                  if "weighted" in name or "K18" in name])
+def test_chunk_scores_of_some_rows_are_those_of_the_whole_chunk(monkeypatch, name):
+    # A score forms its products on the whole chunk, then works row by row
+    # on the rows asked for: one row or many, they get the bits of the same
+    # rows of the whole chunk's scores.  The first, a middle and the last,
+    # shorter chunk.
+    g = ORACLE_GRAPHS[name]
+    rng = np.random.default_rng(g.n)
+    for fn in _enumerators(g):
+        score, _ = _scores(monkeypatch, fn, g)
+        base, m, start = (3, g.n, 0) if fn is dual_cheeger_exact else (2, g.n - 1, 1)
+        starts = np.arange(start, base**m, partitions._CHUNK)
+        for lo in starts[[0, len(starts) // 2, -1]]:
+            codes = np.arange(lo, min(lo + partitions._CHUNK, base**m), dtype=np.int64)
+            full = score(codes).copy()  # a view of the score's arrays
+            c = len(codes)
+            for rows in ([0], [c - 1], rng.integers(c, size=1),
+                         np.sort(rng.choice(c, 100, replace=False)), np.arange(1, c, 3)):
+                some = score(codes, np.asarray(rows))
+                assert np.array_equal(some.view(np.int64), full[rows].view(np.int64)), (
+                    fn.__name__, int(lo), len(rows))
+
+
+def test_cheeger_zero_is_positive_zero():
+    # Two disjoint K10: dyadic, so h = 0 is read from a tile, as (-0) / den
+    # = +0.0, where a chunk's -(0 / den) is -0.0.  The value is +0.0 either
+    # way.  (The CLI refuses a disconnected graph before any enumeration.)
+    w = np.zeros((20, 20))
+    w[:10, :10] = w[10:, 10:] = complete_graph(10).weights
+    res = cheeger_exact(WeightedGraph(n=20, weights=w))
+    assert res.witness.side == frozenset(range(10))
+    assert res.value == 0.0 and math.copysign(1.0, res.value) == 1.0
 
 
 def _scaled(g, k):
