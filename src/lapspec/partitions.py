@@ -131,9 +131,10 @@ def _first_kept(starts, stop: int, score, tol: float, kept, tile, scratch, terms
     """``_first_max`` over the candidate chunks of a split pass, from the pass's own tiles.
 
     ``kept, tile, scratch, terms`` are what the pass's ``block`` returned
-    (``_candidates``); code = low + ``len(kept)`` * high.  Each chunk's
-    float64 tile values ``v`` are computed again, on the highs it spans,
-    and the chunk keeps the codes that pass the test ``_candidates`` puts to
+    (``_candidates``); code = low + ``len(kept)`` * high, and a low that
+    ``block`` drops only has codes that score -inf.  Each chunk's float64
+    tile values ``v`` are computed again, on the highs it spans, and the
+    chunk keeps the codes that pass the test ``_candidates`` puts to
     whole chunks, ``~(v + tol < v.max())``.  With ``|v - exact| <= tol / 2``
     for every code (``_tolerance``), a code ``c`` with the chunk's largest
     exact value ``x`` has ``v(c) >= x - tol / 2 >= v.max() - tol``, so it
