@@ -21,8 +21,10 @@ subcommands run on two disjoint K8 (between the caps) and two disjoint C13
 also runs every graph-reading subcommand on a disconnected graph; the optional
 flags ``constants --walks``, ``walk --f``, ``cml --map tent:2``,
 ``--output`` and ``cml --spread-output`` on K7, hashing each written file
-with the invocation; the usage refusals of ``bounds --l-list 0``,
-``curves --grid 1:0:1``, ``cml --map cubic:1`` and ``walk --steps
+with the invocation, and ``bounds`` there with repeated orders; the
+``complete`` table on K13-K16 as CSV, whose rows past the dual Cheeger cap
+are blank where ``hbar[l]`` is refused; the usage refusals of ``bounds
+--l-list 0``, ``curves --grid 1:0:1``, ``cml --map cubic:1`` and ``walk --steps
 100001``; the refused inputs ``{"n": 0}`` and an edge list with a
 ``nan`` weight; a ``cml`` run on K3 in which only some trials
 synchronize exactly; ``bounds`` on the seed-1 G(24, 0.4) and
@@ -101,6 +103,7 @@ K7_ARGS = {
     "bounds-l0": ["bounds", "--l-list", "0"],
     "cml-cubic": ["cml", "--map", "cubic:1", "--eps", "0.9"],
     "walk-steps": ["walk", "--steps", "100001"],
+    "bounds-repeated-orders": ["bounds", "--l-list", "1,2,2,3"],
 }
 
 #: On K3, four of the five trials are exactly synchronized from steps
@@ -185,6 +188,8 @@ def corpus(workloads, workdir: Path):
         for fmt in ("csv", "json"):
             yield f"curves:{family}:{fmt}", ["curves", "--family", family, "--grid", grid,
                                              "--l-list", l_list, "--format", fmt]
+    yield "curves:complete:caps", ["curves", "--family", "complete", "--grid", "13:16:1",
+                                   "--l-list", "1,2,3"]
     yield "curves:empty-grid", ["curves", "--family", "complete", "--grid", "1:0:1"]
 
 

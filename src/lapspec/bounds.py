@@ -20,14 +20,16 @@ computed from.  Six kinds of claims (targets) appear:
 
 Each bound formula is written once, in one constructor.  The
 neighborhood-graph constructors (``*_from``) take the constants of
-``Gamma[l]`` and the odd-walk ones an :class:`XiProductBound`;
-:func:`all_bound_reports` computes each constant once per graph and order.
+``Gamma[l]`` and the odd-walk ones an :class:`XiProductBound`.  Every
+reader of the constants of ``Gamma[l]`` takes them from one per-graph
+table, which computes each once and keeps a size cap's refusal as ``None``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -483,8 +485,9 @@ class ImprovementReport:
 def improvement_predicates(g: WeightedGraph, l: int) -> ImprovementReport:
     s = spectrum(g)
     lam1, lam_max = s.lambda_1, s.lambda_max
-    h = cheeger_exact(g).value
-    h_l = cheeger_exact(neighborhood_graph(g, l)).value
+    const = _constants(g)
+    h = (const(cheeger_exact, 1) or cheeger_exact(g)).value  # a capped g: raise its refusal
+    h_l = const(cheeger_exact, l).value
     lam1_l = float(map_eigenvalues(s.eigenvalues, l)[1])
 
     even = l % 2 == 0
@@ -609,28 +612,26 @@ def bound_curves(family: str, params, l_list) -> list[CurveRow]:
                     CurveRow(param, l, None, None, False, None, None, None)
                 )
             continue
+        const = _constants(g)
         for l in l_list:
+            odd = l % 2 == 1
             try:
-                gl = neighborhood_graph(g, l)
-                h_l = cheeger_exact(gl).value
-                upper_or = neighborhood_upper_or_from(l, h_l)
-                # for even l the claim is a disjunction; it bounds lambda_1
-                # only when that branch actually holds
-                applicable = upper_or.applicable and (
-                    l % 2 == 1 or lam1 <= upper_or.upper + 1e-12
-                )
-                lower = neighborhood_sandwich_from(l, h_l).lower
-                up_hbar = None
-                if l % 2 == 1:
-                    hbar_l = dual_cheeger_exact(gl).value
-                    up_hbar = neighborhood_dual_upper_from(l, hbar_l).upper
-                rows.append(
-                    CurveRow(param, l, lower, upper_or.upper, applicable, up_hbar, lam1, lam_max)
-                )
-            except (GraphError, ValueError):
-                rows.append(
-                    CurveRow(param, l, None, None, False, None, lam1, lam_max)
-                )
+                h_l = const(cheeger_exact, l)
+                hbar_l = const(dual_cheeger_exact, l) if odd and h_l is not None else None
+            except (GraphError, ValueError):  # e.g. an order below 1
+                h_l = None
+            if h_l is None or (odd and hbar_l is None):
+                rows.append(CurveRow(param, l, None, None, False, None, lam1, lam_max))
+                continue
+            upper_or = neighborhood_upper_or_from(l, h_l.value)
+            # for even l the claim is a disjunction; it bounds lambda_1
+            # only when that branch actually holds
+            applicable = upper_or.applicable and (odd or lam1 <= upper_or.upper + 1e-12)
+            lower = neighborhood_sandwich_from(l, h_l.value).lower
+            up_hbar = neighborhood_dual_upper_from(l, hbar_l.value).upper if odd else None
+            rows.append(
+                CurveRow(param, l, lower, upper_or.upper, applicable, up_hbar, lam1, lam_max)
+            )
     return rows
 
 
@@ -653,27 +654,39 @@ def curves_to_csv(rows: list[CurveRow]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# every report at once
+# the constants of Gamma[l] per graph, and every report at once
 
 
-def _capped(fn, g):
-    """``fn(g)``, or ``None`` when a size cap refuses it."""
-    try:
-        return fn(g)
-    except GraphError as err:
-        if err.kind is not GraphErrorKind.SIZE_CAP_EXCEEDED:
-            raise
-        return None
+def _constants(g: WeightedGraph):
+    """``const(fn, l)`` is ``fn(Gamma[l])``, or ``None`` where a size cap refuses it.
+
+    Builds each ``Gamma[l]`` (``Gamma[1]`` is ``g``) and computes each
+    constant at most once; other errors propagate.
+    """
+    gamma = cache(lambda l: g if l == 1 else neighborhood_graph(g, l))
+
+    @cache
+    def const(fn, l: int):
+        try:
+            return fn(gamma(l))
+        except GraphError as err:
+            if err.kind is not GraphErrorKind.SIZE_CAP_EXCEEDED:
+                raise
+            return None
+
+    return const
 
 
 def all_bound_reports(g: WeightedGraph, s: Spectrum, l_list=(2, 3)) -> list[BoundReport]:
     """Every bound report computable for ``g``, whose spectrum is ``s``, at the given orders.
 
-    Each ``Gamma[l]`` and each constant is computed once.  Reports whose
-    constants exceed a size cap are skipped; other errors propagate.
+    Each ``Gamma[l]`` and each constant is computed once, ``l = 1`` and
+    repeated orders included.  Reports whose constants a size cap refuses
+    are skipped; other errors propagate.
     """
-    h_res = _capped(cheeger_exact, g)
-    hbar_res = _capped(dual_cheeger_exact, g)
+    const = _constants(g)
+    h_res = const(cheeger_exact, 1)
+    hbar_res = const(dual_cheeger_exact, 1)
 
     reports: list[BoundReport] = []
     if h_res is not None:
@@ -685,20 +698,15 @@ def all_bound_reports(g: WeightedGraph, s: Spectrum, l_list=(2, 3)) -> list[Boun
     if h_res is not None:
         reports.append(localized_upper(g, s, h_res.value))
     reports.append(diameter_variation_upper(g, s))
-    cc_g = clustering_constants(g)
-    reports.append(clustering_upper(cc_g))
+    reports.append(clustering_upper(const(clustering_constants, 1)))
     if not is_bipartite(g):
         pb = xi_product_bound(g, default_odd_walk_family(g))
         reports.append(odd_walk_upper(pb))
         reports.append(poincare_upper(pb))
     for l in l_list:
-        gl = neighborhood_graph(g, l)
-        if gl is g:  # l = 1: reuse the constants of g
-            h_l, hbar_l, cc = h_res, hbar_res, cc_g
-        else:
-            h_l = _capped(cheeger_exact, gl)
-            hbar_l = _capped(dual_cheeger_exact, gl)
-            cc = clustering_constants(gl)
+        h_l = const(cheeger_exact, l)
+        hbar_l = const(dual_cheeger_exact, l)
+        cc = const(clustering_constants, l)
         if h_l is not None:
             reports.append(neighborhood_sandwich_from(l, h_l.value))
             reports.append(neighborhood_upper_or_from(l, h_l.value))

@@ -200,26 +200,22 @@ class RatioBounds:
 
 def ratio_bounds(g: WeightedGraph) -> RatioBounds:
     # imported here: ``lapspec cml`` simulates and needs no enumerator or bound
-    from .bounds import neighborhood_dual_upper_from, neighborhood_sandwich_from
-    from .neighborhood import neighborhood_graph
+    from .bounds import _constants, neighborhood_dual_upper_from, neighborhood_sandwich_from
     from .partitions import cheeger_exact, dual_cheeger_exact, require_exact_constants
 
     require_exact_constants(g)  # h = 0 on a disconnected graph; as in ``lapspec constants``
-    h = cheeger_exact(g).value
-    hbar = dual_cheeger_exact(g).value
+    const = _constants(g)  # no cap refuses g past the check above
+    h = const(cheeger_exact, 1).value
+    hbar = const(dual_cheeger_exact, 1).value
     uppers: dict[int, float] = {}
     lowers: dict[int, float] = {}
     for l in (1, 2, 3):
-        gl = neighborhood_graph(g, l)
-        at_one = gl is g  # l = 1: reuse h and hbar of g
-        h_l = h if at_one else cheeger_exact(gl).value
-        sandwich = neighborhood_sandwich_from(l, h_l)
+        sandwich = neighborhood_sandwich_from(l, const(cheeger_exact, l).value)
         lowers[l] = sandwich.lower
         if l % 2 == 0:
             uppers[l] = sandwich.upper
         else:
-            hbar_l = hbar if at_one else dual_cheeger_exact(gl).value
-            uppers[l] = neighborhood_dual_upper_from(l, hbar_l).upper
+            uppers[l] = neighborhood_dual_upper_from(l, const(dual_cheeger_exact, l).value).upper
     best_lower = max(lowers.values())
     if best_lower <= 0:
         raise ValueError("no positive lower bound for lambda_1 at l = 1, 2, 3")

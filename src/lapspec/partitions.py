@@ -62,13 +62,6 @@ _WORKERS = 2
 #: 3.7 ms for the 16 at n = 22, and 2.9 ms against 3.5 ms for the 19 of
 #: ``hbar`` at n = 14 (the whole pass each time).
 _MIN_TILES = 8
-#: Most float64 tiles of a split pass that skips the float32 stage, which
-#: only pays where it spares float64 tiles.  In process, with one BLAS
-#: thread, the stage took the pass of ``hbar`` on a G(11, 0.4) (2 tiles)
-#: from 0.42 to 0.52 ms, of ``h`` on a G(19, 0.4) (4 tiles) from 1.17 to
-#: 1.19 ms, of ``hbar`` on a G(12, 0.4) (5 tiles) from 0.84 to 0.81 ms and
-#: of ``h`` on a G(20, 0.4) (8 tiles) from 1.59 to 1.40 ms.
-_SCREEN_TILES = 4
 #: Allowance for the rounding of a ratio in [0, 1], on each side of a comparison.
 _TOL = 1e-9
 
@@ -282,9 +275,8 @@ def _candidates(
     If that spares a kept chunk, the dropped one had ``c' >= c + tol``, so
     ``c + 2 tol <= c' + tol < c_best``, and the first test drops it.  A
     NaN in stage 1 makes the best maximum NaN, which keeps every chunk.
-    With ``err32`` infinite, or at most ``_SCREEN_TILES`` float64 tiles,
-    stage 1 is skipped; with ``tol`` infinite, every chunk is returned,
-    with no pass at all.
+    With ``err32`` infinite, stage 1 is skipped; with ``tol`` infinite,
+    every chunk is returned, with no pass at all.
 
     The tiles of each stage are split into contiguous runs, one per worker
     thread of ``_split``: two when BLAS runs on one thread and the process
@@ -376,7 +368,7 @@ def _candidates(
         return new_scan
 
     keep = np.ones(len(starts), dtype=bool)
-    if err32 < np.inf and -(-len(hi) // tile_rows) > _SCREEN_TILES:
+    if err32 < np.inf:
         # stage 1: float32 tiles of twice the highs, in the same bytes
         single = tuple(_single(t) for t in terms)
         rows32 = min(2 * tile_rows, len(hi))

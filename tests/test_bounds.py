@@ -35,6 +35,8 @@ from lapspec.bounds import (
     poincare_upper,
 )
 from lapspec.graphs import (
+    GraphError,
+    GraphErrorKind,
     WeightedGraph,
     build_graph,
     complete_graph,
@@ -45,6 +47,7 @@ from lapspec.graphs import (
 )
 from lapspec.neighborhood import neighborhood_graph
 from lapspec.partitions import (
+    CHEEGER_EXACT_CAP,
     cheeger_exact,
     default_odd_walk_family,
     dual_cheeger_exact,
@@ -533,7 +536,7 @@ def test_all_reports_compute_each_constant_once(monkeypatch):
     all_bound_reports(g, spectrum(g), (1, 2))
     # Gamma[1] is g, so its constants are those of g: those of g and Gamma[2]
     assert calls == {
-        "neighborhood_graph": 2,
+        "neighborhood_graph": 1,
         "cheeger_exact": 2,
         "dual_cheeger_exact": 2,
         "clustering_constants": 2,
@@ -593,6 +596,28 @@ def test_improvement_trivial_at_order_one():
     # at l = 1 both thresholds collapse to h itself
     assert rep.lower_improves and rep.upper_improves
     assert not rep.some_improvement
+
+
+def test_improvement_at_order_one_computes_h_once(monkeypatch):
+    import lapspec.bounds
+
+    calls = []
+
+    def counting(g):
+        calls.append(g.n)
+        return cheeger_exact(g)
+
+    monkeypatch.setattr(lapspec.bounds, "cheeger_exact", counting)
+    rep = improvement_predicates(complete_graph(4), 1)
+    # Gamma[1] is g, so h[1] is h
+    assert calls == [4]
+    assert rep.constants["h_l"] == rep.constants["h"]
+
+
+def test_improvement_refuses_a_graph_past_the_cheeger_cap():
+    with pytest.raises(GraphError) as exc:
+        improvement_predicates(cycle_graph(CHEEGER_EXACT_CAP + 1), 2)
+    assert exc.value.kind is GraphErrorKind.SIZE_CAP_EXCEEDED
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,47 @@ def test_walk_json_computes_the_spectrum_once(capsys, monkeypatch, k5_file):
     assert calls == [5]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--input", "{k7}", "--l-list", "1,2,2,3"],
+        ["curves", "--family", "complete", "--grid", "5:6:1", "--l-list", "1,1,2,3"],
+        ["constants", "--input", "{k7}"],
+        ["walk", "--input", "{k7}", "--l", "2"],
+    ],
+    ids=["bounds", "curves", "constants", "walk"],
+)
+def test_command_computes_each_constant_once(capsys, monkeypatch, tmp_path, argv):
+    # Every binding of each constant in the lapspec modules is counted, by
+    # (constant, graph bytes): repeated orders and l = 1 compute nothing again.
+    import sys
+    from collections import Counter
+
+    from lapspec import bounds, cml, partitions, random_walk  # noqa: F401 (loads each module)
+
+    constants = (partitions.cheeger_exact, partitions.dual_cheeger_exact,
+                 partitions.balance_ratio_exact, bounds.clustering_constants)
+    calls = Counter()
+
+    def counting(fn):
+        def wrapper(g):
+            calls[fn.__name__, g.n, g.weights.tobytes()] += 1
+            return fn(g)
+
+        return wrapper
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lapspec."):
+            for attr, value in list(vars(module).items()):
+                if any(value is fn for fn in constants):
+                    monkeypatch.setattr(module, attr, counting(value))
+    k7 = tmp_path / "k7.json"
+    write_graph(complete_graph(7), k7)
+    code, _, _ = _run(capsys, *(arg.format(k7=k7) for arg in argv))
+    assert code == 0
+    assert calls and max(calls.values()) == 1, [key[:2] for key, c in calls.items() if c > 1]
+
+
 def test_neighborhood_command(capsys, k5_file):
     code, out, _ = _run(capsys, "neighborhood", "--input", k5_file, "--l", "2")
     assert code == 0

@@ -65,10 +65,13 @@ def _modules_run(tmp_path, *argv: str) -> set[str]:
         (["neighborhood", "--input", "{k5}", "--l", "2"], {"graphs", "spectral", "neighborhood"}),
         (["walk", "--input", "{k5}", "--steps", "3"],
          {"graphs", "spectral", "neighborhood", "random_walk"}),
+        # the rate of ``walk --l`` needs h[l] from partitions, but not bounds
+        (["walk", "--input", "{k5}", "--steps", "3", "--l", "2"],
+         {"graphs", "spectral", "neighborhood", "random_walk", "partitions"}),
         (["cml", "--input", "{k5}", "--eps", "0.9", "--steps", "10", "--trials", "1"],
          {"graphs", "spectral", "cml"}),
     ],
-    ids=["version", "spectrum", "neighborhood", "walk", "cml"],
+    ids=["version", "spectrum", "neighborhood", "walk", "walk-l2", "cml"],
 )
 def test_subcommand_runs_only_its_modules(tmp_path, argv, expected):
     assert _modules_run(tmp_path, *argv) == expected

@@ -344,7 +344,6 @@ def test_split_pass_does_not_depend_on_the_worker_count(monkeypatch, name):
     g = SPLIT_PASS_GRAPHS[name]
     split = partitions._split
     monkeypatch.setattr(partitions, "_MIN_TILES", 1)
-    monkeypatch.setattr(partitions, "_SCREEN_TILES", 0)
     for fn in _enumerators(g):
         with monkeypatch.context() as m:
             m.setattr(partitions, "_tolerance32", lambda g, tol: np.inf)
@@ -408,7 +407,6 @@ def test_float32_stage_runs_on_total_volumes_in_its_range(monkeypatch, name):
     # At either end of its range the float32 stage runs, neither overflowing
     # nor flushing a weight to zero, with the candidates, value bits and
     # witness of g; a step beyond either end, err32 is infinite.
-    monkeypatch.setattr(partitions, "_SCREEN_TILES", 0)
     g = SPLIT_PASS_GRAPHS[name]
     for e in (-65, 65):
         scaled = _volume_at(g, e)
@@ -430,7 +428,6 @@ def test_float32_tiles_within_err32_of_float64(monkeypatch, name, e):
     # so that the float64 stage scores every tile too, and every pass runs
     # the float32 stage, however few its tiles.  Also with the total volume
     # at either end of the float32 stage's range.
-    monkeypatch.setattr(partitions, "_SCREEN_TILES", 0)
     g = SPLIT_PASS_GRAPHS[name] if e is None else _volume_at(SPLIT_PASS_GRAPHS[name], e)
     err32 = partitions._tolerance32(g, partitions._tolerance(g))
     assert err32 < 0.02
