@@ -28,8 +28,10 @@ table, which computes each once and keeps a size cap's refusal as ``None``.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from collections.abc import Mapping
 from functools import cache
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,14 +70,13 @@ TARGET_BRANCH_OR = "branch_or"
 SUPPORT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     name: str
     target: str
     lower: float | None = None
     upper: float | None = None
     conditions: tuple[tuple[str, bool], ...] = ()
-    inputs: dict[str, float] = field(default_factory=dict)
+    inputs: Mapping[str, float] = MappingProxyType({})  # read-only: every report shares it
 
     @property
     def applicable(self) -> bool:
@@ -242,8 +243,7 @@ def diameter_variation_upper(g: WeightedGraph, s: Spectrum) -> BoundReport:
 # local clustering
 
 
-@dataclass(frozen=True)
-class ClusteringConstants:
+class ClusteringConstants(NamedTuple):
     """Triangle-based constants controlling the distance from bipartiteness.
 
     ``c0`` is the minimum over non-loop edges of the mean triangle fraction
@@ -455,8 +455,7 @@ def neighborhood_dual_upper_from(l: int, hbar_l: float) -> BoundReport:
 # improvement predicates
 
 
-@dataclass(frozen=True)
-class ImprovementReport:
+class ImprovementReport(NamedTuple):
     """When do the neighborhood bounds beat the direct Cheeger bounds?
 
     ``lower_improves`` is the exact comparison
@@ -557,8 +556,7 @@ def improvement_predicates(g: WeightedGraph, l: int) -> ImprovementReport:
 # curve tables
 
 
-@dataclass(frozen=True)
-class CurveRow:
+class CurveRow(NamedTuple):
     """One (family parameter, l) point of the bound-comparison curves.
 
     ``lower`` is the transferred Cheeger lower bound
@@ -649,7 +647,7 @@ def curves_to_csv(rows: list[CurveRow]) -> str:
     ]
     for r in rows:
         # CurveRow fields are in CSV column order
-        lines.append(",".join([cell(r.param), str(r.l), *map(cell, astuple(r)[2:])]))
+        lines.append(",".join([cell(r.param), str(r.l), *map(cell, tuple(r)[2:])]))
     return "\n".join(lines) + "\n"
 
 

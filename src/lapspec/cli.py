@@ -24,7 +24,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict
 from types import ModuleType
 
 import numpy as np
@@ -277,7 +276,7 @@ def _cmd_curves(args) -> str:
     l_list = _parse_int_list(args.l_list)
     rows = bounds.bound_curves(args.family, params, l_list)
     if args.format == "json":
-        payload = {"family": args.family, "rows": [asdict(r) for r in rows]}
+        payload = {"family": args.family, "rows": [r._asdict() for r in rows]}
         for row in payload["rows"]:
             row["lambdaMax"] = row.pop("lambda_max")
         return _dump_json(payload)
@@ -300,7 +299,7 @@ def _cmd_walk(args) -> str:
     except ValueError as err:
         raise _naming_flags(err, t_max="--steps") from None
     if args.format == "json":
-        return _dump_json({"rho": rho, "reports": [asdict(r) for r in reports]})
+        return _dump_json({"rho": rho, "reports": [r._asdict() for r in reports]})
     return random_walk.walk_reports_to_csv(reports)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ _LOG_FLOOR = 1e-300
 _LYAPUNOV_BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
-class MapSpec:
+class MapSpec(NamedTuple):
     """An interval map together with its derivative.
 
     Both callables accept and return numpy arrays (or scalars).  ``f`` must
@@ -121,8 +120,7 @@ def step_cml(g: WeightedGraph, x: np.ndarray, map_spec: MapSpec, eps: float) -> 
     return fx + eps * coupling
 
 
-@dataclass(frozen=True)
-class SyncInterval:
+class SyncInterval(NamedTuple):
     """The coupling range guaranteeing stability of the synchronized state.
 
     ``(lo, hi) = ((1-e^-mu)/lambda_1, (1+e^-mu)/lambda_max)``; nonempty
@@ -180,8 +178,7 @@ def transverse_stability_factor(s: Spectrum, eps: float, mu: float) -> float:
         raise ValueError(f"eps * lambda overflows for eps = {eps!r}") from None
 
 
-@dataclass(frozen=True)
-class RatioBounds:
+class RatioBounds(NamedTuple):
     """Isoperimetric bracket for the spectral ratio ``lambda_max/lambda_1``.
 
     ``lower = hbar/h``.  The upper bound divides the best transferred upper
@@ -229,8 +226,7 @@ def ratio_bounds(g: WeightedGraph) -> RatioBounds:
     )
 
 
-@dataclass(frozen=True)
-class SyncReport:
+class SyncReport(NamedTuple):
     """Outcome of the interval test plus a direct simulation.
 
     ``synchronized`` means every trial kept the pairwise spread below the

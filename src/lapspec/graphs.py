@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,9 +44,8 @@ class GraphError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True, eq=False)
 class WeightedGraph:
-    """Immutable weighted graph.
+    """Immutable weighted graph, equal only to itself.
 
     Attributes
     ----------
@@ -54,16 +53,16 @@ class WeightedGraph:
         Number of vertices.
     weights:
         Dense ``(n, n)`` symmetric weight matrix (read-only).
+    degrees:
+        Row sums of ``weights`` (read-only).
     """
 
-    n: int
-    weights: np.ndarray
-    degrees: np.ndarray = field(init=False)
+    __slots__ = ("n", "weights", "degrees")
 
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (self.n, self.n):
-            raise ValueError(f"weight matrix shape {w.shape} != ({self.n}, {self.n})")
+    def __init__(self, n: int, weights: np.ndarray):
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (n, n):
+            raise ValueError(f"weight matrix shape {w.shape} != ({n}, {n})")
         if not np.isfinite(w).all():
             raise GraphError(GraphErrorKind.NON_FINITE_WEIGHT, "edge weights must be finite")
         if not np.array_equal(w, w.T):
@@ -81,9 +80,19 @@ class WeightedGraph:
         if not np.isfinite(volume):
             raise GraphError(GraphErrorKind.NON_FINITE_WEIGHT, "total volume overflows")
         w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
         d.setflags(write=False)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "weights", w)
         object.__setattr__(self, "degrees", d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.n, self.weights)
 
     @property
     def volume(self) -> float:
@@ -108,8 +117,7 @@ class WeightedGraph:
         return float(self.degrees[idx].sum()) if idx.size else 0.0
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(NamedTuple):
     """One side of a cut: a proper nonempty vertex subset."""
 
     side: frozenset[int]

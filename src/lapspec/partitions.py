@@ -20,7 +20,7 @@ import itertools
 import math
 import os
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,8 +66,7 @@ _MIN_TILES = 8
 _TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class TriPartition:
+class TriPartition(NamedTuple):
     """Disjoint vertex classes ``(V1, V2, V3)`` covering the graph; V3 may be empty."""
 
     v1: frozenset[int]
@@ -96,8 +95,7 @@ class TriPartition:
         return 2.0 * cross / vols
 
 
-@dataclass(frozen=True)
-class CheegerResult:
+class CheegerResult(NamedTuple):
     value: float
     witness: Bipartition | TriPartition
 
@@ -842,8 +840,7 @@ def balance_ratio_exact(g: WeightedGraph) -> CheegerResult:
     return CheegerResult(value=best, witness=Bipartition.of(g, np.flatnonzero(digits)))
 
 
-@dataclass(frozen=True)
-class BalancedPartition:
+class BalancedPartition(NamedTuple):
     """Greedy balanced bipartition plus the step index entering its guarantee.
 
     ``m`` is the last time the eventually-lighter side was still at least as
@@ -895,8 +892,7 @@ def _edge_key(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i <= j else (j, i)
 
 
-@dataclass(frozen=True)
-class OddWalkFamily:
+class OddWalkFamily(NamedTuple):
     """One closed walk of odd length through every vertex.
 
     ``walks[i]`` is the vertex sequence of the walk anchored at vertex i,
@@ -967,8 +963,7 @@ def default_odd_walk_family(g: WeightedGraph) -> OddWalkFamily:
     return OddWalkFamily(walks=tuple(walks))
 
 
-@dataclass(frozen=True)
-class XiProductBound:
+class XiProductBound(NamedTuple):
     """Congestion ``xi`` of a walk family and its bound ``xi <= d_max * w_inv * b_load``.
 
     ``xi`` is ``max_e (1/w_e) sum of d_i over the walks through e``; the

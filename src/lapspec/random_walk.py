@@ -9,7 +9,7 @@ constant of an even-order neighborhood graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +39,7 @@ def equilibrium_projection(g: WeightedGraph, f: np.ndarray) -> np.ndarray:
     return np.full(g.n, mean)
 
 
-@dataclass(frozen=True)
-class WalkReport:
+class WalkReport(NamedTuple):
     """Deviation of ``P^t f`` from equilibrium against its a-priori bounds.
 
     ``bound_rho`` is ``rho^t ||f||`` and always applies; ``bound_hl`` is the

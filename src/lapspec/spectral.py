@@ -12,7 +12,7 @@ Eigenpairs are computed through the symmetric conjugate
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +21,7 @@ from .graphs import WeightedGraph, require_connected
 _SIGN_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Eigenvalues (ascending) and degree-orthonormal eigenfunctions.
 
     ``eigenfunctions[k]`` is the eigenfunction for ``eigenvalues[k]``,

@@ -94,6 +94,22 @@ def test_logistic_exponent_near_ln2():
     assert abs(mu - LN2) < 0.03
 
 
+@pytest.mark.parametrize(
+    "spec, exact, tol",
+    [
+        (tent_map(1.5), math.log(1.5), 1e-12),
+        (tent_map(2.0), LN2, 1e-12),
+        # the estimate read 0.69317923, an error of 3.2e-5
+        (logistic_map(4.0), LN2, 1e-4),
+    ],
+    ids=["tent-1.5", "tent-2", "logistic-4"],
+)
+def test_simulation_exponent_estimate_against_closed_form(spec, exact, tol):
+    # the orbit ``simulate_sync`` takes mu from, as ``lapspec cml`` runs it
+    mu = lyapunov_exponent(spec, 0.2357111317, cml._MU_STEPS, cml._MU_TRANSIENT)
+    assert abs(mu - exact) < tol
+
+
 def test_contracting_exponent():
     # constant slope 1/2 keeps the orbit inside [1/4, 3/4]
     m = MapSpec(f=lambda x: 0.5 * x + 0.25, f_prime=lambda x: 0.5)
