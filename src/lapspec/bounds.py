@@ -614,8 +614,8 @@ def bound_curves(family: str, params, l_list) -> list[CurveRow]:
         for l in l_list:
             odd = l % 2 == 1
             try:
-                h_l = const(cheeger_exact, l)
-                hbar_l = const(dual_cheeger_exact, l) if odd and h_l is not None else None
+                hbar_l = const(dual_cheeger_exact, l) if odd else None
+                h_l = const(cheeger_exact, l) if not odd or hbar_l is not None else None
             except (GraphError, ValueError):  # e.g. an order below 1
                 h_l = None
             if h_l is None or (odd and hbar_l is None):

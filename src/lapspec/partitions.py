@@ -16,10 +16,7 @@ families of odd closed walks give computable upper bounds for ``hbar``.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import os
-import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -50,18 +47,6 @@ _CHUNK = 1 << 15
 #: Pairs per float64 tile of the split pass; a float32 tile has twice as
 #: many, in the same bytes.
 _TILE = 1 << 16
-#: Most worker threads of a split pass: two, the only count measured.
-#: Each worker's buffers take 1 to 1.5 MB at ``_TILE`` pairs.
-_WORKERS = 2
-#: Fewest tiles per worker thread of a split pass.  In process, with one
-#: BLAS thread on two CPUs, two workers took 4.3-5.1 ms for the 8 float64
-#: tiles of ``h`` at n = 20 against 3.4-4.1 ms for one, 6.0-6.4 ms against
-#: 5.6-6.9 ms for the 16 at n = 21, and 30 ms against 49 ms for the 128 at
-#: n = 24.  For the float32 stage of Gamma[2] of a G(n, 0.4), two workers
-#: took 2.0 ms against 1.9 ms for the 8 tiles at n = 21, 3.1 ms against
-#: 3.7 ms for the 16 at n = 22, and 2.9 ms against 3.5 ms for the 19 of
-#: ``hbar`` at n = 14 (the whole pass each time).
-_MIN_TILES = 8
 #: Allowance for the rounding of a ratio in [0, 1], on each side of a comparison.
 _TOL = 1e-9
 
@@ -275,20 +260,6 @@ def _candidates(
     NaN in stage 1 makes the best maximum NaN, which keeps every chunk.
     With ``err32`` infinite, stage 1 is skipped; with ``tol`` infinite,
     every chunk is returned, with no pass at all.
-
-    The tiles of each stage are split into contiguous runs, one per worker
-    thread of ``_split``: two when BLAS runs on one thread and the process
-    may use two CPUs, and at least ``_MIN_TILES`` tiles each (stage 1 of
-    every pass of ``h`` and balance from 22 vertices on, of ``hbar`` at
-    14).  numpy releases the interpreter lock in the product and the
-    division, so the workers run on separate CPUs.  The digit matrices and
-    the terms are shared; each worker has its own chunk maxima, and its own
-    tile buffer and scratch, 1 to 1.5 MB at ``_TILE`` pairs, which stage 1
-    views as float32 and stage 2 reuses.  The maxima are merged with
-    ``np.maximum``, which keeps NaN.  A worker computes its tiles exactly as
-    the one-thread pass does, and maxima do not depend on the order they
-    are taken in, so the candidates, and the values and witnesses, do not
-    depend on the number of workers.
     """
     if not tol < np.inf:
         return starts  # no pass can tell the chunks apart
@@ -310,9 +281,7 @@ def _candidates(
     def tiling(rows, keep):
         """Each tile of ``rows`` highs that holds a chunk of the mask
         ``keep``, as (h0, c0, c1, at): its first high, its chunks c0 .. c1 -
-        1, and the positions in it where each of these chunks begins.
-        Worked out here, since the workers hold the interpreter lock for
-        Python code."""
+        1, and the positions in it where each of these chunks begins."""
         size, count = rows * len(lows), -(-len(hi) // rows)
         where, at = np.divmod(edges, size)  # the tile and position where each later chunk begins
         inner = (at > 0) & (edges < len(hi) * len(lows))  # past a tile's first pair
@@ -326,58 +295,46 @@ def _candidates(
         return [(int(i) * rows, c0[i], c1[i], at[ends[i] - inside[i] - 1 : ends[i]])
                 for i in np.flatnonzero(held[c1] > held[c0])]
 
-    # Every tile is written into these buffers, its values and its scratch,
-    # one pair per worker, shared by both stages: a fresh half-megabyte
-    # array per tile goes back to the OS when freed and is page-faulted in
-    # again by the next tile.  (As one array of both, they raised the peak
-    # memory of ``lapspec walk`` at n = 24 by 1.5 MB: malloc returns less to
-    # the OS after freeing it.)
+    # Every tile is written into one buffer pair, its values and its
+    # scratch, shared by both stages; stage 1 views it as float32.  A fresh
+    # half-megabyte array per tile goes back to the OS when freed and is
+    # page-faulted in again by the next tile.  (As one array of both, they
+    # raised the peak memory of ``lapspec walk`` at n = 24 by 1.5 MB: malloc
+    # returns less to the OS after freeing it.)  They are allocated by the
+    # first scan, after its terms and tiling: allocated before them, they
+    # made two of the three passes of ``lapspec bounds`` at n = 24 about
+    # 1.2 ms slower each with BLAS on two threads, from heap layout alone.
     buffers = []
 
-    def scan_with(terms, dtype, rows):
-        """``new_scan`` for ``_split``: ``scan(run)``, each chunk's largest
-        value over the tiles of ``run``, in ``dtype`` with ``rows`` highs
-        per tile, on the next worker's buffers."""
-        taken = itertools.count()
-
-        def new_scan():
-            i = next(taken)
-            if i == len(buffers):
-                size = tile_rows * len(lows)
-                buffers.append((np.empty(size), np.empty((scratch, size))))
-            buf, tmp = (b.view(dtype) for b in buffers[i])
-            size = rows * len(lows)
-            buf, tmp = buf[:size].reshape(rows, -1), tmp[:, :size].reshape(scratch, rows, -1)
-
-            def scan(run):
-                cmax = np.full(len(starts), -np.inf)
-                with np.errstate(all="ignore"):  # numpy's error state is per thread
-                    for h0, c0, c1, at in run:
-                        out = buf[: min(rows, len(hi) - h0)]
-                        tile(terms, slice(h0, h0 + len(out)), out, *tmp[:, : len(out)])
-                        vals = out.ravel()
-                        if h0 == 0:
-                            vals[:skip] = -np.inf
-                        np.maximum(cmax[c0:c1], np.maximum.reduceat(vals, at), out=cmax[c0:c1])
-                return cmax
-
-            return scan
-
-        return new_scan
+    def scan(terms, dtype, rows, tiles):
+        """Each chunk's largest value over ``tiles``, in ``dtype`` with ``rows`` highs per tile."""
+        if not buffers:
+            size = tile_rows * len(lows)
+            buffers.extend((np.empty(size), np.empty((scratch, size))))
+        buf, tmp = (b.view(dtype) for b in buffers)
+        size = rows * len(lows)
+        buf, tmp = buf[:size].reshape(rows, -1), tmp[:, :size].reshape(scratch, rows, -1)
+        cmax = np.full(len(starts), -np.inf)
+        with np.errstate(all="ignore"):
+            for h0, c0, c1, at in tiles:
+                out = buf[: min(rows, len(hi) - h0)]
+                tile(terms, slice(h0, h0 + len(out)), out, *tmp[:, : len(out)])
+                vals = out.ravel()
+                if h0 == 0:
+                    vals[:skip] = -np.inf
+                np.maximum(cmax[c0:c1], np.maximum.reduceat(vals, at), out=cmax[c0:c1])
+        return cmax
 
     keep = np.ones(len(starts), dtype=bool)
     if err32 < np.inf:
         # stage 1: float32 tiles of twice the highs, in the same bytes
         single = tuple(_single(t) for t in terms)
         rows32 = min(2 * tile_rows, len(hi))
-        cmax = functools.reduce(
-            np.maximum, _split(scan_with(single, np.float32, rows32), tiling(rows32, keep))
-        )
+        cmax = scan(single, np.float32, rows32, tiling(rows32, keep))
         del single  # the float32 terms, freed before stage 2
         keep = ~(cmax + (2 * err32 + tol) < cmax.max())
     # stage 2: the tiles that hold a kept chunk
-    tiles = tiling(tile_rows, keep)
-    cmax = functools.reduce(np.maximum, _split(scan_with(terms, np.float64, tile_rows), tiles))
+    cmax = scan(terms, np.float64, tile_rows, tiling(tile_rows, keep))
     cmax[~keep] = -np.inf
     earlier = np.maximum.accumulate(np.concatenate(([-np.inf], cmax[:-1])))
     return starts[~((cmax + tol < cmax.max()) | (cmax + tol <= earlier))]
@@ -388,86 +345,6 @@ def _single(term):
     if isinstance(term, np.ndarray):
         return term.astype(np.float32) if term.dtype == np.float64 else term
     return np.float32(term)
-
-
-def _workers() -> int:
-    """Worker threads for a split pass: up to ``_WORKERS`` when BLAS runs on one thread, else one.
-
-    After a product large enough for several threads (a chunk's rescoring
-    is one), OpenBLAS keeps its idle threads spinning for about 0.1 s, and
-    a second worker competes with them for the CPUs: on two CPUs with BLAS
-    on two threads, two workers made ``lapspec bounds`` on 24 vertices 6%
-    slower.  A BLAS other than OpenBLAS is not asked, and gets one worker.
-    """
-    if _blas_threads() != 1:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        cpus = os.cpu_count() or 1
-    return min(_WORKERS, cpus)
-
-
-@functools.cache
-def _blas_threads() -> int:
-    """The threads numpy's OpenBLAS may run a product on; 0 if that cannot be found."""
-    import ctypes  # numpy has loaded it already
-
-    try:
-        from numpy._core import _multiarray_umath as linked
-    except ImportError:  # numpy 1.x
-        from numpy.core import _multiarray_umath as linked
-    try:
-        lib = ctypes.CDLL(linked.__file__)  # its symbols include those of the BLAS it links
-    except OSError:
-        return 0
-    # numpy's own OpenBLAS, as numpy 2 and numpy 1 wheels name it, or a system one
-    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                 "openblas_get_num_threads"):
-        get = getattr(lib, name, None)
-        if get is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            return get()
-    return 0
-
-
-def _split(new_fn, items) -> list:
-    """``new_fn()(share)`` of each contiguous share of ``items``, one share per worker thread.
-
-    Up to ``_workers()`` workers, each with at least ``_MIN_TILES`` items,
-    so a short ``items`` stays on the calling thread; the caller runs the
-    first share itself.  Every ``new_fn()`` runs on the calling thread, so
-    that the workers' buffers come from its allocator: memory a worker
-    allocated itself would stay with that thread's malloc arena, out of
-    reach of the caller's later arrays, and raise the process's peak memory
-    (by about 2 MB in ``lapspec bounds`` at n = 24).  An exception in a
-    share is raised here, the earliest share's first, as the one-thread
-    loop would raise it.  (``concurrent.futures`` would do the same, but
-    importing it takes 11 ms per process, against the about 50 ms that two
-    workers save the three scans of ``lapspec bounds`` on 24 vertices.)
-    """
-    count = len(items) // _MIN_TILES
-    count = min(count, _workers()) if count > 1 else 1
-    fns = [new_fn() for _ in range(count)]
-    shares = [items[len(items) * i // count : len(items) * (i + 1) // count] for i in range(count)]
-    outcomes: list = [None] * count
-
-    def work(i):
-        try:
-            outcomes[i] = (fns[i](shares[i]), None)
-        except BaseException as err:  # raised again in the caller, below
-            outcomes[i] = (None, err)
-
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(1, count)]
-    for t in threads:
-        t.start()
-    work(0)
-    for t in threads:
-        t.join()
-    for _, err in outcomes:
-        if err is not None:
-            raise err
-    return [result for result, _ in outcomes]
 
 
 def _tolerance(g: WeightedGraph) -> float:

@@ -48,6 +48,7 @@ from lapspec.graphs import (
 from lapspec.neighborhood import neighborhood_graph
 from lapspec.partitions import (
     CHEEGER_EXACT_CAP,
+    DUAL_CHEEGER_EXACT_CAP,
     cheeger_exact,
     default_odd_walk_family,
     dual_cheeger_exact,
@@ -665,3 +666,24 @@ def test_bound_curves_bad_point_leaves_empty_cells():
 def test_bound_curves_complete_needs_integral_size():
     rows = bound_curves("complete", [2.5, 1.0, 3.0], [1])
     assert [r.lambda1 is None and r.lower is None for r in rows] == [True, True, False]
+
+
+def test_bound_curves_skips_h_where_hbar_is_refused(monkeypatch):
+    # Past the dual Cheeger cap an odd order's row is blank, so h[l] is not
+    # computed for it: one cheeger_exact call per graph, for l = 2.
+    import lapspec.bounds
+
+    calls = []
+
+    def counting(g):
+        calls.append(g.n)
+        return cheeger_exact(g)
+
+    monkeypatch.setattr(lapspec.bounds, "cheeger_exact", counting)
+    sizes = range(DUAL_CHEEGER_EXACT_CAP + 1, CHEEGER_EXACT_CAP + 1)
+    rows = bound_curves("complete", sizes, [1, 2, 3])
+    assert calls == list(sizes)
+    for row in rows:
+        blank = (row.lower, row.upper_from_h, row.upper_from_h_applicable, row.upper_from_hbar)
+        assert (blank == (None, None, False, None)) == (row.l % 2 == 1), (row.param, row.l)
+        assert row.lambda1 is not None, (row.param, row.l)

@@ -164,11 +164,16 @@ def test_every_public_name_is_used_by_the_program():
     assert not unused, sorted(unused)
 
 
-def test_package_does_not_import_dataclasses():
-    # A dataclass generates and execs its methods when its module loads,
-    # about 0.4 ms per class in every CLI process, ``--version`` included.
+#: Modules that no lapspec module may import.  A dataclass generates and
+#: execs its methods when its module loads, about 0.4 ms per class in every
+#: CLI process, ``--version`` included.  The enumerations run on the calling
+#: thread, and numpy's BLAS is not probed through ``ctypes``.
+_FORBIDDEN_IMPORTS = {"dataclasses", "threading", "ctypes"}
+
+
+def test_package_does_not_import_dataclasses_threading_or_ctypes():
     # The source is checked rather than ``sys.modules``, since numpy may
-    # load ``dataclasses`` itself.
+    # load these modules itself.
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -177,4 +182,4 @@ def test_package_does_not_import_dataclasses():
                 modules = [node.module]
             else:
                 continue
-            assert "dataclasses" not in modules, f"{path.name}:{node.lineno}"
+            assert not _FORBIDDEN_IMPORTS & set(modules), f"{path.name}:{node.lineno}"

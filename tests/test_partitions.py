@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -268,17 +267,15 @@ def _scores(monkeypatch, fn, g):
 def test_rescoring_bit_identical_to_scoring_every_candidate_chunk(monkeypatch, name):
     # The pass's tiles pick the codes of each candidate chunk that are
     # scored again, and none on exact sums.  The value bits and witness are
-    # those of scoring every candidate chunk in full, on one worker or two.
+    # those of scoring every candidate chunk in full.
     g = ORACLE_GRAPHS[name]
     for fn in _enumerators(g):
-        for count in (1, 2):
-            monkeypatch.setattr(partitions, "_workers", lambda: count)
-            picked, value, witness = _picked_run(monkeypatch, fn, g)
-            want_value, want_witness = oracle_scan_of_candidates(fn.__name__, g, picked[0])
-            assert value == want_value.hex(), (fn.__name__, count)
-            assert witness == want_witness, (fn.__name__, count)
-            _, calls = _scores(monkeypatch, fn, g)
-            assert (not calls) == (partitions._tolerance(g) == 0), (fn.__name__, count)
+        picked, value, witness = _picked_run(monkeypatch, fn, g)
+        want_value, want_witness = oracle_scan_of_candidates(fn.__name__, g, picked[0])
+        assert value == want_value.hex(), fn.__name__
+        assert witness == want_witness, fn.__name__
+        _, calls = _scores(monkeypatch, fn, g)
+        assert (not calls) == (partitions._tolerance(g) == 0), fn.__name__
 
 
 @pytest.mark.parametrize("name", [name for name in ORACLE_GRAPHS
@@ -332,55 +329,37 @@ def _picked_run(monkeypatch, fn, g):
 
 
 @pytest.mark.parametrize("name", list(SPLIT_PASS_GRAPHS))
-def test_split_pass_does_not_depend_on_the_worker_count(monkeypatch, name):
-    # Every pass of two tiles or more is split into as many shares as there
-    # are workers.  A share's first tile starts at code base**k * h0 with
-    # 0 < h0 < 3**7, never at a chunk boundary, so every boundary between
-    # two workers falls inside a chunk.  The candidates, value bits and
-    # witness are those of the float64 stage alone (err32 infinite), on the
-    # graph and on its copies with weights times 2**-900 and 2**900, which
-    # skip the float32 stage.  Every pass with a finite err32 runs the
-    # float32 stage, however few its tiles.
+def test_two_stage_pass_picks_the_float64_stage_candidates(monkeypatch, name):
+    # The candidates, value bits and witness are those of the float64 stage
+    # alone (err32 infinite), on the graph and on its copies with weights
+    # times 2**-900 and 2**900, which skip the float32 stage.  Every pass
+    # with a finite err32 runs the float32 stage, however few its tiles.  A
+    # pendant graph's tolerance is infinite: every chunk is a candidate, and
+    # no pass runs.
     g = SPLIT_PASS_GRAPHS[name]
-    split = partitions._split
-    monkeypatch.setattr(partitions, "_MIN_TILES", 1)
     for fn in _enumerators(g):
         with monkeypatch.context() as m:
             m.setattr(partitions, "_tolerance32", lambda g, tol: np.inf)
             want = _picked_run(m, fn, g)
         for k in (0, -900, 900):
-            for count in (1, 2, 3):
-                passes = []
+            scaled, stages = _scaled(g, k), set()
 
-                def recording_split(new_scan, tiles):
-                    shares = []
-                    passes.append((tiles, shares))
+            def recording_tile(tile, terms, rows, arrays, hi):
+                stages.add(arrays[0].dtype.type)
+                tile(terms, rows, *arrays)
 
-                    def new_recording_scan():
-                        scan = new_scan()
-                        return lambda share: shares.append(share) or scan(share)
-
-                    return split(new_recording_scan, tiles)
-
-                monkeypatch.setattr(partitions, "_workers", lambda: count)
-                monkeypatch.setattr(partitions, "_split", recording_split)
-                # threads switched every microsecond, up to three on however many CPUs
-                interval = sys.getswitchinterval()
-                sys.setswitchinterval(1e-6)
-                try:
-                    seen = _picked_run(monkeypatch, fn, _scaled(g, k))
-                finally:
-                    sys.setswitchinterval(interval)
-                for tiles, shares in passes:
-                    assert len(shares) == min(count, len(tiles)), (fn.__name__, k, count)
-                    # workers finish in any order; a tile is (h0, ...)
-                    shares.sort(key=lambda share: share[0][0])
-                    assert [t[0] for share in shares for t in share] == [t[0] for t in tiles]
-                assert seen == want, (fn.__name__, k, count)
+            with monkeypatch.context() as m:
+                _patched_tiles(m, recording_tile)
+                seen = _picked_run(m, fn, scaled)
+            assert seen == want, (fn.__name__, k)
+            tol = partitions._tolerance(scaled)
+            assert (np.float32 in stages) == (partitions._tolerance32(scaled, tol) < np.inf), (
+                fn.__name__, k)
+            assert bool(stages) == (tol < np.inf), (fn.__name__, k)
         if name.startswith("pendant"):  # tol = inf: every chunk is a candidate, with no pass
             start, stop = (0, 3**g.n) if fn is dual_cheeger_exact else (1, 2 ** (g.n - 1))
             assert want[0] == [list(range(start, stop, partitions._CHUNK))], fn.__name__
-            assert not passes, fn.__name__
+            assert not stages, fn.__name__
 
 
 @pytest.mark.parametrize("k", [-900, 900])
@@ -473,130 +452,77 @@ def _patched_tiles(monkeypatch, patch):
     monkeypatch.setattr(partitions, "_candidates", patched_candidates)
 
 
-def _in_second_half(rows, hi) -> bool:
-    """Whether a tile lies in the second of two workers' shares of the highs ``hi``."""
-    return rows.start >= len(hi) // 2
-
-
 def _every_tile_in_float64(monkeypatch):
     """Make the float32 stage keep every chunk, so that the float64 stage scores every tile."""
     monkeypatch.setattr(partitions, "_tolerance32", lambda g, tol: 0.999)
 
 
-#: The two stages of a split pass, by the dtype of their tiles.
-_STAGES = (np.float32, np.float64)
-
-
 @pytest.mark.parametrize("fn", [cheeger_exact, dual_cheeger_exact])
-def test_worker_failure_is_raised_in_the_caller(monkeypatch, capfd, fn):
-    # A worker's exception reaches the caller as a one-thread pass raises it,
-    # and never the thread's own hook, which would print a traceback; in
-    # either stage.
+def test_nan_tile_is_silent_and_kept(monkeypatch, capfd, fn):
+    # A 0 / 0 in a tile does not warn (an error under this suite's warning
+    # filter).  The NaN makes its chunk's maximum NaN, which keeps that
+    # chunk.  In the float32 stage that keeps every chunk for the float64
+    # stage, which scores every tile and then picks the usual candidates;
+    # in the float64 stage it makes the chunks from it on all candidates.
+    # The value bits and witness do not change.
     g = SPLIT_PASS_GRAPHS["G(20, 0.4)[2]" if fn is cheeger_exact else "G(14, 0.4)[3]"]
-    for stage in _STAGES:
-        failed, hooked = [], []
 
-        def failing(tile, terms, rows, arrays, hi):
-            if arrays[0].dtype == stage and _in_second_half(rows, hi):
-                failed.append(threading.current_thread() is threading.main_thread())
-                raise ArithmeticError("tile failed")
-            tile(terms, rows, *arrays)
+    def run(nan_stage=None):
+        """The picked run, and the float64 tiles of the pass (not of the rescoring)."""
+        tiles, first_kept = [], partitions._first_kept
 
-        with monkeypatch.context() as m:
-            _patched_tiles(m, failing)
-            if stage is np.float64:
-                _every_tile_in_float64(m)
-            m.setattr(partitions, "_workers", lambda: 2)
-            m.setattr(partitions, "_MIN_TILES", 1)
-            m.setattr(threading, "excepthook", hooked.append)
-            with pytest.raises(ArithmeticError, match="^tile failed$"):
-                fn(g)
-        assert failed == [False] and hooked == [], stage
-        assert capfd.readouterr() == ("", ""), stage
-
-
-@pytest.mark.parametrize("fn", [cheeger_exact, dual_cheeger_exact])
-def test_worker_nan_is_silent_and_kept(monkeypatch, capfd, fn):
-    # numpy's error state is per thread: a worker that did not silence it
-    # would warn (an error under this suite's warning filter) on 0 / 0.  The
-    # NaN makes its chunk's maximum NaN, which the merge keeps.  In the
-    # float32 stage that keeps every chunk for the float64 stage, which
-    # then picks today's candidates; in the float64 stage it makes the
-    # chunks from it on all candidates, as in the one-thread pass.
-    g = SPLIT_PASS_GRAPHS["G(20, 0.4)[2]" if fn is cheeger_exact else "G(14, 0.4)[3]"]
-    monkeypatch.setattr(partitions, "_MIN_TILES", 1)
-    split = partitions._split
-
-    def run(count):
-        picked, passes, candidates = [], [], partitions._candidates
-        with monkeypatch.context() as m:
-            m.setattr(partitions, "_candidates",
-                      lambda *a: picked.append(candidates(*a).tolist()) or picked[-1])
-            m.setattr(partitions, "_split", lambda new, tiles: passes.append(len(tiles))
-                      or split(new, tiles))
-            m.setattr(partitions, "_workers", lambda: count)
-            res = fn(g)
-        return (picked, res.value.hex(), res.witness), passes
-
-    want, want_passes = run(2)
-    with monkeypatch.context() as m:
-        m.setattr(partitions, "_tolerance32", lambda g, tol: np.inf)
-        every_tile = run(2)[1]  # the float64 stage alone: one pass over every tile
-    for stage in _STAGES:
         def nan_tile(tile, terms, rows, arrays, hi):
             tile(terms, rows, *arrays)
-            if arrays[0].dtype == stage and _in_second_half(rows, hi):
-                out = arrays[0]
+            out = arrays[0]
+            tiles.append(out.dtype.type)
+            if out.dtype.type is nan_stage and rows.start >= len(hi) // 2:
                 out[:, 0] = np.zeros(len(out), dtype=out.dtype) / 0.0
 
         with monkeypatch.context() as m:
             _patched_tiles(m, nan_tile)
+            m.setattr(partitions, "_first_kept", lambda *a: tiles.append(None) or first_kept(*a))
+            picked = _picked_run(m, fn, g)
+        return picked, tiles[: tiles.index(None)].count(np.float64)
+
+    want, want_tiles = run()
+    with monkeypatch.context() as m:
+        m.setattr(partitions, "_tolerance32", lambda g, tol: np.inf)
+        every_tile = run()[1]  # the float64 stage alone: one pass over every tile
+    assert want_tiles < every_tile
+    for stage in (np.float32, np.float64):
+        with monkeypatch.context() as m:
             if stage is np.float64:
                 _every_tile_in_float64(m)
-            (one, _), (two, passes) = run(1), run(2)
-        assert one == two, stage
-        assert two[1:] == want[1:], stage
+            seen, tiles = run(stage)
+        assert seen[1:] == want[1:], stage
         if stage is np.float32:
-            assert two == want
-            # the float64 stage scored every tile
-            assert passes[1:] == every_tile and want_passes[1] < every_tile[0]
+            assert seen == want and tiles == every_tile
         else:
-            assert len(two[0][0]) > len(want[0][0])
+            assert len(seen[0][0]) > len(want[0][0])
         assert capfd.readouterr() == ("", ""), stage
 
 
 _FAULT_PROBE = """
-import os, resource, sys
+import resource, sys
 import numpy as np
 from lapspec.graphs import WeightedGraph
 from lapspec import partitions
 
-# as on a 64-CPU host, with numpy's BLAS on one thread
-os.sched_getaffinity = lambda pid: range(64)
-partitions._blas_threads = lambda: 1
-split, shares = partitions._split, []
-
-def counting_split(new_fn, items):
-    results = split(new_fn, items)
-    shares.append(len(results))
-    return results
-
-partitions._split = counting_split
 w = np.load(sys.argv[1])
 g = WeightedGraph(n=len(w), weights=w)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 getattr(partitions, sys.argv[2])(g)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, *shares)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
 _FAULT_PROBE_GRAPHS = {
-    # 64 float32 tiles on two workers, then two float64 tiles, and one rescored chunk
-    "G(24, 0.4)": ("cheeger_exact", 2, lambda: _gnp(np.random.default_rng(24), 24)),
-    # 7 float32 tiles on one worker; rounding ties: 16 of the 49 chunks are rescored
-    "K13[3]": ("dual_cheeger_exact", 1, lambda: neighborhood_graph(complete_graph(13), 3)),
-    # 19 float32 tiles on two workers
-    "K14[3]": ("dual_cheeger_exact", 2, lambda: neighborhood_graph(complete_graph(14), 3)),
+    # 64 float32 tiles, then two float64 tiles, and one rescored chunk
+    "G(24, 0.4)": ("cheeger_exact", lambda: _gnp(np.random.default_rng(24), 24)),
+    # 7 float32 tiles; rounding ties: 16 of the 49 chunks are rescored
+    "K13[3]": ("dual_cheeger_exact", lambda: neighborhood_graph(complete_graph(13), 3)),
+    # 19 float32 tiles
+    "K14[3]": ("dual_cheeger_exact", lambda: neighborhood_graph(complete_graph(14), 3)),
 }
 
 
@@ -608,12 +534,10 @@ def test_split_pass_reuses_its_buffers(tmp_path, name):
     # about 31,000 pages; with buffers allocated once per pass, about 2,500.
     # With fresh arrays per rescored chunk, the 16 chunks that hbar rescores
     # on K13[3] fault in about 24,000; with arrays allocated once per call,
-    # about 5,300.  Each pass runs on as many workers as it may have on any
-    # host; a second worker adds about 900 pages at n = 24, 300 on K14[3].
-    # The float32 stage works in the float64 stage's buffers, which it
-    # views as float32, so it adds no pages of its own.
+    # about 5,300.  The float32 stage works in the float64 stage's buffers,
+    # which it views as float32, so it adds no pages of its own.
     pytest.importorskip("resource")
-    fn, workers, graph = _FAULT_PROBE_GRAPHS[name]
+    fn, graph = _FAULT_PROBE_GRAPHS[name]
     np.save(tmp_path / "w.npy", graph().weights)
     # one BLAS thread, as in the benchmark's children: each thread faults in its own buffers
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(partitions.__file__)),
@@ -621,31 +545,7 @@ def test_split_pass_reuses_its_buffers(tmp_path, name):
     proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE, str(tmp_path / "w.npy"), fn],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    faults, *shares = proc.stdout.split()  # the workers of each stage's _split
-    assert int(faults) < 10_000
-    assert int(shares[0]) == workers
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="sched_getaffinity")
-def test_workers_follow_the_blas_threads():
-    # OpenBLAS reads its thread count from the environment when numpy loads,
-    # at most one per CPU.  Two workers only beside a BLAS on one thread.
-    def probe(threads):
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(partitions.__file__)),
-                   OPENBLAS_NUM_THREADS=threads)
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "from lapspec import partitions as p; print(p._blas_threads(), p._workers())"],
-            capture_output=True, text=True, env=env, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        return tuple(int(x) for x in proc.stdout.split())
-
-    one = probe("1")
-    if one[0] == 0:
-        pytest.skip("numpy's BLAS is not an OpenBLAS this can ask")
-    cpus = len(os.sched_getaffinity(0))
-    assert one == (1, min(2, cpus))
-    assert probe("2") == (min(2, cpus), 1)
+    assert int(proc.stdout) < 10_000
 
 
 # ---------------------------------------------------------------------------
