@@ -29,7 +29,7 @@ are blank where ``hbar[l]`` is refused; the usage refusals of ``bounds
 ``nan`` weight; a ``cml`` run on K3 in which only some trials
 synchronize exactly; ``bounds`` on the seed-1 G(24, 0.4) and
 ``constants`` on the seed-1 G(14, 0.4) with every weight 2**-300 or
-2**300, on which the split pass skips its float32 stage; and, where every
+2**300, on which the split pass screens in float64; and, where every
 sum is exact and the value comes from the split pass's tiles, ``bounds`` on
 K17 and ``constants`` on K13, whose optima tie across chunks, and the same
 subcommands on the seed-1 G(20, 0.4) and G(13, 0.4) with weights 0.25, 0.5

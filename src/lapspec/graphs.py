@@ -33,6 +33,7 @@ class GraphErrorKind(Enum):
     SIZE_CAP_EXCEEDED = "SizeCapExceeded"
     NO_ODD_WALK = "NoOddWalk"
     NON_FINITE_WEIGHT = "NonFiniteWeight"
+    WEIGHT_RANGE = "WeightRange"
 
 
 class GraphError(Exception):

@@ -90,8 +90,8 @@ def _first_max(starts, stop: int, score) -> tuple[float, int]:
 
     The chunk at ``lo`` holds the codes ``lo .. min(lo + _CHUNK, stop) - 1``;
     ``score`` maps that int64 array to its values.  Returns ``(value, code)``.
-    This is the scan of a single chunk, and of the candidates of a split
-    pass that did not run (``_tolerance`` infinite).
+    This is the scan of a single chunk, and of every chunk when
+    ``_tolerance`` is infinite and no split pass can tell them apart.
     """
     best_val, best_code = -np.inf, -1
     for lo in starts:
@@ -104,33 +104,38 @@ def _first_max(starts, stop: int, score) -> tuple[float, int]:
 
 
 def _first_kept(starts, stop: int, score, tol: float, kept, tile, scratch, terms):
-    """``_first_max`` over the candidate chunks of a split pass, from the pass's own tiles.
+    """``_first_max`` over the chunks at ``starts`` that can hold the first optimum, from float64 tiles.
 
-    ``kept, tile, scratch, terms`` are what the pass's ``block`` returned
+    ``kept, tile, scratch, terms`` are what the scan's ``block`` returned
     (``_candidates``); code = low + ``len(kept)`` * high, and a low that
     ``block`` drops only has codes that score -inf.  Each chunk's float64
-    tile values ``v`` are computed again, on the highs it spans, and the
-    chunk keeps the codes that pass the test ``_candidates`` puts to
-    whole chunks, ``~(v + tol < v.max())``.  With ``|v - exact| <= tol / 2``
-    for every code (``_tolerance``), a code ``c`` with the chunk's largest
-    exact value ``x`` has ``v(c) >= x - tol / 2 >= v.max() - tol``, so it
-    is kept; a NaN value keeps every code.  ``score(codes, rows)`` scores
-    the kept ``rows`` of the chunk's ``codes``, from products formed on the
-    whole chunk, so its values are the bits of the full scan's, and so are
-    the result's value and witness.  With ``tol`` 0 the tile values are the
-    chunk values, the sign of a zero aside, and are the result: nothing is
-    scored again.  Returns ``(value, code)``.
+    tile values ``v``, on the highs it spans, give its maximum ``c``.  A
+    chunk is scored only if its ``c`` is within ``tol`` of the best one's
+    and more than ``tol`` above every earlier one's; a NaN maximum fails
+    every comparison it enters, so it keeps its chunk and every later one.
+    In a chunk, only the codes with ``~(v + tol < c)`` are scored again:
+    ``score(codes, rows)`` scores the ``rows`` of the chunk's ``codes``
+    from products formed on the whole chunk, so its values are the bits of
+    the full scan's.  With ``tol`` 0 the tile values are the chunk values,
+    the sign of a zero aside, and are the result: nothing is scored again.
+    Returns ``(value, code)``.
+
+    The bits are those of the scan over every chunk.  Every code's ``v``
+    is within ``tol / 2`` of its chunk value (``_tolerance``).  Let ``x``
+    be the first optimum's value, in the chunk ``C``: every chunk has ``c
+    <= x + tol / 2``, with ``c < x + tol / 2`` before ``C``, and ``C`` has
+    ``c >= x - tol / 2``, so ``C`` passes both tests and its optimum is
+    scored again.  Every other code scored has a value of at most ``x``,
+    below it if earlier.  So the result depends only on ``starts`` holding
+    ``C``: every superset of the chunks holding it gives the same value
+    bits and witness.
     """
     span, lows = len(kept), np.flatnonzero(kept)
     highs = -(-_CHUNK // span) + 1  # the most highs a chunk spans
     buf, tmp = np.empty(highs * len(lows)), np.empty((scratch, highs * len(lows)))
 
-    def code(h0, pairs):
-        """The codes of the pairs of a tile from the high ``h0``."""
-        return (h0 + pairs // len(lows)) * span + lows[pairs % len(lows)]
-
-    best_val, best_code = -np.inf, -1
-    for lo in starts:
+    def values(lo):
+        """The chunk at ``lo``'s tile values, with the pair and the high they start at."""
         hi = min(lo + _CHUNK, stop)
         h0, h1 = lo // span, -(-hi // span)
         size = (h1 - h0) * len(lows)
@@ -139,10 +144,20 @@ def _first_kept(starts, stop: int, score, tol: float, kept, tile, scratch, terms
                  *tmp[:, :size].reshape(scratch, h1 - h0, -1))
         # the chunk's pairs, in code order, from its first code's to its last one's
         p0 = np.searchsorted(lows, lo - h0 * span)
-        vals = buf[p0 : size - len(lows) + np.searchsorted(lows, hi - (h1 - 1) * span)]
+        return buf[p0 : size - len(lows) + np.searchsorted(lows, hi - (h1 - 1) * span)], p0, h0
+
+    def code(h0, pairs):
+        """The codes of the pairs of a tile from the high ``h0``."""
+        return (h0 + pairs // len(lows)) * span + lows[pairs % len(lows)]
+
+    cmax = np.array([values(lo)[0].max() for lo in starts])
+    earlier = np.maximum.accumulate(np.concatenate(([-np.inf], cmax[:-1])))
+    best_val, best_code = -np.inf, -1
+    for lo in starts[~((cmax + tol < cmax.max()) | (cmax + tol <= earlier))]:
+        vals, p0, h0 = values(lo)
         if tol > 0:
             pairs = p0 + np.flatnonzero(~(vals + tol < vals.max()))
-            vals = score(np.arange(lo, hi, dtype=np.int64), code(h0, pairs) - lo)
+            vals = score(np.arange(lo, min(lo + _CHUNK, stop), dtype=np.int64), code(h0, pairs) - lo)
         k = int(np.argmax(vals))
         if vals[k] > best_val:
             best_val, best_code = float(vals[k]), int(code(h0, p0 + k if tol == 0 else pairs[k]))
@@ -183,12 +198,15 @@ def _exact_scan(g: WeightedGraph, what: str, cap: int, base: int, score, block):
     Refuses graphs as ``_check_size(g, what, cap)``.  Digit i of a code is
     the label of vertex i: base 2 labels the first n - 1 vertices (the last
     one is always 0) from code 1, base 3 labels all n from code 0.  A range
-    of one chunk is scored in full.  A longer one first goes through the
-    split pass of ``_candidates``; ``_first_kept`` then scores again only the
-    codes of its candidate chunks that the pass's tiles cannot rule out, and
-    none at all when the sums are exact.  ``score(codes, rows)`` gives the
-    values of ``rows`` (every row by default) of the chunk ``codes``.
-    Returns the value and the optimum's digits.
+    of one chunk is scored in full, and so is every chunk of a longer one
+    when ``_tolerance`` is infinite.  Otherwise ``block`` is built once,
+    the split pass of ``_candidates`` screens the chunks with it, and
+    ``_first_kept`` scores again only the codes of the screened chunks
+    that the float64 tiles cannot rule out, and none at all when the sums
+    are exact.  ``score(codes, rows)`` gives the values of ``rows`` (every
+    row by default) of the chunk ``codes``.  Returns the value and the
+    optimum's digits; a graph on which no labeling scores a number (every
+    ratio 0 / 0, once the sums lose every digit) is refused.
     """
     _check_size(g, what, cap)
     n = g.n
@@ -196,148 +214,75 @@ def _exact_scan(g: WeightedGraph, what: str, cap: int, base: int, score, block):
     m, start = (n - 1, 1) if base == 2 else (n, 0)
     stop = base**m
     starts = np.arange(start, stop, _CHUNK)
-    made = []  # what the split pass's block returned, if the pass ran
-
-    def pass_block(lo, hi):
-        made.append(block(lo, hi))
-        return made[-1]
-
-    if len(starts) > 1:  # a function of its own, so the pass's buffers are freed first
-        tol = _tolerance(g)
-        starts = _candidates(starts, base, m, pass_block, tol, _tolerance32(g, tol))
-    if made:
-        best, code = _first_kept(starts, stop, score, tol, *made[0])
+    tol = _tolerance(g) if len(starts) > 1 else np.inf
+    if tol < np.inf:
+        k = (m + 1) // 2
+        made = block(_digits(0, base**k, base, k), _digits(0, base ** (m - k), base, m - k))
+        starts = _candidates(starts, stop, tol, _tolerance32(g, tol), *made)
+        best, code = _first_kept(starts, stop, score, tol, *made)
     else:
         best, code = _first_max(starts, stop, score)
+    if code < 0:
+        raise GraphError(
+            GraphErrorKind.WEIGHT_RANGE,
+            f"no labeling gives the {what} a finite value: the weights span too wide a range",
+        )
     return best, _digits(code, 1, base, m)[0]
 
 
-def _candidates(
-    starts: np.ndarray, base: int, m: int, block, tol: float, err32: float
-) -> np.ndarray:
-    """The chunk starts that can hold the first exact optimum.
+def _candidates(starts, stop: int, tol: float, err32: float, kept, tile, scratch, terms):
+    """The chunk starts whose maximum may be within ``tol`` of the best chunk's.
 
     The split pass scores every code approximately by splitting the digits
-    into a low block of ``k`` and a high block of ``m - k``: ``block(lo,
-    hi)`` gets every low and every high labeling as digit matrices and
-    returns the lows to keep, ``tile``, the number ``scratch`` of its
-    scratch arrays, and its terms, in float64.  ``tile(terms, rows, out,
-    *arrays)`` writes the values of the pairs of the highs at
-    ``rows`` with the kept lows into ``out``, in the precision of ``terms``
-    and ``out``, using ``scratch`` more arrays of the shape of ``out``.
-    The terms are only read by the tiles.  A tile is one product: each
-    high's and each low's own term ride in it as two more columns ``[term_hi,
-    1]`` of the highs and rows ``[1; term_lo]`` of the lows, then one
-    division.  Code = low + base**k * high, so a tile read row by row is in
-    code order.  A stage of the pass keeps each chunk's largest value.
+    into a low block and a high block: the scan's ``block(lo, hi)`` gets
+    every low and every high labeling as digit matrices and returns the
+    lows to keep, ``tile``, the number ``scratch`` of its scratch arrays,
+    and its terms, in float64.  ``tile(terms, rows, out, *arrays)`` writes
+    the values of the pairs of the highs at ``rows`` with the kept lows
+    into ``out``, in the precision of ``terms`` and ``out``, using
+    ``scratch`` more arrays of the shape of ``out``.  The terms are only
+    read by the tiles.  A tile is one product: each high's and each low's
+    own term ride in it as two more columns ``[term_hi, 1]`` of the highs
+    and rows ``[1; term_lo]`` of the lows, then one division.  Code = low +
+    ``len(kept)`` * high, so a tile read row by row is in code order.
 
-    Stage 1 scores every code in float32, from the terms rounded to
-    float32, in tiles of twice the highs of a float64 tile.  It keeps a
-    chunk unless its maximum plus ``2 err32 + tol`` is below the best
-    chunk's.  Stage 2 scores in float64 only the tiles that hold a kept
-    chunk, and puts every dropped chunk's maximum at -inf.  It returns the chunks within ``tol`` of the best one
-    and more than ``tol`` above every earlier one; a NaN maximum fails
-    every comparison it enters, so it keeps its chunk and every later one.
-    ``_tolerance`` bounds the gap between a code's float64 tile and chunk
-    values, the product's extra terms included.  With ``|approximate -
-    exact| <= tol / 2`` for every code, the first chunk holding the exact
-    optimum passes both tests, so the exact scores of the returned chunks
-    give the value bits and witness of the scan over every chunk;
-    ``_first_kept`` scores again only the codes of each that can reach its
-    maximum.
+    The pass scores every tile once: in float32, from the terms rounded to
+    float32, in tiles of twice the highs, when ``err32`` is finite, and in
+    float64 otherwise.  Each high's largest value counts for every chunk
+    it reaches into, so a chunk's estimate is at least its maximum.  It
+    returns the chunks whose estimate plus a margin is not below the best
+    one, with the margin ``2 err32 + tol`` in float32 and ``tol`` in
+    float64; a NaN estimate keeps every chunk.
 
-    The two stages return the same chunks as a float64 pass over every tile.
-    Every code's float32 value is within ``err32`` of its float64 one
-    (``_tolerance32``), so each chunk's float32 maximum is within ``err32``
-    of its float64 maximum ``c``, and the best one of the best ``c_best``.
-    A chunk that stage 1 drops thus has ``c + tol < c_best``, by more than
-    the rounding of the sums compared (``err32`` is twice its float32
-    part): the first test would drop it too.  It is not the best chunk, so
-    ``c_best``, and the first test on a kept chunk, are unchanged.  The
-    second test may see a lower earlier maximum, -inf for a dropped chunk.
-    If that spares a kept chunk, the dropped one had ``c' >= c + tol``, so
-    ``c + 2 tol <= c' + tol < c_best``, and the first test drops it.  A
-    NaN in stage 1 makes the best maximum NaN, which keeps every chunk.
-    With ``err32`` infinite, stage 1 is skipped; with ``tol`` infinite,
-    every chunk is returned, with no pass at all.
+    These hold every chunk whose float64 maximum ``c`` is within ``tol`` of
+    the best one's, ``c_best``, so ``_first_kept`` scores the chunks it
+    would score given every chunk.  Every code of the tiles is a code of
+    the scan, so the best estimate is the largest value of any code:
+    ``c_best`` in float64, and in float32 within ``err32`` of it, as every
+    code's float32 value is of its float64 one (``_tolerance32``).  Such a
+    chunk's estimate is at least ``c - err32``, and ``err32`` is twice its
+    float32 part, room for the rounding of the sums compared.
     """
-    if not tol < np.inf:
-        return starts  # no pass can tell the chunks apart
-    start = int(starts[0])
-    k = (m + 1) // 2
-    lo, hi = _digits(0, base**k, base, k), _digits(0, base ** (m - k), base, m - k)
-    kept, tile, scratch, terms = block(lo, hi)
-    lows = np.flatnonzero(kept)
-    tile_rows = min(_TILE // len(lows), len(hi))  # highs per tile: about _TILE pairs
-
-    def pair(codes):
-        """Index in pass order of the first pair at or after each code."""
-        q, r = np.divmod(codes, base**k)
-        return q * len(lows) + np.searchsorted(lows, r)
-
-    edges = pair(starts[1:])  # where each chunk after the first begins
-    skip = int(pair(np.array([start]))[0])  # pairs before the first code of the scan
-
-    def tiling(rows, keep):
-        """Each tile of ``rows`` highs that holds a chunk of the mask
-        ``keep``, as (h0, c0, c1, at): its first high, its chunks c0 .. c1 -
-        1, and the positions in it where each of these chunks begins."""
-        size, count = rows * len(lows), -(-len(hi) // rows)
-        where, at = np.divmod(edges, size)  # the tile and position where each later chunk begins
-        inner = (at > 0) & (edges < len(hi) * len(lows))  # past a tile's first pair
-        inside = np.bincount(where[inner], minlength=count)
-        c0 = np.searchsorted(edges, np.arange(count) * size, side="right")
-        c1 = c0 + inside + 1
-        # each tile's positions after a 0, one tile after the other
-        at = np.insert(at[inner], np.cumsum(inside) - inside, 0)
-        ends = np.cumsum(inside + 1)
-        held = np.concatenate(([0], np.cumsum(keep)))
-        return [(int(i) * rows, c0[i], c1[i], at[ends[i] - inside[i] - 1 : ends[i]])
-                for i in np.flatnonzero(held[c1] > held[c0])]
-
-    # Every tile is written into one buffer pair, its values and its
-    # scratch, shared by both stages; stage 1 views it as float32.  A fresh
-    # half-megabyte array per tile goes back to the OS when freed and is
-    # page-faulted in again by the next tile.  (As one array of both, they
-    # raised the peak memory of ``lapspec walk`` at n = 24 by 1.5 MB: malloc
-    # returns less to the OS after freeing it.)  They are allocated by the
-    # first scan, after its terms and tiling: allocated before them, they
-    # made two of the three passes of ``lapspec bounds`` at n = 24 about
-    # 1.2 ms slower each with BLAS on two threads, from heap layout alone.
-    buffers = []
-
-    def scan(terms, dtype, rows, tiles):
-        """Each chunk's largest value over ``tiles``, in ``dtype`` with ``rows`` highs per tile."""
-        if not buffers:
-            size = tile_rows * len(lows)
-            buffers.extend((np.empty(size), np.empty((scratch, size))))
-        buf, tmp = (b.view(dtype) for b in buffers)
-        size = rows * len(lows)
-        buf, tmp = buf[:size].reshape(rows, -1), tmp[:, :size].reshape(scratch, rows, -1)
-        cmax = np.full(len(starts), -np.inf)
-        with np.errstate(all="ignore"):
-            for h0, c0, c1, at in tiles:
-                out = buf[: min(rows, len(hi) - h0)]
-                tile(terms, slice(h0, h0 + len(out)), out, *tmp[:, : len(out)])
-                vals = out.ravel()
-                if h0 == 0:
-                    vals[:skip] = -np.inf
-                np.maximum(cmax[c0:c1], np.maximum.reduceat(vals, at), out=cmax[c0:c1])
-        return cmax
-
-    keep = np.ones(len(starts), dtype=bool)
-    if err32 < np.inf:
-        # stage 1: float32 tiles of twice the highs, in the same bytes
-        single = tuple(_single(t) for t in terms)
-        rows32 = min(2 * tile_rows, len(hi))
-        cmax = scan(single, np.float32, rows32, tiling(rows32, keep))
-        del single  # the float32 terms, freed before stage 2
-        keep = ~(cmax + (2 * err32 + tol) < cmax.max())
-    # stage 2: the tiles that hold a kept chunk
-    cmax = scan(terms, np.float64, tile_rows, tiling(tile_rows, keep))
-    cmax[~keep] = -np.inf
-    earlier = np.maximum.accumulate(np.concatenate(([-np.inf], cmax[:-1])))
-    return starts[~((cmax + tol < cmax.max()) | (cmax + tol <= earlier))]
+    span, lows = len(kept), np.flatnonzero(kept)
+    rows, highs = _TILE // len(lows), stop // span  # highs per float64 tile: about _TILE pairs
+    dtype, margin = np.float64, tol
+    if err32 < np.inf:  # float32 tiles of twice the highs, in the same bytes
+        terms, dtype, rows, margin = tuple(map(_single, terms)), np.float32, 2 * rows, 2 * err32 + tol
+    rows = min(rows, highs)
+    buf, tmp = np.empty((rows, len(lows)), dtype), np.empty((scratch, rows, len(lows)), dtype)
+    hmax = np.empty(highs, dtype)  # each high's largest value
+    with np.errstate(all="ignore"):
+        for h0 in range(0, highs, rows):
+            out = buf[: highs - h0]
+            tile(terms, slice(h0, h0 + len(out)), out, *tmp[:, : len(out)])
+            if h0 == 0:  # the pairs before the first code of the scan
+                out[0, : np.searchsorted(lows, starts[0])] = -np.inf
+            out.max(axis=1, out=hmax[h0 : h0 + len(out)])
+    # a chunk's highs, from its first code's to its last one's, the last one
+    # apart when the next chunk starts in it
+    first, last = starts // span, (np.minimum(starts + _CHUNK, stop) - 1) // span
+    cmax = np.maximum(np.maximum.reduceat(hmax, first), hmax[last]).astype(float)
+    return starts[~(cmax + margin < cmax.max())]
 
 
 def _single(term):
@@ -378,10 +323,9 @@ def _tolerance(g: WeightedGraph) -> float:
 def _tolerance32(g: WeightedGraph, tol: float) -> float:
     """The largest gap ``err32`` between a code's float32 and float64 split-pass values.
 
-    The float32 stage scores the terms of the float64 one rounded to
-    float32.  It runs only on a total volume ``T`` in ``[2**-65, 2**64)``;
-    any other gets an infinite ``err32``, and its pass is the float64 one
-    alone.  That keeps every float32 value of a tile far from overflow, at
+    The float32 screen scores the float64 terms rounded to float32.  It
+    runs only on a total volume ``T`` in ``[2**-65, 2**64)``; any other
+    gets an infinite ``err32``, and its screen is in float64.  That keeps every float32 value of a tile far from overflow, at
     ``2**128``: each term, each partial sum and each denominator lies
     within ``+-T``.  Let ``u = 2**-24``, the unit roundoff of float32, and
     ``d_min`` the smallest degree; the denominators of every proper
@@ -413,7 +357,7 @@ def _tolerance32(g: WeightedGraph, tol: float) -> float:
     ``err32 = tol / 2 + 2 (n + 12) eps32 T / d_min`` is twice the float32
     part of the sum, room to spare for the rounding of the margins that
     ``_candidates`` compares.  Where it would reach 1, ``X`` would pass 1/4
-    and the stage cannot tell chunks apart: ``err32`` is then infinite.
+    and the screen cannot tell chunks apart: ``err32`` is then infinite.
     Below 1, ``T / d_min < 2**17``, so ``d_min > 2**-83`` is in float32's
     normal range, as the bound assumes.
     """
@@ -528,7 +472,8 @@ def cheeger_exact(g: WeightedGraph) -> CheegerResult:
         memb, prod, vol = memb[rows], prod[rows], vol[rows]
         prod *= memb
         boundary = vol - prod.sum(axis=1)
-        return -(boundary / np.minimum(vol, total - vol))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return -(boundary / np.minimum(vol, total - vol))
 
     def block(lo, hi):
         k = lo.shape[1]

@@ -212,7 +212,7 @@ def oracle_dual_cheeger_chunk_score(g):
 def oracle_scan_of_candidates(name, g, starts):
     """``(value, witness)`` of the enumerator ``name`` on g, chunks at ``starts`` scored in full.
 
-    ``starts`` are the candidate chunks of the enumerator's split pass on g.
+    ``starts`` are the chunks that the enumerator's split pass on g scores again.
     Each chunk of ``_CHUNK`` codes is scored by the chunk-score oracle
     above, and the first largest value and its code are turned into the
     result as the enumerator does: h is ``min(-value, 1.0)``, hbar

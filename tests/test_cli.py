@@ -327,7 +327,29 @@ def test_cap_exceeded_exit_1(capsys, tmp_path):
         assert err == f"error[SizeCapExceeded]: {message}\n"
 
 
-_DISCONNECTED = "error[Disconnected]: graph is not connected\n"
+@pytest.mark.parametrize(
+    "argv, edges",
+    [
+        (["constants"], "0 1 1\n1 2 1\n0 2 1\n0 0 3e16\n"),  # a unit triangle, one heavy loop
+        (["bounds", "--l-list", "1"], "0 1 1\n0 0 1e17\n"),  # a unit edge, one heavy loop
+    ],
+)
+def test_weights_too_wide_for_floats_exit_1(capsys, tmp_path, argv, edges):
+    # Every cut's `vol - internal` and `total - vol` lose every digit, so
+    # every ratio is 0 / 0 and no labeling scores a number: a domain error
+    # of one line, without a numpy warning on the way.
+    path = tmp_path / "g.txt"
+    path.write_text(edges)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, *argv, "--input", str(path))
+    assert [str(w.message) for w in caught] == []
+    assert code == 1 and out == ""
+    assert err == ("error[WeightRange]: no labeling gives the Cheeger constant a finite value: "
+                   "the weights span too wide a range\n")
+
+
+_DISCONNECTED ="error[Disconnected]: graph is not connected\n"
 
 
 @pytest.mark.parametrize(

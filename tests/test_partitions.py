@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -188,10 +189,11 @@ _CHUNK_ORACLES = {
 
 @pytest.mark.parametrize("name", list(SPLIT_PASS_GRAPHS))
 def test_split_pass_bit_identical_to_every_chunk_scan(monkeypatch, name):
-    # With every chunk a candidate, the scan scores every chunk with the
-    # enumerators' score functions, so it also checks each chunk's scores
-    # against an oracle that computes them on fresh arrays: every full chunk
-    # and the shorter last one, in the order the scores' buffers meet them.
+    # With an infinite tolerance no pass runs, and the scan scores every
+    # chunk with the enumerators' score functions, so it also checks each
+    # chunk's scores against an oracle that computes them on fresh arrays:
+    # every full chunk and the shorter last one, in the order the scores'
+    # buffers meet them.
     g = SPLIT_PASS_GRAPHS[name]
     first_max = partitions._first_max
     for fn in _enumerators(g):
@@ -211,7 +213,7 @@ def test_split_pass_bit_identical_to_every_chunk_scan(monkeypatch, name):
             return first_max(starts, stop, checked)
 
         with monkeypatch.context() as m:
-            m.setattr(partitions, "_candidates", lambda starts, *args: starts)
+            m.setattr(partitions, "_tolerance", lambda g: np.inf)
             m.setattr(partitions, "_first_max", checked_first_max)
             full = fn(g)
         assert fast.value.hex() == full.value.hex(), fn.__name__
@@ -265,15 +267,15 @@ def _scores(monkeypatch, fn, g):
 
 @pytest.mark.parametrize("name", list(ORACLE_GRAPHS))
 def test_rescoring_bit_identical_to_scoring_every_candidate_chunk(monkeypatch, name):
-    # The pass's tiles pick the codes of each candidate chunk that are
-    # scored again, and none on exact sums.  The value bits and witness are
-    # those of scoring every candidate chunk in full.
+    # The pass's tiles pick the codes of each chunk past _first_kept's tests
+    # that are scored again, and none on exact sums.  The value bits and
+    # witness are those of scoring each of these chunks in full.
     g = ORACLE_GRAPHS[name]
     for fn in _enumerators(g):
-        picked, value, witness = _picked_run(monkeypatch, fn, g)
-        want_value, want_witness = oracle_scan_of_candidates(fn.__name__, g, picked[0])
-        assert value == want_value.hex(), fn.__name__
-        assert witness == want_witness, fn.__name__
+        run = _split_pass_run(monkeypatch, fn, g)
+        want_value, want_witness = oracle_scan_of_candidates(fn.__name__, g, run.passes[0].rescored)
+        assert run.value == want_value.hex(), fn.__name__
+        assert run.witness == want_witness, fn.__name__
         _, calls = _scores(monkeypatch, fn, g)
         assert (not calls) == (partitions._tolerance(g) == 0), fn.__name__
 
@@ -318,62 +320,102 @@ def _scaled(g, k):
     return WeightedGraph(n=g.n, weights=np.ldexp(g.weights, k))
 
 
-def _picked_run(monkeypatch, fn, g):
-    """``fn(g)``'s candidate starts of each split pass, value bits and witness."""
-    picked, candidates = [], partitions._candidates
+class SplitPass(NamedTuple):
+    screened: list  # the chunk starts that ``_candidates`` returns
+    rescored: list  # the chunk starts that pass the tests of ``_first_kept``
+    dtypes: set  # the dtypes of the screen's tiles
+
+
+class SplitPassRun(NamedTuple):
+    value: str  # the value's bits, as float.hex
+    witness: object
+    passes: list  # a SplitPass per split pass
+
+
+def _split_pass_run(monkeypatch, fn, g, patch=None):
+    """``fn(g)``, with what each of its split passes screened and scored again.
+
+    ``patch(tile, terms, rows, arrays, rescoring)``, if given, runs each
+    tile of a pass in place of ``tile(terms, rows, *arrays)``;
+    ``rescoring`` is true for the tiles of ``_first_kept``.  A chunk is
+    scored again if ``_first_kept`` builds its tile a second time, after
+    the tile of every chunk it was given.
+    """
+    candidates, first_kept, screens, passes = partitions._candidates, partitions._first_kept, [], []
+    run = patch or (lambda tile, terms, rows, arrays, rescoring: tile(terms, rows, *arrays))
+
+    def screen(starts, stop, tol, err32, kept, tile, scratch, terms):
+        dtypes = set()
+
+        def screen_tile(terms, rows, *arrays):
+            dtypes.add(arrays[0].dtype.type)
+            run(tile, terms, rows, arrays, False)
+
+        picked = candidates(starts, stop, tol, err32, kept, screen_tile, scratch, terms)
+        screens.append((picked.tolist(), dtypes))
+        return picked
+
+    def rescore(starts, stop, score, tol, kept, tile, scratch, terms):
+        highs = []
+
+        def rescore_tile(terms, rows, *arrays):
+            highs.append(rows.start)
+            run(tile, terms, rows, arrays, True)
+
+        res = first_kept(starts, stop, score, tol, kept, rescore_tile, scratch, terms)
+        again = set(highs[len(starts):])
+        screened, dtypes = screens.pop()
+        passes.append(SplitPass(screened, [lo for lo in screened if lo // len(kept) in again],
+                                dtypes))
+        return res
+
     with monkeypatch.context() as m:
-        m.setattr(partitions, "_candidates",
-                  lambda *args: picked.append(candidates(*args).tolist()) or picked[-1])
+        m.setattr(partitions, "_candidates", screen)
+        m.setattr(partitions, "_first_kept", rescore)
         res = fn(g)
-    return picked, res.value.hex(), res.witness
+    return SplitPassRun(res.value.hex(), res.witness, passes)
 
 
 @pytest.mark.parametrize("name", list(SPLIT_PASS_GRAPHS))
 def test_two_stage_pass_picks_the_float64_stage_candidates(monkeypatch, name):
-    # The candidates, value bits and witness are those of the float64 stage
-    # alone (err32 infinite), on the graph and on its copies with weights
-    # times 2**-900 and 2**900, which skip the float32 stage.  Every pass
-    # with a finite err32 runs the float32 stage, however few its tiles.  A
-    # pendant graph's tolerance is infinite: every chunk is a candidate, and
-    # no pass runs.
+    # The float32 screen and the float64 tests of _first_kept score again
+    # the chunks, and give the value bits and witness, of a float64 screen
+    # (err32 infinite), on the graph and on its copies with weights times
+    # 2**-900 and 2**900, whose screen is in float64.  The screen is in
+    # float32 exactly when err32 is finite, however few its tiles.  A
+    # pendant graph's tolerance is infinite: every chunk is scored, with no
+    # pass.
     g = SPLIT_PASS_GRAPHS[name]
     for fn in _enumerators(g):
         with monkeypatch.context() as m:
             m.setattr(partitions, "_tolerance32", lambda g, tol: np.inf)
-            want = _picked_run(m, fn, g)
+            want = _split_pass_run(m, fn, g)
         for k in (0, -900, 900):
-            scaled, stages = _scaled(g, k), set()
-
-            def recording_tile(tile, terms, rows, arrays, hi):
-                stages.add(arrays[0].dtype.type)
-                tile(terms, rows, *arrays)
-
-            with monkeypatch.context() as m:
-                _patched_tiles(m, recording_tile)
-                seen = _picked_run(m, fn, scaled)
-            assert seen == want, (fn.__name__, k)
-            tol = partitions._tolerance(scaled)
-            assert (np.float32 in stages) == (partitions._tolerance32(scaled, tol) < np.inf), (
+            scaled = _scaled(g, k)
+            seen = _split_pass_run(monkeypatch, fn, scaled)
+            assert seen.value == want.value and seen.witness == want.witness, (fn.__name__, k)
+            assert [p.rescored for p in seen.passes] == [p.rescored for p in want.passes], (
                 fn.__name__, k)
-            assert bool(stages) == (tol < np.inf), (fn.__name__, k)
-        if name.startswith("pendant"):  # tol = inf: every chunk is a candidate, with no pass
-            start, stop = (0, 3**g.n) if fn is dual_cheeger_exact else (1, 2 ** (g.n - 1))
-            assert want[0] == [list(range(start, stop, partitions._CHUNK))], fn.__name__
-            assert not stages, fn.__name__
+            tol = partitions._tolerance(scaled)
+            dtype = np.float32 if partitions._tolerance32(scaled, tol) < np.inf else np.float64
+            assert [p.dtypes for p in seen.passes] == ([{dtype}] if tol < np.inf else []), (
+                fn.__name__, k)
+        if name.startswith("pendant"):  # tol = inf: every chunk is scored, with no pass
+            assert not want.passes, fn.__name__
 
 
 @pytest.mark.parametrize("k", [-900, 900])
 @pytest.mark.parametrize("name", list(SPLIT_PASS_GRAPHS))
 def test_enumerators_invariant_under_power_of_two_scaling(monkeypatch, name, k):
-    # A power of two changes no ratio and no rounding, so the value bits,
-    # witness and candidates of 2**k g are those of g.  At 2**k the float32
-    # stage is skipped (err32 infinite): a plain cast would overflow (a
-    # warning, an error under this suite's filter) or flush the weights to
-    # zero.
+    # A power of two changes no ratio and no rounding, so the value bits and
+    # witness of 2**k g are those of g.  At 2**k the screen is in float64
+    # (err32 infinite): a plain cast would overflow (a warning, an error
+    # under this suite's filter) or flush the weights to zero.
     g = SPLIT_PASS_GRAPHS[name]
     for fn in _enumerators(g):
-        assert _picked_run(monkeypatch, fn, _scaled(g, k)) == _picked_run(monkeypatch, fn, g), (
-            fn.__name__)
+        scaled, plain = fn(_scaled(g, k)), fn(g)
+        assert scaled.value.hex() == plain.value.hex(), fn.__name__
+        assert scaled.witness == plain.witness, fn.__name__
 
 
 def _volume_at(g, e):
@@ -383,9 +425,10 @@ def _volume_at(g, e):
 
 @pytest.mark.parametrize("name", [name for name in SPLIT_PASS_GRAPHS if "pendant" not in name])
 def test_float32_stage_runs_on_total_volumes_in_its_range(monkeypatch, name):
-    # At either end of its range the float32 stage runs, neither overflowing
-    # nor flushing a weight to zero, with the candidates, value bits and
-    # witness of g; a step beyond either end, err32 is infinite.
+    # At either end of its range the float32 screen runs, neither
+    # overflowing nor flushing a weight to zero, with the screened and
+    # rescored chunks, value bits and witness of g; a step beyond either
+    # end, err32 is infinite.
     g = SPLIT_PASS_GRAPHS[name]
     for e in (-65, 65):
         scaled = _volume_at(g, e)
@@ -394,33 +437,96 @@ def test_float32_stage_runs_on_total_volumes_in_its_range(monkeypatch, name):
         scaled = _volume_at(g, e)
         assert partitions._tolerance32(scaled, partitions._tolerance(scaled)) < np.inf, e
         for fn in _enumerators(g):
-            assert _picked_run(monkeypatch, fn, scaled) == _picked_run(monkeypatch, fn, g), (
-                fn.__name__, e)
+            seen = _split_pass_run(monkeypatch, fn, scaled)
+            assert seen == _split_pass_run(monkeypatch, fn, g), (fn.__name__, e)
+            assert [p.dtypes for p in seen.passes] == [{np.float32}], (fn.__name__, e)
+
+
+_SCALINGS = {
+    "g": lambda g: g,
+    "2^-900 g": lambda g: _scaled(g, -900),
+    "2^900 g": lambda g: _scaled(g, 900),
+    "T in [2^-65, 2^-64)": lambda g: _volume_at(g, -64),
+    "T in [2^63, 2^64)": lambda g: _volume_at(g, 64),
+}
+
+
+@pytest.mark.parametrize("scaling", list(_SCALINGS))
+@pytest.mark.parametrize(
+    "name", [name for name in SPLIT_PASS_GRAPHS if "pendant" not in name] + ["K17[2]"])
+def test_first_kept_needs_only_the_chunk_of_the_witness(monkeypatch, name, scaling):
+    # The screen keeps the chunk that holds the witness's code, and
+    # _first_kept gives the same value bits and code over every chunk as
+    # over the screen's chunks: its result depends only on being given that
+    # chunk.  Also where the optima tie across chunks (K17[2], in the exact
+    # sums; 0.1 K_n and 0.1 C_n, in rounding), with the screen in float64
+    # (2^+-900), and at either end of the float32 screen's range.
+    g = _SCALINGS[scaling](SPLIT_PASS_GRAPHS[name] if name in SPLIT_PASS_GRAPHS
+                           else ORACLE_GRAPHS[name])
+    first_kept = partitions._first_kept
+    for fn in _enumerators(g):
+        runs = []
+        start = 0 if fn is dual_cheeger_exact else 1
+
+        def both(starts, stop, score, tol, *made):
+            every = np.arange(start, stop, partitions._CHUNK)
+            runs.append((starts, first_kept(starts, stop, score, tol, *made),
+                         first_kept(every, stop, score, tol, *made)))
+            return runs[-1][1]
+
+        with monkeypatch.context() as m:
+            m.setattr(partitions, "_first_kept", both)
+            fn(g)
+        assert len(runs) == 1, fn.__name__
+        starts, (value, code), (every_value, every_code) = runs[0]
+        assert start + (code - start) // partitions._CHUNK * partitions._CHUNK in starts, (
+            fn.__name__)
+        assert (value.hex(), code) == (every_value.hex(), every_code), fn.__name__
+
+
+@pytest.mark.parametrize("err32", [np.inf, 0.0])
+@pytest.mark.parametrize("at", [1, 12345, 32767, 32768, 32769, 2**19 - 1])
+def test_screen_keeps_the_chunk_of_a_lone_maximum(err32, at):
+    # Tiles of 0 with a single 1 at the code ``at`` and a NaN at code 0,
+    # before the first code of the scan: the screen, in float64 or float32,
+    # keeps the chunk holding ``at``, also where ``at`` lies in a high the
+    # chunk shares with the next one (32768) or the one before (32769), and
+    # at most the chunk that shares its high besides.
+    span, stop = 2**10, 2**19
+    starts = np.arange(1, stop, partitions._CHUNK)
+
+    def tile(terms, rows, out):
+        codes = np.arange(rows.start * span, rows.stop * span).reshape(len(out), span)
+        out[...] = np.where(codes == 0, np.nan, codes == at)
+
+    picked = partitions._candidates(starts, stop, 0.0, err32, np.ones(span, dtype=bool), tile, 0, ())
+    sharing = {lo for lo in starts if lo // span <= at // span <= (lo + partitions._CHUNK - 1) // span}
+    assert starts[(at - 1) // partitions._CHUNK] in picked and set(picked) <= sharing
 
 
 @pytest.mark.parametrize("e", [None, -64, 64])
 @pytest.mark.parametrize("name", [name for name in SPLIT_PASS_GRAPHS if "pendant" not in name])
 def test_float32_tiles_within_err32_of_float64(monkeypatch, name, e):
     # Every code's float32 tile value is within err32 of its float64 one:
-    # the bound that makes the float32 stage drop no chunk the float64 one
-    # keeps.  err32 just below 1 makes the float32 stage keep every chunk,
-    # so that the float64 stage scores every tile too, and every pass runs
-    # the float32 stage, however few its tiles.  Also with the total volume
-    # at either end of the float32 stage's range.
+    # the bound that makes the float32 screen keep every chunk that a
+    # float64 one keeps.  The tiles of both screens, recorded by running
+    # the pass with err32 finite and infinite, cover every code.  Also with
+    # the total volume at either end of the float32 screen's range.
     g = SPLIT_PASS_GRAPHS[name] if e is None else _volume_at(SPLIT_PASS_GRAPHS[name], e)
     err32 = partitions._tolerance32(g, partitions._tolerance(g))
     assert err32 < 0.02
     for fn in _enumerators(g):
         values = {np.float32: {}, np.float64: {}}
 
-        def recording_tile(tile, terms, rows, arrays, hi):
+        def recording_tile(tile, terms, rows, arrays, rescoring):
             tile(terms, rows, *arrays)
-            values[arrays[0].dtype.type][rows.start] = arrays[0].copy()
+            if not rescoring:
+                values[arrays[0].dtype.type][rows.start] = arrays[0].copy()
 
+        _split_pass_run(monkeypatch, fn, g, recording_tile)
         with monkeypatch.context() as m:
-            _patched_tiles(m, recording_tile)
-            _every_tile_in_float64(m)
-            fn(g)
+            m.setattr(partitions, "_tolerance32", lambda g, tol: np.inf)
+            _split_pass_run(m, fn, g, recording_tile)
         single, double = (np.concatenate([v for _, v in sorted(values[t].items())])
                           for t in (np.float32, np.float64))
         assert single.shape == double.shape, fn.__name__
@@ -434,72 +540,41 @@ def test_float32_tiles_within_err32_of_float64(monkeypatch, name, e):
         assert gap.max() <= err32, (fn.__name__, gap.max(), err32)
 
 
-def _patched_tiles(monkeypatch, patch):
-    """Run every tile of a split pass as ``patch(tile, terms, rows, arrays, hi)``."""
-    candidates = partitions._candidates
-
-    def patched_candidates(starts, base, m, block, *bounds):
-        def patched_block(lo, hi):
-            kept, tile, scratch, terms = block(lo, hi)
-
-            def patched_tile(terms, rows, *arrays):
-                return patch(tile, terms, rows, arrays, hi)
-
-            return kept, patched_tile, scratch, terms
-
-        return candidates(starts, base, m, patched_block, *bounds)
-
-    monkeypatch.setattr(partitions, "_candidates", patched_candidates)
-
-
-def _every_tile_in_float64(monkeypatch):
-    """Make the float32 stage keep every chunk, so that the float64 stage scores every tile."""
-    monkeypatch.setattr(partitions, "_tolerance32", lambda g, tol: 0.999)
-
-
 @pytest.mark.parametrize("fn", [cheeger_exact, dual_cheeger_exact])
 def test_nan_tile_is_silent_and_kept(monkeypatch, capfd, fn):
     # A 0 / 0 in a tile does not warn (an error under this suite's warning
-    # filter).  The NaN makes its chunk's maximum NaN, which keeps that
-    # chunk.  In the float32 stage that keeps every chunk for the float64
-    # stage, which scores every tile and then picks the usual candidates;
-    # in the float64 stage it makes the chunks from it on all candidates.
-    # The value bits and witness do not change.
+    # filter).  In the screen, float32 or float64, it makes its chunk's
+    # estimate NaN, which keeps every chunk; _first_kept's tests then pass
+    # the usual chunks.  In _first_kept's float64 tiles it makes the chunks
+    # from it on all pass.  The value bits and witness do not change.
     g = SPLIT_PASS_GRAPHS["G(20, 0.4)[2]" if fn is cheeger_exact else "G(14, 0.4)[3]"]
+    base, m, start = (3, g.n, 0) if fn is dual_cheeger_exact else (2, g.n - 1, 1)
+    span = base ** ((m + 1) // 2)
+    half = base**m // span // 2  # the middle high
+    every = list(range(start, base**m, partitions._CHUNK))
 
-    def run(nan_stage=None):
-        """The picked run, and the float64 tiles of the pass (not of the rescoring)."""
-        tiles, first_kept = [], partitions._first_kept
+    def nan_tile(tile, terms, rows, arrays, rescoring):
+        tile(terms, rows, *arrays)
+        out = arrays[0]
+        if rows.start >= half and (in_first_kept or not rescoring):
+            out[:, 0] = np.zeros(len(out), dtype=out.dtype) / 0.0
 
-        def nan_tile(tile, terms, rows, arrays, hi):
-            tile(terms, rows, *arrays)
-            out = arrays[0]
-            tiles.append(out.dtype.type)
-            if out.dtype.type is nan_stage and rows.start >= len(hi) // 2:
-                out[:, 0] = np.zeros(len(out), dtype=out.dtype) / 0.0
-
+    want = _split_pass_run(monkeypatch, fn, g)
+    assert want.passes[0].screened != every
+    for in_first_kept, dtype in ((False, np.float32), (False, np.float64), (True, np.float32)):
         with monkeypatch.context() as m:
-            _patched_tiles(m, nan_tile)
-            m.setattr(partitions, "_first_kept", lambda *a: tiles.append(None) or first_kept(*a))
-            picked = _picked_run(m, fn, g)
-        return picked, tiles[: tiles.index(None)].count(np.float64)
-
-    want, want_tiles = run()
-    with monkeypatch.context() as m:
-        m.setattr(partitions, "_tolerance32", lambda g, tol: np.inf)
-        every_tile = run()[1]  # the float64 stage alone: one pass over every tile
-    assert want_tiles < every_tile
-    for stage in (np.float32, np.float64):
-        with monkeypatch.context() as m:
-            if stage is np.float64:
-                _every_tile_in_float64(m)
-            seen, tiles = run(stage)
-        assert seen[1:] == want[1:], stage
-        if stage is np.float32:
-            assert seen == want and tiles == every_tile
+            if dtype is np.float64:
+                m.setattr(partitions, "_tolerance32", lambda g, tol: np.inf)
+            seen = _split_pass_run(m, fn, g, nan_tile)
+        assert seen.value == want.value and seen.witness == want.witness, (in_first_kept, dtype)
+        assert seen.passes[0].dtypes == {dtype}
+        assert seen.passes[0].screened == every
+        if in_first_kept:
+            later = {lo for lo in every if lo // span >= half}
+            assert later <= set(seen.passes[0].rescored) > set(want.passes[0].rescored)
         else:
-            assert len(seen[0][0]) > len(want[0][0])
-        assert capfd.readouterr() == ("", ""), stage
+            assert seen.passes[0].rescored == want.passes[0].rescored
+        assert capfd.readouterr() == ("", ""), (in_first_kept, dtype)
 
 
 _FAULT_PROBE = """
@@ -517,11 +592,11 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 
 _FAULT_PROBE_GRAPHS = {
-    # 64 float32 tiles, then two float64 tiles, and one rescored chunk
+    # 64 float32 tiles; two chunks screened, one scored again
     "G(24, 0.4)": ("cheeger_exact", lambda: _gnp(np.random.default_rng(24), 24)),
-    # 7 float32 tiles; rounding ties: 16 of the 49 chunks are rescored
+    # 7 float32 tiles; rounding ties: 16 of the 49 chunks are scored again
     "K13[3]": ("dual_cheeger_exact", lambda: neighborhood_graph(complete_graph(13), 3)),
-    # 19 float32 tiles
+    # 19 float32 tiles; 28 of the 146 chunks are scored again
     "K14[3]": ("dual_cheeger_exact", lambda: neighborhood_graph(complete_graph(14), 3)),
 }
 
@@ -534,8 +609,7 @@ def test_split_pass_reuses_its_buffers(tmp_path, name):
     # about 31,000 pages; with buffers allocated once per pass, about 2,500.
     # With fresh arrays per rescored chunk, the 16 chunks that hbar rescores
     # on K13[3] fault in about 24,000; with arrays allocated once per call,
-    # about 5,300.  The float32 stage works in the float64 stage's buffers,
-    # which it views as float32, so it adds no pages of its own.
+    # about 5,300.
     pytest.importorskip("resource")
     fn, graph = _FAULT_PROBE_GRAPHS[name]
     np.save(tmp_path / "w.npy", graph().weights)
