@@ -14,6 +14,7 @@ behind it, and a direct simulation check.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from collections.abc import Callable
 from typing import NamedTuple
@@ -42,7 +43,11 @@ class MapSpec(NamedTuple):
     act entrywise, as a function of the value alone: equal entries map to
     equal entries, and a scalar maps as the same value does inside an
     array.  ``simulate_sync`` steps exactly synchronized trials as scalars
-    on the strength of this; both shipped maps satisfy it.
+    on the strength of this.  ``f`` must also be free of side effects and
+    defined for every float, infinities and NaN included: ``simulate_sync``
+    takes coupled steps in batches and discards the steps after a batch's
+    first divergence or synchrony, so ``f`` sees states no output shows.
+    Both shipped maps satisfy this.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -114,10 +119,20 @@ def step_cml(g: WeightedGraph, x: np.ndarray, map_spec: MapSpec, eps: float) -> 
     """
     if not 0 <= eps < math.inf:
         raise ValueError("eps must be finite and >= 0")
-    fx = np.asarray(map_spec.f(np.asarray(x, dtype=float)), dtype=float)
-    diff = fx[..., None, :] - fx[..., :, None]
-    coupling = (g.weights * diff).sum(axis=-1) / g.degrees
-    return fx + eps * coupling
+    return _step(g, map_spec.f, eps, np.asarray(x, dtype=float), None)
+
+
+def _step(g: WeightedGraph, f, eps: float, x: np.ndarray, out, diff=None) -> np.ndarray:
+    """``step_cml`` on a float state, unchecked, into ``out`` (a new array if None).
+
+    ``out`` may be ``x`` itself: it is written last, from ``f(x)`` and the
+    coupling.  ``diff``, of shape ``x.shape + (n,)``, holds the pairwise
+    differences and then their weighted terms (a new array if None).
+    """
+    fx = np.asarray(f(x), dtype=float)
+    diff = np.subtract(fx[..., None, :], fx[..., :, None], out=diff)
+    coupling = np.multiply(g.weights, diff, out=diff).sum(axis=-1) / g.degrees
+    return np.add(fx, eps * coupling, out=out)
 
 
 class SyncInterval(NamedTuple):
@@ -277,25 +292,34 @@ def spread_to_csv(report: SyncReport) -> str:
 
 
 #: Longest run accepted, in steps with the transient included: each coupled
-#: step costs about 25-30 us of fixed overhead on a 2-vCPU host (K3 with one
-#: trial, K5 with five), so about 30 s.  Trials that synchronize exactly step
-#: far faster from then on, but the cap stays: a run that never does pays
-#: the full per-step cost.
+#: step costs about 6-7 us of fixed overhead on a 2-vCPU host (K3 with one
+#: trial, K5 with five, in batches of ``_CML_BATCH``), so about 7 s.  Trials
+#: that synchronize exactly step far faster from then on, but the cap stays:
+#: a run that never does pays the full per-step cost.
 MAX_CML_STEPS = 10**6
 
 #: Largest ``(transient + t_steps) * trials * (n**2 + 64)`` accepted.  A
-#: trial's row costs about as much as 64 more matrix entries (the
-#: per-row reductions); at 5-7 ns per entry this is 10-15 s, and it keeps
-#: the ``(t_steps, trials)`` spread array under 240 MB.  It counts every step
-#: as coupled, for the same reason as ``MAX_CML_STEPS``.
+#: trial's row costs about as much as 64 more matrix entries (its share of
+#: the per-step calls); at 1.5-2 ns per entry on a 2-vCPU host (K100 and
+#: K300, five trials) this is 3-4 s, and it keeps the ``(t_steps, trials)``
+#: spread array under 240 MB.  It counts every step as coupled, for the same
+#: reason as ``MAX_CML_STEPS``.
 MAX_CML_WORK = 2 * 10**9
 
-#: Most matrix entries one ``step_cml`` call of ``simulate_sync`` sees.  A
-#: step holds two ``(rows, n, n)`` temporaries, so the trials are stepped in
+#: Most matrix entries one coupled step of ``simulate_sync`` sees.  A step
+#: holds two ``(rows, n, n)`` temporaries, so the trials are stepped in
 #: blocks of ``_CML_BLOCK_ENTRIES // n**2`` rows, at least one: each
 #: temporary stays under 32 MB, whatever ``MAX_CML_WORK`` admits, unless a
 #: single row (n above 2048) is larger.
 _CML_BLOCK_ENTRIES = 1 << 22
+
+#: Most coupled steps ``simulate_sync`` takes before it tests them.  A batch
+#: of 32 saves most of the per-step reductions and wastes little on the
+#: steps after a run synchronizes, which are discarded.
+_CML_BATCH = 32
+#: Most entries of a batch buffer ``(batch, trials, n)``, 512 KB: a batch is
+#: ``_CML_BATCH_ENTRIES // (trials * n)`` steps, at least one.
+_CML_BATCH_ENTRIES = 1 << 16
 
 #: Orbit length used when estimating the exponent inside simulate_sync.
 _MU_STEPS = 50_000
@@ -342,7 +366,7 @@ def simulate_sync(
     passed to skip the internal exponent estimate.
 
     Once a step leaves every live trial exactly synchronized (spread 0.0),
-    the coupled steps stop.  ``step_cml`` builds the coupling from the
+    the coupled steps stop.  A step builds the coupling from the
     differences ``f(x_j) - f(x_i)``, each +0.0 between equal entries; with
     finite nonnegative weights and a finite eps the coupling is exactly
     zero, so the step is ``f`` of the common value, up to the sign of a
@@ -385,28 +409,62 @@ def simulate_sync(
     # and a perturbation past the boundary would not test stability of
     # the synchronized orbit but escape of the map itself.
     x = np.clip(s_sync[:, None] + noise, 0.0, 1.0)
+    if not 0 <= eps < math.inf:
+        raise ValueError("eps must be finite and >= 0")
     # Row k of x is trial k.  The first diverging trial ends the run, so it
     # and every later trial stop there; earlier trials keep running, since
     # one of them may still diverge and so become the first.  Rows are
-    # stepped independently, so stepping them in blocks, each written back
-    # in place, keeps their bits.
+    # stepped independently, so stepping them in blocks keeps their bits.
+    # The steps go into ``states`` a batch at a time, and one max and one
+    # min over the batch give every step's divergence test and spreads.
+    # The steps after the batch's first event (a trial out of the guard, or
+    # every spread 0.0) are discarded; a divergence is stepped again alone,
+    # outside ``errstate``, so that it warns as a step on its own does.  x
+    # is a copy, never a view of ``states``: the next batch overwrites
+    # ``states`` before it may have to step again from x.
+    f = map_spec.f
     spreads = np.empty((t_steps, trials))
     live, stop = trials, t_steps
     block = max(1, _CML_BLOCK_ENTRIES // g.n**2)
-    for t in range(t_steps):
-        for i in range(0, len(x), block):
-            x[i : i + block] = step_cml(g, x[i : i + block], map_spec, eps)
-        if not np.abs(x).max() <= DIVERGENCE_GUARD:  # NaN falls through to the row test
-            live, stop = int((np.abs(x) <= DIVERGENCE_GUARD).all(axis=1).argmin()), t
-            x = x[:live]
+    batch = max(1, min(_CML_BATCH, _CML_BATCH_ENTRIES // (trials * g.n)))
+    states = np.empty((batch, trials, g.n))
+    # the terms of a block, held for the run: a step allocates no (rows, n, n) array
+    scratch = np.empty((min(trials, block), g.n, g.n))
+    t, alone = 0, False
+    while t < t_steps:
+        run = states[: 1 if alone else min(batch, t_steps - t), :live]
+        diff = scratch[:live]
+        with np.errstate(all="ignore") if len(run) > 1 else contextlib.nullcontext():
+            src = x
+            for dst in run:
+                if live <= block:
+                    _step(g, f, eps, src, dst, diff)
+                else:
+                    for i in range(0, live, block):
+                        part = dst[i : i + block]
+                        _step(g, f, eps, src[i : i + block], part, diff[: len(part)])
+                src = dst
+        hi, lo = run.max(axis=2), run.min(axis=2)
+        inside = (hi <= DIVERGENCE_GUARD) & (lo >= -DIVERGENCE_GUARD)  # NaN is outside
+        rows = spreads[t : t + len(run), :live]
+        np.subtract(hi, lo, out=rows)  # np.ptp, bit for bit
+        events = np.flatnonzero(~inside.all(axis=1) | ~rows.any(axis=1))
+        if not len(events):
+            x, t, alone = run[-1].copy(), t + len(run), False
+            continue
+        e = int(events[0])
+        if not inside[e].all():
+            if len(run) > 1:
+                x, t, alone = (run[e - 1].copy() if e else x), t + e, True
+                continue
+            live, stop = int(inside[0].argmin()), t
             if live == 0:
                 break
-        row = spreads[t, :live]
-        np.subtract(x.max(axis=1), x.min(axis=1), out=row)  # np.ptp, bit for bit
-        if not row.any():
+        x, t, alone = run[e, :live].copy(), t + e + 1, False
+        if not spreads[t - 1, :live].any():
             # every live trial is exactly synchronized: no more coupling
-            spreads[t + 1 :] = 0.0
-            first = _first_divergence(map_spec, x[:, 0].tolist(), t + 1, t_steps)
+            spreads[t:] = 0.0
+            first = _first_divergence(map_spec, x[:, 0].tolist(), t, t_steps)
             if first is not None:
                 live, stop = first
             break

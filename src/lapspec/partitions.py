@@ -455,7 +455,9 @@ def cheeger_exact(g: WeightedGraph) -> CheegerResult:
     of their chunk's best, in the chunks within it of the pass's best, are
     scored again; on exact sums the pass's values are the result, with no
     scoring again.  A disconnected graph has ``h = 0``, with a union of
-    components as witness.
+    components as witness.  Where ``_tolerance`` is infinite, a graph whose
+    witness's ratio, summed again from its cut and the volumes of both
+    sides, is more than ``_TOL`` from the scan's value is refused.
     """
     n = g.n
     d = g.degrees[: n - 1]
@@ -499,8 +501,19 @@ def cheeger_exact(g: WeightedGraph) -> CheegerResult:
     # push the quotient an ulp past the mathematical ceiling h <= 1.  A zero
     # is -0.0 from a chunk, -(0 / den), and +0.0 from a tile, (-0) / den:
     # 0.0 - x is +0.0 for both, and -x for every other x.
-    side = np.flatnonzero(digits)
-    return CheegerResult(value=min(0.0 - neg_best, 1.0), witness=Bipartition.of(g, side))
+    value = min(0.0 - neg_best, 1.0)
+    if _tolerance(g) == np.inf:
+        # No bound vouches for vol - internal, which may have lost every
+        # digit.  The witness's ratio from sums of nonnegative terms alone
+        # (its cut and the volumes of both sides) must agree with the scan.
+        memb = np.append(digits, 0).astype(bool)
+        cut = g.weights[memb][:, ~memb].sum()
+        if not abs(cut / min(g.degrees[memb].sum(), g.degrees[~memb].sum()) - value) <= _TOL:
+            raise GraphError(
+                GraphErrorKind.WEIGHT_RANGE,
+                "cannot compute the Cheeger constant exactly: the weights span too wide a range",
+            )
+    return CheegerResult(value=value, witness=Bipartition.of(g, np.flatnonzero(digits)))
 
 
 def dual_cheeger_exact(g: WeightedGraph) -> CheegerResult:

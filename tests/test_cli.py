@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_connected_graph
+from oracles import oracle_cheeger
 from lapspec.cli import main
 from lapspec.graphs import (
     GraphError,
@@ -21,6 +22,7 @@ from lapspec.graphs import (
     complete_graph,
     cycle_graph,
     graph_from_dict,
+    read_graph,
     write_graph,
 )
 from lapspec.partitions import OddWalkFamily, default_odd_walk_family
@@ -347,6 +349,34 @@ def test_weights_too_wide_for_floats_exit_1(capsys, tmp_path, argv, edges):
     assert code == 1 and out == ""
     assert err == ("error[WeightRange]: no labeling gives the Cheeger constant a finite value: "
                    "the weights span too wide a range\n")
+
+
+@pytest.mark.parametrize("argv", [["constants"], ["bounds"], ["bounds", "--l-list", "1"]])
+def test_weights_too_wide_for_a_finite_but_wrong_ratio_exit_1(capsys, tmp_path, argv):
+    # A unit triangle with a loop of 1e16 at vertex 0: its degree 1e16 + 2
+    # rounds to 1e16, so the cut {0} scores 0 / 4 where h = 1/2.  The value
+    # is finite, so only the check of the witness against its cut refuses it.
+    path = tmp_path / "g.txt"
+    path.write_text("0 1 1\n1 2 1\n0 2 1\n0 0 1e16\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, *argv, "--input", str(path))
+    assert [str(w.message) for w in caught] == []
+    assert code == 1 and out == ""
+    assert err == ("error[WeightRange]: cannot compute the Cheeger constant exactly: "
+                   "the weights span too wide a range\n")
+
+
+def test_wide_but_exact_weights_keep_their_cheeger_constant(capsys, tmp_path):
+    # With a loop of 1e15 every sum of the scan is an exact integer, so the
+    # tolerance is 0 and h is the oracle's 1/2.
+    path = tmp_path / "g.txt"
+    path.write_text("0 1 1\n1 2 1\n0 2 1\n0 0 1e15\n")
+    code, out, err = _run(capsys, "constants", "--input", str(path))
+    assert code == 0 and err == ""
+    h = json.loads(out)["h"]
+    assert h["method"] == "exact"
+    assert h["value"] == 0.5 == oracle_cheeger(read_graph(path))
 
 
 _DISCONNECTED ="error[Disconnected]: graph is not connected\n"

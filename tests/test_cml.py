@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -336,34 +337,35 @@ def test_simulation_is_reproducible():
 
 
 # Each case is the arguments of _assert_matches_per_trial_loop.
-_BATCH_CASES = pytest.mark.parametrize(
-    "case",
-    [
-        # every tail is exactly 0.0, so the worst trajectory is the first maximum's
-        (complete_graph(5), logistic_map(4.0), 0.9, 5, False, 5, 200),
-        (complete_graph(5), logistic_map(4.0), 0.05, 3, False, 3, 200),
-        (complete_graph(5), logistic_map(4.0), 1.5, 3, True, 1, 17),
-        (cycle_graph(5), logistic_map(4.0), 1.05, 3, True, 2, 73),
-        # trial 4 diverges at step 68, then trial 1 at step 88
-        (complete_graph(3), tent_map(2.0), 1.2, 5, True, 2, 88),
-        # every state starts clipped to 1.0, so all trials are exactly
-        # synchronized after step 0 and each reaches 2^34 at step 33
-        (complete_graph(4), MapSpec(f=lambda x: 2.0 * x, f_prime=lambda x: 2.0), 0.75, 5,
-         True, 1, 33),
-        # trials 0, 2, 3 and 4 are exactly synchronized from steps 182, 189,
-        # 190 and 172 on; trial 1 never is
-        (complete_graph(3), logistic_map(4.0), 0.95, 5, False, 5, 200),
-        (complete_graph(12), logistic_map(4.0), 0.9, 5, False, 5, 200),
-        # 2x^2 with no transient from starts near 0.31, 0.17 and 0.85 (base
-        # seed 2): trial 2 diverges at step 5, and trials 0 and 1, which
-        # run on, are exactly synchronized at 0.0 from step 10 on
-        (complete_graph(3), MapSpec(f=lambda x: 2.0 * x * x, f_prime=lambda x: 4.0 * x), 0.05,
-         3, True, 3, 5, 200, 0, 2),
-    ],
-    ids=["synchronized", "not-synchronized", "trial-0-diverges", "trial-1-diverges",
-         "earlier-trial-diverges-later", "synchronized-then-diverges", "partly-synchronized",
-         "k12-synchronized", "diverges-then-synchronized"],
-)
+_CASES = {
+    # every tail is exactly 0.0, so the worst trajectory is the first
+    # maximum's; the trials are exactly synchronized at step 23
+    "synchronized": (complete_graph(5), logistic_map(4.0), 0.9, 5, False, 5, 200),
+    "not-synchronized": (complete_graph(5), logistic_map(4.0), 0.05, 3, False, 3, 200),
+    # trial 0 diverges at step 17
+    "trial-0-diverges": (complete_graph(5), logistic_map(4.0), 1.5, 3, True, 1, 17),
+    "trial-1-diverges": (cycle_graph(5), logistic_map(4.0), 1.05, 3, True, 2, 73),
+    # trial 4 diverges at step 68, then trial 1 at step 88
+    "earlier-trial-diverges-later": (complete_graph(3), tent_map(2.0), 1.2, 5, True, 2, 88),
+    # every state starts clipped to 1.0, so all trials are exactly
+    # synchronized after step 0 and each reaches 2^34 at step 33
+    "synchronized-then-diverges": (
+        complete_graph(4), MapSpec(f=lambda x: 2.0 * x, f_prime=lambda x: 2.0), 0.75, 5,
+        True, 1, 33,
+    ),
+    # trials 0, 2, 3 and 4 are exactly synchronized from steps 182, 189,
+    # 190 and 172 on; trial 1 never is
+    "partly-synchronized": (complete_graph(3), logistic_map(4.0), 0.95, 5, False, 5, 200),
+    "k12-synchronized": (complete_graph(12), logistic_map(4.0), 0.9, 5, False, 5, 200),
+    # 2x^2 with no transient from starts near 0.31, 0.17 and 0.85 (base
+    # seed 2): trial 2 diverges at step 5, and trials 0 and 1, which run
+    # on, are exactly synchronized at 0.0 from step 10 on
+    "diverges-then-synchronized": (
+        complete_graph(3), MapSpec(f=lambda x: 2.0 * x * x, f_prime=lambda x: 4.0 * x), 0.05,
+        3, True, 3, 5, 200, 0, 2,
+    ),
+}
+_BATCH_CASES = pytest.mark.parametrize("case", list(_CASES.values()), ids=list(_CASES))
 
 
 def _assert_matches_per_trial_loop(g, m, eps, trials, diverged, n_final, n_traj,
@@ -378,9 +380,96 @@ def _assert_matches_per_trial_loop(g, m, eps, trials, diverged, n_final, n_traj,
     )
 
 
+_STEP = cml._step
+
+
+def _record_steps(monkeypatch, record):
+    """Make every coupled step of ``simulate_sync`` call ``record(x, out)`` after it."""
+
+    def recording(g, f, eps, x, out, diff=None):
+        result = _STEP(g, f, eps, x, out, diff)
+        if out is not None:  # not a step of step_cml, which the oracle calls
+            record(x, out)
+        return result
+
+    monkeypatch.setattr(cml, "_step", recording)
+
+
 @_BATCH_CASES
 def test_batched_simulation_matches_per_trial_loop(case):
     _assert_matches_per_trial_loop(*case)
+
+
+@_BATCH_CASES
+@pytest.mark.parametrize("batch", [1, 2, 3, 5])
+def test_every_batch_size_matches_per_trial_loop(monkeypatch, case, batch):
+    # The default batch is test_batched_simulation_matches_per_trial_loop's.
+    monkeypatch.setattr(cml, "_CML_BATCH", batch)
+    _assert_matches_per_trial_loop(*case)
+
+
+@pytest.mark.parametrize(
+    "name, batch, coupled",
+    [
+        # the step of the event, then the steps the batch discards after it
+        ("synchronized", 23, 23 + 23),  # step 23 opens the second batch
+        ("synchronized", 8, 24),  # and closes the third
+        # step 17 opens the second batch, and is stepped again on its own
+        ("trial-0-diverges", 17, 17 + 17 + 1),
+        ("trial-0-diverges", 6, 18 + 1),  # and closes the third
+    ],
+)
+def test_events_on_the_edges_of_a_batch(monkeypatch, name, batch, coupled):
+    steps = []
+    _record_steps(monkeypatch, lambda x, out: steps.append(out))
+    monkeypatch.setattr(cml, "_CML_BATCH", batch)
+    _assert_matches_per_trial_loop(*_CASES[name])
+    assert len(steps) == coupled
+
+
+def test_divergence_and_synchrony_in_different_batches(monkeypatch):
+    # Trial 2 diverges at step 5, inside the first batch of 32 steps.  Step
+    # 5 is stepped again on its own, and the two trials left are exactly
+    # synchronized at step 10, in the next batch, which runs to step 37.
+    rows = []
+    _record_steps(monkeypatch, lambda x, out: rows.append(len(x)))
+    _assert_matches_per_trial_loop(*_CASES["diverges-then-synchronized"])
+    assert rows == [3] * 32 + [3] + [2] * 32
+
+
+def test_diverging_step_warns_as_a_step_on_its_own(monkeypatch):
+    # 2x below 100, where exp overflows: the first step out of the guard is
+    # step 8, from about 170 to inf.  The batch holding it steps it again
+    # outside errstate, so it warns as a batch of one does.
+    m = MapSpec(f=lambda x: 2.0 * x * np.exp(1000.0 * np.maximum(x - 100.0, 0.0)),
+                f_prime=lambda x: 2.0)
+
+    def messages(batch):
+        monkeypatch.setattr(cml, "_CML_BATCH", batch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = simulate_sync(complete_graph(4), m, 0.5, 50, 0, 1e-6, 2, mu=0.5)
+        assert rep.diverged and len(rep.spread_trajectory) == 8
+        return [(w.category, str(w.message)) for w in caught]
+
+    alone = messages(1)
+    assert alone and {category for category, _ in alone} == {RuntimeWarning}
+    assert messages(32) == alone
+
+
+@pytest.mark.parametrize("trials, n", [(5, 5), (1, 12), (3, 40)])
+@pytest.mark.parametrize("cap", [59, 60, 200, 1 << 16])
+def test_batch_buffer_holds_at_most_the_cap(monkeypatch, trials, n, cap):
+    # A batch holds cap // (trials * n) states, at most _CML_BATCH and at
+    # least one, when a single state is larger than the cap.
+    sizes = set()
+    _record_steps(monkeypatch, lambda x, out: sizes.add(out.base.size))
+    monkeypatch.setattr(cml, "_CML_BATCH_ENTRIES", cap)
+    simulate_sync(complete_graph(n), logistic_map(4.0), 0.05, 100, 0, 1e-6, trials, mu=LN2)
+    state = trials * n
+    batch = max(1, min(cml._CML_BATCH, cap // state))
+    assert sizes == {batch * state}
+    assert batch * state <= cap or batch == 1
 
 
 @_BATCH_CASES
@@ -388,17 +477,10 @@ def test_blocked_steps_match_per_trial_loop(monkeypatch, case):
     # Blocks of two rows: three blocks of five trials, two of three, and
     # blocks that shrink as trials diverge.  The oracle steps one row at a
     # time, and no step may see more entries than the patched bound.
-    import lapspec.cml
-
     entries = []
-
-    def recording(g, x, *args):
-        entries.append(x.size * g.n)
-        return step_cml(g, x, *args)
-
     g = case[0]
-    monkeypatch.setattr(lapspec.cml, "_CML_BLOCK_ENTRIES", 2 * g.n**2 + 1)
-    monkeypatch.setattr(lapspec.cml, "step_cml", recording)
+    _record_steps(monkeypatch, lambda x, out: entries.append(x.size * g.n))
+    monkeypatch.setattr(cml, "_CML_BLOCK_ENTRIES", 2 * g.n**2 + 1)
     _assert_matches_per_trial_loop(*case)
     assert max(entries) == 2 * g.n**2
 
@@ -413,27 +495,41 @@ def test_synchronized_trials_diverge_in_trial_order():
                                    t_steps=131, transient=0, base_seed=24)
 
 
-def test_simulation_steps_all_trials_together(monkeypatch):
-    # The benchmark's K5 run.  Each coupled step sees all five trials, and
-    # the coupled steps stop after the first one that leaves every trial
-    # exactly synchronized: f alone steps the common values from there on.
-    import lapspec.cml
-
+def _k5_coupled_spreads(monkeypatch, batch):
+    """The spreads of every coupled step of the benchmark's K5 run, in batches of ``batch``."""
     spreads = []
 
-    def recording(g, x, *args):
-        assert x.shape == (5, g.n)
-        out = step_cml(g, x, *args)
+    def record(x, out):
+        assert x.shape == (5, 5)
         spreads.append(np.ptp(out, axis=1))
-        return out
 
-    monkeypatch.setattr(lapspec.cml, "step_cml", recording)
+    _record_steps(monkeypatch, record)
+    monkeypatch.setattr(cml, "_CML_BATCH", batch)
     rep = simulate_sync(complete_graph(5), logistic_map(4.0), 0.9, 5000, 100, 1e-6, trials=5,
                         mu=LN2)
     assert rep.synchronized
+    return spreads
+
+
+def test_simulation_steps_all_trials_together(monkeypatch):
+    # The benchmark's K5 run, one step per batch.  Each coupled step sees
+    # all five trials, and the coupled steps stop after the first one that
+    # leaves every trial exactly synchronized: f alone steps the common
+    # values from there on.
+    spreads = _k5_coupled_spreads(monkeypatch, 1)
     assert all(row.any() for row in spreads[:-1])
     assert not spreads[-1].any()
     assert len(spreads) == 25
+
+
+def test_default_batch_stops_with_the_batch_of_synchrony(monkeypatch):
+    # The same run in batches of 32: the first 25 steps are those of one
+    # step per batch, and the batch holding step 25 is the last one taken.
+    batch = cml._CML_BATCH
+    alone = _k5_coupled_spreads(monkeypatch, 1)
+    spreads = _k5_coupled_spreads(monkeypatch, batch)
+    assert [row.tobytes() for row in spreads[:25]] == [row.tobytes() for row in alone]
+    assert len(spreads) == batch
 
 
 def test_internal_exponent_estimate():

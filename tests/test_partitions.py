@@ -418,6 +418,23 @@ def test_enumerators_invariant_under_power_of_two_scaling(monkeypatch, name, k):
         assert scaled.witness == plain.witness, fn.__name__
 
 
+def test_infinite_tolerance_refuses_only_a_witness_its_cut_disowns():
+    # The pendant graph's tolerance is infinite, yet its witness's cut gives
+    # back its value, and h is the oracle's up to the rounding of weights
+    # 0.1.  A unit triangle with a loop of 1e16 at vertex 0 scores the cut
+    # {0} as 0 / 4, where its cut is 2 / 4.
+    g = SPLIT_PASS_GRAPHS["pendant G(11, 0.4)"]
+    assert partitions._tolerance(g) == np.inf
+    assert abs(cheeger_exact(g).value - float(oracle_cheeger(g))) < 1e-15
+    w = 1.0 - np.eye(3)
+    w[0, 0] = 1e16
+    g = WeightedGraph(n=3, weights=w)
+    assert partitions._tolerance(g) == np.inf and oracle_cheeger(g) == Fraction(1, 2)
+    with pytest.raises(GraphError) as info:
+        cheeger_exact(g)
+    assert info.value.kind is GraphErrorKind.WEIGHT_RANGE
+
+
 def _volume_at(g, e):
     """g times the power of two that puts its total volume in [2**(e - 1), 2**e)."""
     return _scaled(g, e - math.frexp(g.volume)[1])
