@@ -315,11 +315,10 @@ _CML_BLOCK_ENTRIES = 1 << 22
 
 #: Most coupled steps ``simulate_sync`` takes before it tests them.  A batch
 #: of 32 saves most of the per-step reductions and wastes little on the
-#: steps after a run synchronizes, which are discarded.
+#: steps after a run synchronizes, which are discarded.  Its buffer
+#: ``(batch, trials, n)`` holds at most ``_CML_BLOCK_ENTRIES`` entries, or
+#: one state when a state alone is larger.
 _CML_BATCH = 32
-#: Most entries of a batch buffer ``(batch, trials, n)``, 512 KB: a batch is
-#: ``_CML_BATCH_ENTRIES // (trials * n)`` steps, at least one.
-_CML_BATCH_ENTRIES = 1 << 16
 
 #: Orbit length used when estimating the exponent inside simulate_sync.
 _MU_STEPS = 50_000
@@ -426,23 +425,19 @@ def simulate_sync(
     spreads = np.empty((t_steps, trials))
     live, stop = trials, t_steps
     block = max(1, _CML_BLOCK_ENTRIES // g.n**2)
-    batch = max(1, min(_CML_BATCH, _CML_BATCH_ENTRIES // (trials * g.n)))
+    batch = max(1, min(_CML_BATCH, _CML_BLOCK_ENTRIES // (trials * g.n)))
     states = np.empty((batch, trials, g.n))
     # the terms of a block, held for the run: a step allocates no (rows, n, n) array
     scratch = np.empty((min(trials, block), g.n, g.n))
     t, alone = 0, False
     while t < t_steps:
         run = states[: 1 if alone else min(batch, t_steps - t), :live]
-        diff = scratch[:live]
         with np.errstate(all="ignore") if len(run) > 1 else contextlib.nullcontext():
             src = x
             for dst in run:
-                if live <= block:
-                    _step(g, f, eps, src, dst, diff)
-                else:
-                    for i in range(0, live, block):
-                        part = dst[i : i + block]
-                        _step(g, f, eps, src[i : i + block], part, diff[: len(part)])
+                for i in range(0, live, block):
+                    part = dst[i : i + block]
+                    _step(g, f, eps, src[i : i + block], part, scratch[: len(part)])
                 src = dst
         hi, lo = run.max(axis=2), run.min(axis=2)
         inside = (hi <= DIVERGENCE_GUARD) & (lo >= -DIVERGENCE_GUARD)  # NaN is outside

@@ -455,9 +455,11 @@ def cheeger_exact(g: WeightedGraph) -> CheegerResult:
     of their chunk's best, in the chunks within it of the pass's best, are
     scored again; on exact sums the pass's values are the result, with no
     scoring again.  A disconnected graph has ``h = 0``, with a union of
-    components as witness.  Where ``_tolerance`` is infinite, a graph whose
-    witness's ratio, summed again from its cut and the volumes of both
-    sides, is more than ``_TOL`` from the scan's value is refused.
+    components as witness.  Where ``_tolerance`` is infinite no bound
+    vouches for the scan, and every code is scored again from sums of
+    nonnegative terms alone (``_cut_ratios``): the graph is refused unless
+    the witness's ratio is within ``_TOL`` of the scan's value and of the
+    least ratio.
     """
     n = g.n
     d = g.degrees[: n - 1]
@@ -503,17 +505,36 @@ def cheeger_exact(g: WeightedGraph) -> CheegerResult:
     # 0.0 - x is +0.0 for both, and -x for every other x.
     value = min(0.0 - neg_best, 1.0)
     if _tolerance(g) == np.inf:
-        # No bound vouches for vol - internal, which may have lost every
-        # digit.  The witness's ratio from sums of nonnegative terms alone
-        # (its cut and the volumes of both sides) must agree with the scan.
-        memb = np.append(digits, 0).astype(bool)
-        cut = g.weights[memb][:, ~memb].sum()
-        if not abs(cut / min(g.degrees[memb].sum(), g.degrees[~memb].sum()) - value) <= _TOL:
+        # vol - internal may have lost every digit, and with it the choice
+        # of the witness: it must be the least ratio, and have the value
+        # printed, when both are summed soundly.
+        ratio = _cut_ratios(g, np.append(digits, 0)[None])[0]
+        stop = 2 ** (n - 1)
+        lowest = np.fmin.reduce([
+            np.fmin.reduce(_cut_ratios(g, _digits(lo, min(_CHUNK, stop - lo), 2, n)))
+            for lo in range(1, stop, _CHUNK)
+        ])
+        if not (abs(ratio - value) <= _TOL and ratio <= lowest + _TOL):
             raise GraphError(
                 GraphErrorKind.WEIGHT_RANGE,
                 "cannot compute the Cheeger constant exactly: the weights span too wide a range",
             )
     return CheegerResult(value=value, witness=Bipartition.of(g, np.flatnonzero(digits)))
+
+
+def _cut_ratios(g: WeightedGraph, memb: np.ndarray) -> np.ndarray:
+    """The Cheeger ratio of each 0/1 row of ``memb``, of length n, from sums of nonnegative terms.
+
+    The cut ``sum memb_i w_ij (1 - memb_j)`` and the volumes of both sides
+    are each a sum of nonnegative terms, so each is within ``n eps`` of
+    itself, and the ratio within a few times that, in any order of
+    summation; 0 / 0 is NaN.
+    """
+    inside = memb.astype(float)
+    outside = 1.0 - inside
+    cut = ((outside @ g.weights) * inside).sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return cut / np.minimum(inside @ g.degrees, outside @ g.degrees)
 
 
 def dual_cheeger_exact(g: WeightedGraph) -> CheegerResult:

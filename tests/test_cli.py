@@ -351,13 +351,30 @@ def test_weights_too_wide_for_floats_exit_1(capsys, tmp_path, argv, edges):
                    "the weights span too wide a range\n")
 
 
+# Two K4 joined by a bridge of 0.68, and a vertex 0 with a loop of 1e16 and
+# an edge of 1.5, with the labels in order of first appearance: vol {0}
+# rounds up by 0.5, so the scan scores the cut {0} at about 2 / 99 where
+# h = 1.5 / 99, and picks the cluster {1, 2, 3, 4} at 0.68 / 39.68, whose
+# own ratio it gets right.
+_WIDE_CLUSTERS = "".join(
+    ["0 0 1e16\n"]
+    + [f"{i} {j} 3.25\n" for i in range(1, 5) for j in range(i + 1, 5)]
+    + ["4 5 0.68\n"]
+    + [f"{i} {j} 4.75\n" for i in range(5, 9) for j in range(i + 1, 9)]
+    + ["0 5 1.5\n"]
+)
+
+
 @pytest.mark.parametrize("argv", [["constants"], ["bounds"], ["bounds", "--l-list", "1"]])
-def test_weights_too_wide_for_a_finite_but_wrong_ratio_exit_1(capsys, tmp_path, argv):
+@pytest.mark.parametrize("edges", ["0 1 1\n1 2 1\n0 2 1\n0 0 1e16\n", _WIDE_CLUSTERS],
+                         ids=["triangle", "clusters"])
+def test_weights_too_wide_for_a_finite_but_wrong_ratio_exit_1(capsys, tmp_path, argv, edges):
     # A unit triangle with a loop of 1e16 at vertex 0: its degree 1e16 + 2
-    # rounds to 1e16, so the cut {0} scores 0 / 4 where h = 1/2.  The value
-    # is finite, so only the check of the witness against its cut refuses it.
+    # rounds to 1e16, so the cut {0} scores 0 / 4 where h = 1/2.  On the
+    # clusters the witness is not the least cut.  The values are finite, so
+    # only the sound scoring of every cut refuses them.
     path = tmp_path / "g.txt"
-    path.write_text("0 1 1\n1 2 1\n0 2 1\n0 0 1e16\n")
+    path.write_text(edges)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = _run(capsys, *argv, "--input", str(path))

@@ -461,10 +461,11 @@ def test_diverging_step_warns_as_a_step_on_its_own(monkeypatch):
 @pytest.mark.parametrize("cap", [59, 60, 200, 1 << 16])
 def test_batch_buffer_holds_at_most_the_cap(monkeypatch, trials, n, cap):
     # A batch holds cap // (trials * n) states, at most _CML_BATCH and at
-    # least one, when a single state is larger than the cap.
+    # least one, when a single state is larger than the cap: the block
+    # bound _CML_BLOCK_ENTRIES bounds the batch buffer too.
     sizes = set()
     _record_steps(monkeypatch, lambda x, out: sizes.add(out.base.size))
-    monkeypatch.setattr(cml, "_CML_BATCH_ENTRIES", cap)
+    monkeypatch.setattr(cml, "_CML_BLOCK_ENTRIES", cap)
     simulate_sync(complete_graph(n), logistic_map(4.0), 0.05, 100, 0, 1e-6, trials, mu=LN2)
     state = trials * n
     batch = max(1, min(cml._CML_BATCH, cap // state))

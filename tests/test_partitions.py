@@ -418,21 +418,46 @@ def test_enumerators_invariant_under_power_of_two_scaling(monkeypatch, name, k):
         assert scaled.witness == plain.witness, fn.__name__
 
 
-def test_infinite_tolerance_refuses_only_a_witness_its_cut_disowns():
-    # The pendant graph's tolerance is infinite, yet its witness's cut gives
-    # back its value, and h is the oracle's up to the rounding of weights
-    # 0.1.  A unit triangle with a loop of 1e16 at vertex 0 scores the cut
-    # {0} as 0 / 4, where its cut is 2 / 4.
+def _wide_clusters():
+    """Two K4 joined by a bridge of 0.68, with a loop of 1e16 at vertex 0 and an edge of 1.5.
+
+    vol {0} = 1e16 + 1.5 rounds to 1e16 + 2, so the scan scores the cut
+    {0} as about 2 / 99 where it is 1.5 / 99, h; the cluster {1, 2, 3, 4}
+    is scored accurately, at 0.68 / 39.68, between the two.
+    """
+    w = np.zeros((9, 9))
+    for side, weight in ((range(1, 5), 3.25), (range(5, 9), 4.75)):
+        for i in side:
+            w[i, side] = weight
+            w[i, i] = 0.0
+    w[4, 5] = w[5, 4] = 0.68
+    w[0, 5] = w[5, 0] = 1.5
+    w[0, 0] = 1e16
+    return WeightedGraph(n=9, weights=w)
+
+
+def test_infinite_tolerance_refuses_a_witness_the_sound_sums_disown():
+    # Where the tolerance is infinite every cut is scored again from sums of
+    # nonnegative terms.  The pendant graph's witness is the least of them
+    # and has the scan's value, h up to the rounding of weights 0.1.  A
+    # unit triangle with a loop of 1e16 at vertex 0 scores the cut {0} as
+    # 0 / 4, where its cut is 2 / 4.  On wide_clusters the witness's own
+    # ratio is the scan's value, but the cut {0} is lower.
     g = SPLIT_PASS_GRAPHS["pendant G(11, 0.4)"]
     assert partitions._tolerance(g) == np.inf
     assert abs(cheeger_exact(g).value - float(oracle_cheeger(g))) < 1e-15
     w = 1.0 - np.eye(3)
     w[0, 0] = 1e16
-    g = WeightedGraph(n=3, weights=w)
-    assert partitions._tolerance(g) == np.inf and oracle_cheeger(g) == Fraction(1, 2)
-    with pytest.raises(GraphError) as info:
-        cheeger_exact(g)
-    assert info.value.kind is GraphErrorKind.WEIGHT_RANGE
+    triangle = WeightedGraph(n=3, weights=w)
+    assert partitions._tolerance(triangle) == np.inf and oracle_cheeger(triangle) == Fraction(1, 2)
+    g = _wide_clusters()
+    cluster = partitions._cut_ratios(g, np.isin(np.arange(9), [1, 2, 3, 4])[None])[0]
+    assert partitions._tolerance(g) == np.inf and oracle_cheeger_witness(g) == frozenset({0})
+    assert float(oracle_cheeger(g)) < 0.016 < cluster < 0.018
+    for g in (triangle, g):
+        with pytest.raises(GraphError) as info:
+            cheeger_exact(g)
+        assert info.value.kind is GraphErrorKind.WEIGHT_RANGE
 
 
 def _volume_at(g, e):
