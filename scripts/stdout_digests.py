@@ -33,7 +33,14 @@ synchronize exactly; ``bounds`` on the seed-1 G(24, 0.4) and
 sum is exact and the value comes from the split pass's tiles, ``bounds`` on
 K17 and ``constants`` on K13, whose optima tie across chunks, and the same
 subcommands on the seed-1 G(20, 0.4) and G(13, 0.4) with weights 0.25, 0.5
-and 1 in turn.
+and 1 in turn.  Several orders of Gamma[l] in one command: ``bounds --l-list
+1,2,3,4,5`` on the seed-1 G(20, 0.4) with weights 0.1, 0.3 and 0.7 in turn,
+the default ``bounds`` on K20, whose Gamma[2] ties across chunks, and the
+``complete`` table on K10-K14 at orders 1-5.  Weights too wide for floats,
+where several orders fail and the first refusal met is printed: a unit
+triangle with a loop of 1e16 at vertex 0 (``constants``, ``bounds`` and
+``bounds --l-list 1``) and the seed-1 G(20, 0.4) with a loop of 1e17 at
+vertex 0 (``bounds`` and ``walk --l 2``).
 """
 
 from __future__ import annotations
@@ -122,6 +129,18 @@ COMPLETE_ARGS = {17: {"bounds": ["bounds", "--l-list", "2,3"]}, 13: {"constants"
 #: Subcommands run on the seed-1 G(n, 0.4) with the weights CYCLED in edge order, by n.
 CYCLED_ARGS = {20: {"bounds": ["bounds", "--l-list", "2,3"]}, 13: {"constants": ["constants"]}}
 CYCLED = (0.25, 0.5, 1.0)
+#: The same, with weights that are not multiples of a power of two.
+UNEVEN_ARGS = {20: {"bounds-orders": ["bounds", "--l-list", "1,2,3,4,5"]}}
+UNEVEN = (0.1, 0.3, 0.7)
+#: Subcommands run on K20, whose Gamma[2] ties across chunks.
+K20_ARGS = {"bounds": ["bounds"]}
+
+#: Subcommands run on a unit triangle and on the seed-1 G(20, 0.4), each with
+#: a loop at vertex 0 so heavy that sums with it lose every digit of the
+#: other weights.
+TRIANGLE_LOOP_ARGS = {"constants": ["constants"], "bounds": ["bounds"],
+                      "bounds-l1": ["bounds", "--l-list", "1"]}
+G20_LOOP_ARGS = {"bounds": ["bounds"], "walk": ["walk", "--l", "2"]}
 
 #: Inputs refused as malformed or non-finite.
 BROKEN_INPUTS = {"n0.json": '{"n": 0}', "nan-weight.txt": "a b 1\nb c nan\n"}
@@ -150,9 +169,12 @@ def corpus(workloads, workdir: Path):
     def unit_graph(n, edges, weight=1.0) -> str:
         return json.dumps({"n": n, "edges": [[i, j, weight] for i, j in edges]})
 
-    def cycled_graph(n, edges) -> str:
-        return json.dumps({"n": n, "edges": [[i, j, CYCLED[e % len(CYCLED)]]
+    def cycled_graph(n, edges, weights=CYCLED) -> str:
+        return json.dumps({"n": n, "edges": [[i, j, weights[e % len(weights)]]
                                              for e, (i, j) in enumerate(edges)]})
+
+    def looped_graph(n, edges, loop) -> str:
+        return json.dumps({"n": n, "edges": [*([i, j, 1.0] for i, j in edges), [0, 0, loop]]})
 
     graphs = {"looped.txt": LOOPED_EDGES, "k7.json": unit_graph(*workloads.complete_graph(7)),
               "c10.json": unit_graph(*workloads.cycle_graph(10))}
@@ -176,7 +198,13 @@ def corpus(workloads, workdir: Path):
              *(({f"k{n}.json": unit_graph(*workloads.complete_graph(n))}, arg_sets)
                for n, arg_sets in COMPLETE_ARGS.items()),
              *(({f"g{n}-cycled.json": cycled_graph(*workloads.gnp_graph(1, n))}, arg_sets)
-               for n, arg_sets in CYCLED_ARGS.items()))
+               for n, arg_sets in CYCLED_ARGS.items()),
+             *(({f"g{n}-uneven.json": cycled_graph(*workloads.gnp_graph(1, n), UNEVEN)}, arg_sets)
+               for n, arg_sets in UNEVEN_ARGS.items()),
+             ({"k20.json": unit_graph(*workloads.complete_graph(20))}, K20_ARGS),
+             ({"triangle-1e16.json": looped_graph(*workloads.complete_graph(3), 1e16)},
+              TRIANGLE_LOOP_ARGS),
+             ({"g20-1e17.json": looped_graph(*workloads.gnp_graph(1, 20), 1e17)}, G20_LOOP_ARGS))
     for files, arg_sets in cases:
         for fname, text in files.items():
             (workdir / fname).write_text(text)
@@ -190,6 +218,8 @@ def corpus(workloads, workdir: Path):
                                              "--l-list", l_list, "--format", fmt]
     yield "curves:complete:caps", ["curves", "--family", "complete", "--grid", "13:16:1",
                                    "--l-list", "1,2,3"]
+    yield "curves:complete:orders", ["curves", "--family", "complete", "--grid", "10:14:1",
+                                     "--l-list", "1,2,3,4,5"]
     yield "curves:empty-grid", ["curves", "--family", "complete", "--grid", "1:0:1"]
 
 
