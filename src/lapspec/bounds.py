@@ -51,9 +51,10 @@ from .neighborhood import map_eigenvalues, neighborhood_graph
 from .partitions import (
     TriPartition,
     XiProductBound,
+    _cheeger_scans,
+    _dual_cheeger_scans,
     cheeger_exact,
     default_odd_walk_family,
-    dual_cheeger_exact,
     xi_product_bound,
 )
 from .spectral import Spectrum, spectrum
@@ -484,9 +485,9 @@ class ImprovementReport(NamedTuple):
 def improvement_predicates(g: WeightedGraph, l: int) -> ImprovementReport:
     s = spectrum(g)
     lam1, lam_max = s.lambda_1, s.lambda_max
-    const = _constants(g)
-    h = (const(cheeger_exact, 1) or cheeger_exact(g)).value  # a capped g: raise its refusal
-    h_l = const(cheeger_exact, l).value
+    const = _constants(g, {_cheeger_scans: (1, l)})
+    h = (const(_cheeger_scans, 1) or cheeger_exact(g)).value  # a capped g: raise its refusal
+    h_l = const(_cheeger_scans, l).value
     lam1_l = float(map_eigenvalues(s.eigenvalues, l)[1])
 
     even = l % 2 == 0
@@ -610,13 +611,22 @@ def bound_curves(family: str, params, l_list) -> list[CurveRow]:
                     CurveRow(param, l, None, None, False, None, None, None)
                 )
             continue
-        const = _constants(g)
+        # h[l] is computed at an odd l only where hbar[l] is, as its row is blank otherwise
+        orders = {_dual_cheeger_scans: [l for l in l_list if l % 2 == 1]}
+        const = _constants(g, orders)
+        hbar = {}
+        for l in orders[_dual_cheeger_scans]:
+            try:
+                hbar[l] = const(_dual_cheeger_scans, l)
+            except (GraphError, ValueError):  # e.g. an order below 1
+                hbar[l] = None
+        orders[_cheeger_scans] = [l for l in l_list if l % 2 == 0 or hbar[l] is not None]
         for l in l_list:
             odd = l % 2 == 1
+            hbar_l = hbar.get(l)
             try:
-                hbar_l = const(dual_cheeger_exact, l) if odd else None
-                h_l = const(cheeger_exact, l) if not odd or hbar_l is not None else None
-            except (GraphError, ValueError):  # e.g. an order below 1
+                h_l = const(_cheeger_scans, l) if not odd or hbar_l is not None else None
+            except (GraphError, ValueError):
                 h_l = None
             if h_l is None or (odd and hbar_l is None):
                 rows.append(CurveRow(param, l, None, None, False, None, lam1, lam_max))
@@ -655,22 +665,46 @@ def curves_to_csv(rows: list[CurveRow]) -> str:
 # the constants of Gamma[l] per graph, and every report at once
 
 
-def _constants(g: WeightedGraph):
+def _constants(g: WeightedGraph, orders: Mapping):
     """``const(fn, l)`` is ``fn(Gamma[l])``, or ``None`` where a size cap refuses it.
 
     Builds each ``Gamma[l]`` (``Gamma[1]`` is ``g``) and computes each
-    constant at most once; other errors propagate.
+    constant at most once; other errors are raised.  ``fn`` is
+    ``clustering_constants``, or a scan of the partitions module that takes
+    a list of graphs (``_cheeger_scans``, ``_dual_cheeger_scans``) and is a
+    key of ``orders``.  Such a scan is computed together at its orders,
+    ``orders[fn]``, read at its first request: a request computes it at
+    the order asked for and at every order of ``orders[fn]`` not computed
+    yet, in one call, which screens them together
+    (``partitions._exact_scan``).  Each order keeps its result, or the
+    error that building its graph or scanning it raised, and the error is
+    raised only when that order is asked for: the refusals surface in the
+    order of the requests, as if each order were computed on its own.
     """
     gamma = cache(lambda l: g if l == 1 else neighborhood_graph(g, l))
+    table = {}
 
-    @cache
     def const(fn, l: int):
-        try:
-            return fn(gamma(l))
-        except GraphError as err:
-            if err.kind is not GraphErrorKind.SIZE_CAP_EXCEEDED:
-                raise
+        if (fn, l) not in table:
+            graphs = {}
+            for x in dict.fromkeys([l, *orders.get(fn, ())]):
+                if (fn, x) not in table:
+                    try:
+                        graphs[x] = gamma(x)
+                    except Exception as err:
+                        table[fn, x] = err
+            if graphs:
+                try:
+                    found = fn(list(graphs.values())) if fn in orders else [fn(graphs[l])]
+                except Exception as err:
+                    found = [err] * len(graphs)
+                table.update(zip(((fn, x) for x in graphs), found))
+        res = table[fn, l]
+        if isinstance(res, GraphError) and res.kind is GraphErrorKind.SIZE_CAP_EXCEEDED:
             return None
+        if isinstance(res, Exception):
+            raise res
+        return res
 
     return const
 
@@ -682,9 +716,10 @@ def all_bound_reports(g: WeightedGraph, s: Spectrum, l_list=(2, 3)) -> list[Boun
     repeated orders included.  Reports whose constants a size cap refuses
     are skipped; other errors propagate.
     """
-    const = _constants(g)
-    h_res = const(cheeger_exact, 1)
-    hbar_res = const(dual_cheeger_exact, 1)
+    scans = (1, *l_list)
+    const = _constants(g, {_cheeger_scans: scans, _dual_cheeger_scans: scans})
+    h_res = const(_cheeger_scans, 1)
+    hbar_res = const(_dual_cheeger_scans, 1)
 
     reports: list[BoundReport] = []
     if h_res is not None:
@@ -702,8 +737,8 @@ def all_bound_reports(g: WeightedGraph, s: Spectrum, l_list=(2, 3)) -> list[Boun
         reports.append(odd_walk_upper(pb))
         reports.append(poincare_upper(pb))
     for l in l_list:
-        h_l = const(cheeger_exact, l)
-        hbar_l = const(dual_cheeger_exact, l)
+        h_l = const(_cheeger_scans, l)
+        hbar_l = const(_dual_cheeger_scans, l)
         cc = const(clustering_constants, l)
         if h_l is not None:
             reports.append(neighborhood_sandwich_from(l, h_l.value))

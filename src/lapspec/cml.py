@@ -213,21 +213,22 @@ class RatioBounds(NamedTuple):
 def ratio_bounds(g: WeightedGraph) -> RatioBounds:
     # imported here: ``lapspec cml`` simulates and needs no enumerator or bound
     from .bounds import _constants, neighborhood_dual_upper_from, neighborhood_sandwich_from
-    from .partitions import cheeger_exact, dual_cheeger_exact, require_exact_constants
+    from .partitions import _cheeger_scans, _dual_cheeger_scans, require_exact_constants
 
     require_exact_constants(g)  # h = 0 on a disconnected graph; as in ``lapspec constants``
-    const = _constants(g)  # no cap refuses g past the check above
-    h = const(cheeger_exact, 1).value
-    hbar = const(dual_cheeger_exact, 1).value
+    # no cap refuses g past the check above
+    const = _constants(g, {_cheeger_scans: (1, 2, 3), _dual_cheeger_scans: (1, 3)})
+    h = const(_cheeger_scans, 1).value
+    hbar = const(_dual_cheeger_scans, 1).value
     uppers: dict[int, float] = {}
     lowers: dict[int, float] = {}
     for l in (1, 2, 3):
-        sandwich = neighborhood_sandwich_from(l, const(cheeger_exact, l).value)
+        sandwich = neighborhood_sandwich_from(l, const(_cheeger_scans, l).value)
         lowers[l] = sandwich.lower
         if l % 2 == 0:
             uppers[l] = sandwich.upper
         else:
-            uppers[l] = neighborhood_dual_upper_from(l, const(dual_cheeger_exact, l).value).upper
+            uppers[l] = neighborhood_dual_upper_from(l, const(_dual_cheeger_scans, l).value).upper
     best_lower = max(lowers.values())
     if best_lower <= 0:
         raise ValueError("no positive lower bound for lambda_1 at l = 1, 2, 3")

@@ -103,22 +103,26 @@ def _first_max(starts, stop: int, score) -> tuple[float, int]:
     return best_val, best_code
 
 
-def _first_kept(starts, stop: int, score, tol: float, kept, tile, scratch, terms):
+def _first_kept(starts, stop: int, score, tol: float, kept, tile, terms, arrays):
     """``_first_max`` over the chunks at ``starts`` that can hold the first optimum, from float64 tiles.
 
-    ``kept, tile, scratch, terms`` are what the scan's ``block`` returned
-    (``_candidates``); code = low + ``len(kept)`` * high, and a low that
-    ``block`` drops only has codes that score -inf.  Each chunk's float64
-    tile values ``v``, on the highs it spans, give its maximum ``c``.  A
-    chunk is scored only if its ``c`` is within ``tol`` of the best one's
-    and more than ``tol`` above every earlier one's; a NaN maximum fails
-    every comparison it enters, so it keeps its chunk and every later one.
-    In a chunk, only the codes with ``~(v + tol < c)`` are scored again:
-    ``score(codes, rows)`` scores the ``rows`` of the chunk's ``codes``
-    from products formed on the whole chunk, so its values are the bits of
-    the full scan's.  With ``tol`` 0 the tile values are the chunk values,
-    the sign of a zero aside, and are the result: nothing is scored again.
-    Returns ``(value, code)``.
+    ``kept`` and ``terms`` are what the scan's ``block`` returned for its
+    graph (``_candidates``), and ``tile(terms, rows, out, *scratch)`` the
+    split pass's tile of that graph: its ``den`` and then its ``value``.
+    ``arrays`` holds ``out`` and the scratch arrays, flat, each of at
+    least the pairs of one chunk's highs; the scans of one call share it.
+    Code = low + ``len(kept)`` * high, and a low that ``block`` drops only
+    has codes that score -inf.  Each chunk's float64 tile values ``v``, on
+    the highs it spans, give its maximum ``c``.  A chunk is scored only if
+    its ``c`` is within ``tol`` of the best one's and more than ``tol``
+    above every earlier one's; a NaN maximum fails every comparison it
+    enters, so it keeps its chunk and every later one.  In a chunk, only
+    the codes with ``~(v + tol < c)`` are scored again: ``score(codes,
+    rows)`` scores the ``rows`` of the chunk's ``codes`` from products
+    formed on the whole chunk, so its values are the bits of the full
+    scan's.  With ``tol`` 0 the tile values are the chunk values, the sign
+    of a zero aside, and are the result: nothing is scored again.  Returns
+    ``(value, code)``.
 
     The bits are those of the scan over every chunk.  Every code's ``v``
     is within ``tol / 2`` of its chunk value (``_tolerance``).  Let ``x``
@@ -131,20 +135,18 @@ def _first_kept(starts, stop: int, score, tol: float, kept, tile, scratch, terms
     bits and witness.
     """
     span, lows = len(kept), np.flatnonzero(kept)
-    highs = -(-_CHUNK // span) + 1  # the most highs a chunk spans
-    buf, tmp = np.empty(highs * len(lows)), np.empty((scratch, highs * len(lows)))
 
     def values(lo):
         """The chunk at ``lo``'s tile values, with the pair and the high they start at."""
         hi = min(lo + _CHUNK, stop)
         h0, h1 = lo // span, -(-hi // span)
         size = (h1 - h0) * len(lows)
+        out, *scratch = arrays[:, :size].reshape(len(arrays), h1 - h0, -1)
         with np.errstate(all="ignore"):
-            tile(terms, slice(h0, h1), buf[:size].reshape(h1 - h0, -1),
-                 *tmp[:, :size].reshape(scratch, h1 - h0, -1))
+            tile(terms, slice(h0, h1), out, *scratch)
         # the chunk's pairs, in code order, from its first code's to its last one's
         p0 = np.searchsorted(lows, lo - h0 * span)
-        return buf[p0 : size - len(lows) + np.searchsorted(lows, hi - (h1 - 1) * span)], p0, h0
+        return out.reshape(-1)[p0 : size - len(lows) + np.searchsorted(lows, hi - (h1 - 1) * span)], p0, h0
 
     def code(h0, pairs):
         """The codes of the pairs of a tile from the high ``h0``."""
@@ -192,104 +194,182 @@ def require_exact_constants(g: WeightedGraph) -> None:
     _check_size(g, "dual Cheeger constant", DUAL_CHEEGER_EXACT_CAP)
 
 
-def _exact_scan(g: WeightedGraph, what: str, cap: int, base: int, score, block):
-    """The first largest ``score`` over every labeling of ``g``, and its digits.
+def _one(found):
+    """The result of a scan of one graph, or the error that refuses it, raised."""
+    (res,) = found
+    if isinstance(res, Exception):
+        raise res
+    return res
 
-    Refuses graphs as ``_check_size(g, what, cap)``.  Digit i of a code is
-    the label of vertex i: base 2 labels the first n - 1 vertices (the last
-    one is always 0) from code 1, base 3 labels all n from code 0.  A range
-    of one chunk is scored in full, and so is every chunk of a longer one
-    when ``_tolerance`` is infinite.  Otherwise ``block`` is built once,
-    the split pass of ``_candidates`` screens the chunks with it, and
-    ``_first_kept`` scores again only the codes of the screened chunks
-    that the float64 tiles cannot rule out, and none at all when the sums
-    are exact.  ``score(codes, rows)`` gives the values of ``rows`` (every
-    row by default) of the chunk ``codes``.  Returns the value and the
-    optimum's digits; a graph on which no labeling scores a number (every
-    ratio 0 / 0, once the sums lose every digit) is refused.
+
+#: Graphs screened in one sweep of the tiles: their terms, held together,
+#: are about 2 MB for h at n = 24.  Longer lists of graphs take several
+#: sweeps, each with the memory of one.
+_SWEEP = 3
+
+
+def _sweeps(graphs):
+    """``graphs`` in runs of at most ``_SWEEP``, each within a ``_drift`` of ``_TOL`` of its first."""
+    run = []
+    for g in graphs:
+        if run and (len(run) == _SWEEP or not _drift(g, run[0]) < _TOL):
+            yield run
+            run = []
+        run.append(g)
+    yield run
+
+
+def _exact_scan(graphs, what: str, cap: int, base: int, chunk, scan, den, value, scratch: int):
+    """The first largest score over every labeling of each of ``graphs``, and its digits.
+
+    The graphs have the same number n of vertices, and are refused as
+    ``_check_size(graphs[0], what, cap)``.  Digit i of a code is the label
+    of vertex i: base 2 labels the first n - 1 vertices (the last one is
+    always 0) from code 1, base 3 labels all n from code 0.  ``scan(g,
+    arrays)`` gives g's ``score`` and ``block``: ``score(codes, rows)``
+    the values of ``rows`` (every row by default) of the chunk ``codes``,
+    written into ``arrays``, which ``chunk()`` makes (``_chunk_arrays``),
+    and ``block`` as in ``_candidates``, with ``den``, ``value`` and
+    ``scratch``.
+
+    The graphs are taken in sweeps (``_sweeps``), which share one set of
+    score arrays and of tile buffers.  A range of one chunk is scored in
+    full, and so is every chunk of a longer one when ``_tolerance`` is
+    infinite.  The other graphs of a sweep are screened together by
+    ``_candidates``, with the denominators of the first of them.  Then
+    ``_first_kept`` scores again, graph by graph, only the codes of the
+    screened chunks that the float64 tiles cannot rule out, and none at
+    all when the sums are exact.  The screen only picks the chunks, and
+    every superset of the chunk that holds the first optimum gives the
+    same result (``_first_kept``), so each graph's value bits and witness
+    are those of a scan of it alone.
+
+    Returns, per graph, the value and the optimum's digits, or the
+    ``GraphError`` that refuses a graph on which no labeling scores a
+    number (every ratio 0 / 0, once the sums lose every digit).
     """
-    _check_size(g, what, cap)
-    n = g.n
+    _check_size(graphs[0], what, cap)
+    n = graphs[0].n
     # base 2: the last vertex stays outside, and code 0, the empty side, is skipped
     m, start = (n - 1, 1) if base == 2 else (n, 0)
     stop = base**m
     starts = np.arange(start, stop, _CHUNK)
-    tol = _tolerance(g) if len(starts) > 1 else np.inf
-    if tol < np.inf:
-        k = (m + 1) // 2
-        made = block(_digits(0, base**k, base, k), _digits(0, base ** (m - k), base, m - k))
-        starts = _candidates(starts, stop, tol, _tolerance32(g, tol), *made)
-        best, code = _first_kept(starts, stop, score, tol, *made)
-    else:
-        best, code = _first_max(starts, stop, score)
-    if code < 0:
-        raise GraphError(
-            GraphErrorKind.WEIGHT_RANGE,
-            f"no labeling gives the {what} a finite value: the weights span too wide a range",
-        )
-    return best, _digits(code, 1, base, m)[0]
+    k = (m + 1) // 2
+
+    def tile(terms, rows, out, *scratch):
+        den(terms[1], rows, out, *scratch)
+        value(terms[0], rows, out, *scratch)
+
+    def sweep(graphs):
+        """``(value, code)`` of each of ``graphs``, on one set of arrays, freed on return."""
+        arrays = chunk()
+        scans = [scan(g, arrays) for g in graphs]
+        tols = [_tolerance(g) if len(starts) > 1 else np.inf for g in graphs]
+        split = [i for i, tol in enumerate(tols) if tol < np.inf]
+        done = {i: _first_max(starts, stop, scans[i][0]) for i, tol in enumerate(tols) if tol == np.inf}
+        if not split:
+            return [done[i] for i in range(len(graphs))]
+        lo, hi = _digits(0, base**k, base, k), _digits(0, base ** (m - k), base, m - k)
+        # The screen's terms, in float32 where every err32 is finite.  The
+        # last graph's float64 terms are kept: it is scored again first, and
+        # every other graph with its terms built again, so that the score
+        # arrays are held with one graph's terms, as in a scan of it alone.
+        err32 = [_tolerance32(graphs[i], tols[i]) for i in split]
+        single = all(e < np.inf for e in err32)
+        terms = []
+        for i in split:
+            made = scans[i][1](lo, hi)
+            terms.append(_single(made[1]) if single else made[1])
+            if i == split[0]:
+                kept, shared = made[0], _single(made[2]) if single else made[2]
+        picked = _candidates(starts, stop, kept, den, value, scratch,
+                             np.float32 if single else np.float64, shared, terms,
+                             [tols[i] + 2 * (_drift(graphs[i], graphs[split[0]]) + (e if single else 0))
+                              for i, e in zip(split, err32)])
+        del terms, shared
+        # one chunk's pairs: at most the highs it spans
+        buffers = np.empty((1 + scratch, (-(-_CHUNK // len(kept)) + 1) * int(kept.sum())))
+        for i, starts_kept in reversed(list(zip(split, picked))):
+            kept, terms, own = made or scans[i][1](lo, hi)
+            made = None
+            done[i] = _first_kept(starts_kept, stop, scans[i][0], tols[i], kept, tile, (terms, own),
+                                  buffers)
+            del terms, own
+        return [done[i] for i in range(len(graphs))]
+
+    found = [res for graphs in _sweeps(graphs) for res in sweep(graphs)]
+    return [GraphError(
+        GraphErrorKind.WEIGHT_RANGE,
+        f"no labeling gives the {what} a finite value: the weights span too wide a range",
+    ) if code < 0 else (best, _digits(code, 1, base, m)[0]) for best, code in found]
 
 
-def _candidates(starts, stop: int, tol: float, err32: float, kept, tile, scratch, terms):
-    """The chunk starts whose maximum may be within ``tol`` of the best chunk's.
+def _candidates(starts, stop: int, kept, den, value, scratch: int, dtype, shared, terms, margins):
+    """For each graph, the chunk starts whose maximum may be within ``tol`` of the best chunk's.
 
     The split pass scores every code approximately by splitting the digits
     into a low block and a high block: the scan's ``block(lo, hi)`` gets
     every low and every high labeling as digit matrices and returns the
-    lows to keep, ``tile``, the number ``scratch`` of its scratch arrays,
-    and its terms, in float64.  ``tile(terms, rows, out, *arrays)`` writes
-    the values of the pairs of the highs at ``rows`` with the kept lows
-    into ``out``, in the precision of ``terms`` and ``out``, using
-    ``scratch`` more arrays of the shape of ``out``.  The terms are only
-    read by the tiles.  A tile is one product: each high's and each low's
-    own term ride in it as two more columns ``[term_hi, 1]`` of the highs
-    and rows ``[1; term_lo]`` of the lows, then one division.  Code = low +
-    ``len(kept)`` * high, so a tile read row by row is in code order.
+    lows to keep, the graph's terms and its denominator terms, in float64.
+    The lows kept depend only on the labels, the same for every graph.
+    ``den(shared, rows, out, *arrays)`` writes the ``scratch`` arrays for
+    the pairs of the highs at ``rows`` with the kept lows, using ``out``,
+    and ``value(terms, rows, out, *arrays)`` then writes their values into
+    ``out``, reading the arrays.  The terms are only read by the tiles.  A
+    value is one product: each high's and each low's own term ride in it
+    as two more columns ``[term_hi, 1]`` of the highs and rows ``[1;
+    term_lo]`` of the lows, then one division by the denominators.  Code =
+    low + ``len(kept)`` * high, so a tile read row by row is in code order.
 
-    The pass scores every tile once: in float32, from the terms rounded to
-    float32, in tiles of twice the highs, when ``err32`` is finite, and in
-    float64 otherwise.  Each high's largest value counts for every chunk
-    it reaches into, so a chunk's estimate is at least its maximum.  It
-    returns the chunks whose estimate plus a margin is not below the best
-    one, with the margin ``2 err32 + tol`` in float32 and ``tol`` in
-    float64; a NaN estimate keeps every chunk.
+    ``terms`` holds each graph's terms and ``shared`` the denominator terms
+    of one of them, all in the tiles' ``dtype``: float64, or float32 in
+    tiles of twice the highs, in the same bytes.  The pass builds each
+    tile's denominators once, and then each graph's values, product and
+    division, in one buffer, and takes each high's largest value.  That
+    counts for every chunk the high reaches into, so a chunk's estimate is
+    at least its maximum.  For each graph it returns the chunks whose
+    estimate plus its margin is not below the best one; a NaN estimate
+    keeps every chunk.
 
-    These hold every chunk whose float64 maximum ``c`` is within ``tol`` of
-    the best one's, ``c_best``, so ``_first_kept`` scores the chunks it
-    would score given every chunk.  Every code of the tiles is a code of
-    the scan, so the best estimate is the largest value of any code:
-    ``c_best`` in float64, and in float32 within ``err32`` of it, as every
-    code's float32 value is of its float64 one (``_tolerance32``).  Such a
-    chunk's estimate is at least ``c - err32``, and ``err32`` is twice its
+    The margins are ``tol + 2 drift`` in float64 and ``tol + 2 (err32 +
+    drift)`` in float32 (``_exact_scan``).  With them the chunks returned
+    hold every chunk whose float64 maximum ``c`` is within ``tol`` of the
+    best one's, ``c_best``, so ``_first_kept`` scores the chunks it would
+    score given every chunk.  With the graph's own denominators, a float64
+    screen's values would be its tiles' values, and they are within
+    ``drift`` of those with the shared ones (``_drift``).  Every code of
+    the tiles is a code of the scan, so the best estimate is the largest
+    value of any code: ``c_best`` in float64, and in float32 within
+    ``err32`` of it, as every code's float32 value is of its float64 one
+    (``_tolerance32``), each give or take ``drift``.  Such a chunk's
+    estimate is at least ``c - err32 - drift``, and ``err32`` is twice its
     float32 part, room for the rounding of the sums compared.
     """
     span, lows = len(kept), np.flatnonzero(kept)
     rows, highs = _TILE // len(lows), stop // span  # highs per float64 tile: about _TILE pairs
-    dtype, margin = np.float64, tol
-    if err32 < np.inf:  # float32 tiles of twice the highs, in the same bytes
-        terms, dtype, rows, margin = tuple(map(_single, terms)), np.float32, 2 * rows, 2 * err32 + tol
-    rows = min(rows, highs)
+    rows = min(rows if dtype == np.float64 else 2 * rows, highs)
     buf, tmp = np.empty((rows, len(lows)), dtype), np.empty((scratch, rows, len(lows)), dtype)
-    hmax = np.empty(highs, dtype)  # each high's largest value
+    hmax = np.empty((len(terms), highs), dtype)  # each high's largest value, per graph
     with np.errstate(all="ignore"):
         for h0 in range(0, highs, rows):
-            out = buf[: highs - h0]
-            tile(terms, slice(h0, h0 + len(out)), out, *tmp[:, : len(out)])
-            if h0 == 0:  # the pairs before the first code of the scan
-                out[0, : np.searchsorted(lows, starts[0])] = -np.inf
-            out.max(axis=1, out=hmax[h0 : h0 + len(out)])
+            out, arrays, at = buf[: highs - h0], tmp[:, : highs - h0], slice(h0, min(h0 + rows, highs))
+            den(shared, at, out, *arrays)
+            for t, hm in zip(terms, hmax):
+                value(t, at, out, *arrays)
+                if h0 == 0:  # the pairs before the first code of the scan
+                    out[0, : np.searchsorted(lows, starts[0])] = -np.inf
+                out.max(axis=1, out=hm[at])
     # a chunk's highs, from its first code's to its last one's, the last one
     # apart when the next chunk starts in it
     first, last = starts // span, (np.minimum(starts + _CHUNK, stop) - 1) // span
-    cmax = np.maximum(np.maximum.reduceat(hmax, first), hmax[last]).astype(float)
-    return starts[~(cmax + margin < cmax.max())]
+    cmax = np.maximum(np.maximum.reduceat(hmax, first, axis=1), hmax[:, last]).astype(float)
+    return [starts[~(c + margin < c.max())] for c, margin in zip(cmax, margins)]
 
 
-def _single(term):
-    """A float64 term of a split pass in float32; boolean masks as they are."""
-    if isinstance(term, np.ndarray):
-        return term.astype(np.float32) if term.dtype == np.float64 else term
-    return np.float32(term)
+def _single(terms) -> tuple:
+    """The float64 terms of a split pass in float32; boolean masks as they are."""
+    return tuple((t.astype(np.float32) if t.dtype == np.float64 else t)
+                 if isinstance(t, np.ndarray) else np.float32(t) for t in terms)
 
 
 def _tolerance(g: WeightedGraph) -> float:
@@ -318,6 +398,31 @@ def _tolerance(g: WeightedGraph) -> float:
         return 0.0
     tol = 2 * (_TOL + 16 * g.n * np.finfo(float).eps * total / float(g.degrees.min()))
     return tol if tol < 1 else np.inf
+
+
+def _drift(g: WeightedGraph, ref: WeightedGraph) -> float:
+    """The largest gap between a code's split-pass values with ``ref``'s denominators and with g's own.
+
+    Gamma[l] keeps the degrees of g in exact arithmetic, so the
+    denominators of the h and hbar ratios, ``min(vol, T - vol)`` and ``vol
+    V1 + vol V2``, are the same at every order; in floats the degrees
+    drift apart by rounding.  Each denominator is a sum of at most n
+    degrees, or T less one, so with ``gap`` the largest difference of two
+    degrees, ``T`` the larger total volume and ``d_min`` the smaller least
+    degree, the two differ by at most ``n gap`` plus the rounding of both,
+    at most ``n eps T`` each, and are at least ``d_min (1 - 1/32)`` where
+    ``_tolerance`` is finite.  A value, at most about 1 in size, moves by
+    at most ``(n gap + 2 n eps T) / (d_min (1 - 1/32))``, and each of the
+    two divisions rounds by an ulp of it: ``4 n (gap + 4 eps T) / d_min``
+    holds all of that twice over.  Equal degrees give equal denominators,
+    bit for bit, and a drift of 0.
+    """
+    gap = float(np.abs(g.degrees - ref.degrees).max())
+    if gap == 0:
+        return 0.0
+    total = max(g.volume, ref.volume)
+    d_min = min(float(g.degrees.min()), float(ref.degrees.min()))
+    return 4 * g.n * (gap + 4 * np.finfo(float).eps * total) / d_min
 
 
 def _tolerance32(g: WeightedGraph, tol: float) -> float:
@@ -461,44 +566,67 @@ def cheeger_exact(g: WeightedGraph) -> CheegerResult:
     the witness's ratio is within ``_TOL`` of the scan's value and of the
     least ratio.
     """
-    n = g.n
-    d = g.degrees[: n - 1]
-    w = g.weights[: n - 1, : n - 1]
-    total = g.volume
-    arrays = _chunk_arrays(2, n - 1, 2, 1, digits_in_last=True)
+    return _one(_cheeger_scans([g]))
 
-    def neg_ratio(codes, rows=slice(None)):
-        digits, memb, prod, vol = arrays(codes)
-        memb[...] = digits  # read from prod's bytes, before the product writes them
-        np.matmul(memb, d, out=vol)
-        np.matmul(memb, w, out=prod)
-        # row by row from here, on the rows asked for
-        memb, prod, vol = memb[rows], prod[rows], vol[rows]
-        prod *= memb
-        boundary = vol - prod.sum(axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return -(boundary / np.minimum(vol, total - vol))
 
-    def block(lo, hi):
-        k = lo.shape[1]
-        a, b = lo.astype(float), hi.astype(float)
-        vol_lo, vol_hi = a @ d[:k], b @ d[k:]
-        # -boundary = internal - vol = (I - V)_lo + (I - V)_hi + 2 L W_lh H^T
-        #           = [H, (I - V)_hi, 1] [2 (L W_lh)^T; 1; (I - V)_lo]
-        neg_lo = ((a @ w[:k, :k]) * a).sum(axis=1) - vol_lo
-        neg_hi = ((b @ w[k:, k:]) * b).sum(axis=1) - vol_hi
-        hi_terms = np.column_stack([b, neg_hi, np.ones(len(b))])
-        lo_terms = np.vstack([2.0 * (a @ w[:k, k:]).T, np.ones(len(a)), neg_lo])
-        return np.ones(len(lo), dtype=bool), tile, 2, (hi_terms, lo_terms, vol_hi, vol_lo, total)
+def _cheeger_scans(graphs) -> list:
+    """``cheeger_exact`` of each of ``graphs``, on the same vertices, in one ``_exact_scan``.
 
-    def tile(terms, rows, out, v, o):
-        hi_terms, lo_terms, vol_hi, vol_lo, total = terms
-        np.matmul(hi_terms[rows], lo_terms, out=out)
+    Each entry is the result or the ``GraphError`` that refuses that graph;
+    the size refusals, the same for every graph, are raised.
+    """
+    n = graphs[0].n
+
+    def scan(g, arrays):
+        d = g.degrees[: n - 1]
+        w = g.weights[: n - 1, : n - 1]
+        total = g.volume
+
+        def neg_ratio(codes, rows=slice(None)):
+            digits, memb, prod, vol = arrays(codes)
+            memb[...] = digits  # read from prod's bytes, before the product writes them
+            np.matmul(memb, d, out=vol)
+            np.matmul(memb, w, out=prod)
+            # row by row from here, on the rows asked for
+            memb, prod, vol = memb[rows], prod[rows], vol[rows]
+            prod *= memb
+            boundary = vol - prod.sum(axis=1)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                return -(boundary / np.minimum(vol, total - vol))
+
+        def block(lo, hi):
+            k = lo.shape[1]
+            a, b = lo.astype(float), hi.astype(float)
+            vol_lo, vol_hi = a @ d[:k], b @ d[k:]
+            # -boundary = internal - vol = (I - V)_lo + (I - V)_hi + 2 L W_lh H^T
+            #           = [H, (I - V)_hi, 1] [2 (L W_lh)^T; 1; (I - V)_lo]
+            neg_lo = ((a @ w[:k, :k]) * a).sum(axis=1) - vol_lo
+            neg_hi = ((b @ w[k:, k:]) * b).sum(axis=1) - vol_hi
+            hi_terms = np.column_stack([b, neg_hi, np.ones(len(b))])
+            lo_terms = np.vstack([2.0 * (a @ w[:k, k:]).T, np.ones(len(a)), neg_lo])
+            return np.ones(len(lo), dtype=bool), (hi_terms, lo_terms), (vol_hi, vol_lo, total)
+
+        return neg_ratio, block
+
+    def den(terms, rows, out, v):
+        vol_hi, vol_lo, total = terms
         np.add(vol_hi[rows, None], vol_lo, out=v)
-        out /= np.minimum(v, np.subtract(total, v, out=o), out=v)
+        np.minimum(v, np.subtract(total, v, out=out), out=v)
 
+    def value(terms, rows, out, v):
+        hi_terms, lo_terms = terms
+        np.matmul(hi_terms[rows], lo_terms, out=out)
+        out /= v
+
+    chunk = functools.partial(_chunk_arrays, 2, n - 1, 2, 1, digits_in_last=True)
+    found = _exact_scan(graphs, "Cheeger constant", CHEEGER_EXACT_CAP, 2, chunk, scan, den, value, 1)
+    return [res if isinstance(res, GraphError) else _cheeger_result(g, *res)
+            for g, res in zip(graphs, found)]
+
+
+def _cheeger_result(g: WeightedGraph, neg_best: float, digits: np.ndarray):
+    """The ``CheegerResult`` of the scan's best ``-ratio`` and its digits, or the refusal of g."""
     # Negation is exact, so the first maximizer of -ratio is the first minimizer.
-    neg_best, digits = _exact_scan(g, "Cheeger constant", CHEEGER_EXACT_CAP, 2, neg_ratio, block)
     # On float-valued weight matrices (e.g. walk graphs) the rounded sums can
     # push the quotient an ulp past the mathematical ceiling h <= 1.  A zero
     # is -0.0 from a chunk, -(0 / den), and +0.0 from a tile, (-0) / den:
@@ -509,13 +637,13 @@ def cheeger_exact(g: WeightedGraph) -> CheegerResult:
         # of the witness: it must be the least ratio, and have the value
         # printed, when both are summed soundly.
         ratio = _cut_ratios(g, np.append(digits, 0)[None])[0]
-        stop = 2 ** (n - 1)
+        stop = 2 ** (g.n - 1)
         lowest = np.fmin.reduce([
-            np.fmin.reduce(_cut_ratios(g, _digits(lo, min(_CHUNK, stop - lo), 2, n)))
+            np.fmin.reduce(_cut_ratios(g, _digits(lo, min(_CHUNK, stop - lo), 2, g.n)))
             for lo in range(1, stop, _CHUNK)
         ])
         if not (abs(ratio - value) <= _TOL and ratio <= lowest + _TOL):
-            raise GraphError(
+            return GraphError(
                 GraphErrorKind.WEIGHT_RANGE,
                 "cannot compute the Cheeger constant exactly: the weights span too wide a range",
             )
@@ -552,72 +680,86 @@ def dual_cheeger_exact(g: WeightedGraph) -> CheegerResult:
     sums.  On a disconnected graph the optimum may spread over several
     components.
     """
-    n = g.n
-    d = g.degrees
-    w = g.weights
-    arrays = _chunk_arrays(3, n, 2, 2, digits_in_last=True)
+    return _one(_dual_cheeger_scans([g]))
 
-    def ratio(codes, rows=slice(None)):
-        digits, ind, prod, cross, vols = arrays(codes)
-        # ind holds the indicator of V1 or V2, then of V1; the rows asked for
-        # take their indicator of V2 first, as the product overwrites the digits
-        two = digits[rows] == 2
-        np.not_equal(digits, 0, out=ind, casting="unsafe")
-        np.matmul(ind, d, out=vols)
-        np.equal(digits, 1, out=ind, casting="unsafe")
-        np.matmul(ind, w, out=prod)
-        # row by row from here, on the rows asked for
-        codes, prod, vols, cross = codes[rows], prod[rows], vols[rows], cross[: len(two)]
-        prod *= two
-        prod.sum(axis=1, out=cross)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cross *= 2.0
-            cross /= vols
-        # the first non-V3 label is 1 (so V1 is nonempty) and V2 is nonempty,
-        # read from the flags of each code's two table rows (looked up here,
-        # so a graph past the cap is refused before its tables are built)
-        j = (n + 1) // 2
-        first, has2 = _label_flags(j)
-        q, r = np.divmod(codes, 3**j)
-        low_first = first[r]
-        valid = np.where(low_first != 0, low_first, first[q]) == 1
-        valid &= has2[r] | has2[q]
-        cross[~valid] = -np.inf
-        return cross
 
-    def block(lo, hi):
-        k = lo.shape[1]
-        kept = _first_label(lo) != 2  # all V3, or the first non-V3 label is 1
-        lo = lo[kept]
-        a1, a2 = (lo == 1).astype(float), (lo == 2).astype(float)
-        b1, b2 = (hi == 1).astype(float), (hi == 2).astype(float)
-        # 2 cross = 2 C_lo + 2 C_hi + [2 A1 W_lh, 2 A2 W_lh] [B2, B1]^T
-        #         = [B2, B1, 2 C_hi, 1] [[2 A1 W_lh, 2 A2 W_lh]^T; 1; 2 C_lo]
-        cross_lo = 2.0 * ((a1 @ w[:k, :k]) * a2).sum(axis=1)
-        cross_hi = 2.0 * ((b1 @ w[k:, k:]) * b2).sum(axis=1)
-        hi_terms = np.column_stack([b2, b1, cross_hi, np.ones(len(hi))])
-        lo_terms = np.vstack(
-            [2.0 * np.hstack([a1 @ w[:k, k:], a2 @ w[:k, k:]]).T, np.ones(len(lo)), cross_lo]
-        )
-        vol_lo, vol_hi = (a1 + a2) @ d[:k], (b1 + b2) @ d[k:][:, None]
-        # invalid: V2 empty, or all V3 below and the first high label 2
-        no2_lo, no2_hi = ~a2.any(axis=1), ~b2.any(axis=1)
-        not1_hi = _first_label(hi) != 1
-        return kept, tile, 1, (hi_terms, lo_terms, vol_hi, vol_lo, no2_hi, no2_lo, not1_hi)
+def _dual_cheeger_scans(graphs) -> list:
+    """``dual_cheeger_exact`` of each of ``graphs``, as ``_cheeger_scans`` does for ``h``."""
+    n = graphs[0].n
 
-    def tile(terms, rows, out, den):
-        hi_terms, lo_terms, vol_hi, vol_lo, no2_hi, no2_lo, not1_hi = terms
+    def scan(g, arrays):
+        d = g.degrees
+        w = g.weights
+
+        def ratio(codes, rows=slice(None)):
+            digits, ind, prod, cross, vols = arrays(codes)
+            # ind holds the indicator of V1 or V2, then of V1; the rows asked for
+            # take their indicator of V2 first, as the product overwrites the digits
+            two = digits[rows] == 2
+            np.not_equal(digits, 0, out=ind, casting="unsafe")
+            np.matmul(ind, d, out=vols)
+            np.equal(digits, 1, out=ind, casting="unsafe")
+            np.matmul(ind, w, out=prod)
+            # row by row from here, on the rows asked for
+            codes, prod, vols, cross = codes[rows], prod[rows], vols[rows], cross[: len(two)]
+            prod *= two
+            prod.sum(axis=1, out=cross)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                cross *= 2.0
+                cross /= vols
+            # the first non-V3 label is 1 (so V1 is nonempty) and V2 is nonempty,
+            # read from the flags of each code's two table rows (looked up here,
+            # so a graph past the cap is refused before its tables are built)
+            j = (n + 1) // 2
+            first, has2 = _label_flags(j)
+            q, r = np.divmod(codes, 3**j)
+            low_first = first[r]
+            valid = np.where(low_first != 0, low_first, first[q]) == 1
+            valid &= has2[r] | has2[q]
+            cross[~valid] = -np.inf
+            return cross
+
+        def block(lo, hi):
+            k = lo.shape[1]
+            kept = _first_label(lo) != 2  # all V3, or the first non-V3 label is 1
+            lo = lo[kept]
+            a1, a2 = (lo == 1).astype(float), (lo == 2).astype(float)
+            b1, b2 = (hi == 1).astype(float), (hi == 2).astype(float)
+            # 2 cross = 2 C_lo + 2 C_hi + [2 A1 W_lh, 2 A2 W_lh] [B2, B1]^T
+            #         = [B2, B1, 2 C_hi, 1] [[2 A1 W_lh, 2 A2 W_lh]^T; 1; 2 C_lo]
+            cross_lo = 2.0 * ((a1 @ w[:k, :k]) * a2).sum(axis=1)
+            cross_hi = 2.0 * ((b1 @ w[k:, k:]) * b2).sum(axis=1)
+            hi_terms = np.column_stack([b2, b1, cross_hi, np.ones(len(hi))])
+            lo_terms = np.vstack(
+                [2.0 * np.hstack([a1 @ w[:k, k:], a2 @ w[:k, k:]]).T, np.ones(len(lo)), cross_lo]
+            )
+            vol_lo, vol_hi = (a1 + a2) @ d[:k], (b1 + b2) @ d[k:][:, None]
+            # invalid: V2 empty, or all V3 below and the first high label 2
+            no2_lo, no2_hi = ~a2.any(axis=1), ~b2.any(axis=1)
+            not1_hi = _first_label(hi) != 1
+            return kept, (hi_terms, lo_terms, no2_hi, no2_lo, not1_hi), (vol_hi, vol_lo)
+
+        return ratio, block
+
+    def den(terms, rows, out, v):
+        vol_hi, vol_lo = terms
+        np.add(vol_hi[rows], vol_lo, out=v)
+
+    def value(terms, rows, out, v):
+        hi_terms, lo_terms, no2_hi, no2_lo, not1_hi = terms
         np.matmul(hi_terms[rows], lo_terms, out=out)
-        out /= np.add(vol_hi[rows], vol_lo, out=den)
+        out /= v
         out[np.ix_(no2_hi[rows], no2_lo)] = -np.inf
         out[not1_hi[rows], 0] = -np.inf
 
-    best, digits = _exact_scan(g, "dual Cheeger constant", DUAL_CHEEGER_EXACT_CAP, 3, ratio, block)
+    chunk = functools.partial(_chunk_arrays, 3, n, 2, 2, digits_in_last=True)
+    found = _exact_scan(graphs, "dual Cheeger constant", DUAL_CHEEGER_EXACT_CAP, 3, chunk, scan, den,
+                        value, 1)
     # same ulp guard as in cheeger_exact: hbar <= 1 holds mathematically
-    return CheegerResult(
-        value=min(best, 1.0),
-        witness=TriPartition.of(g, np.flatnonzero(digits == 1), np.flatnonzero(digits == 2)),
-    )
+    return [res if isinstance(res, GraphError) else CheegerResult(
+        value=min(res[0], 1.0),
+        witness=TriPartition.of(g, np.flatnonzero(res[1] == 1), np.flatnonzero(res[1] == 2)),
+    ) for g, res in zip(graphs, found)]
 
 
 def dual_cheeger_greedy_lower(g: WeightedGraph) -> CheegerResult:
@@ -683,16 +825,20 @@ def balance_ratio_exact(g: WeightedGraph) -> CheegerResult:
     def block(lo, hi):
         k = lo.shape[1]
         vol_lo, vol_hi = lo.astype(float) @ d[:k], hi.astype(float) @ d[k:]
-        return np.ones(len(lo), dtype=bool), tile, 2, (vol_hi, vol_lo, total)
+        return np.ones(len(lo), dtype=bool), (), (vol_hi, vol_lo, total)
 
-    def tile(terms, rows, out, v, o):
+    def den(terms, rows, out, v, least):
         vol_hi, vol_lo, total = terms
         np.add(vol_hi[rows, None], vol_lo, out=v)
-        np.subtract(total, v, out=o)
-        np.minimum(v, o, out=out)
-        out /= np.maximum(v, o, out=v)
+        np.subtract(total, v, out=out)
+        np.minimum(v, out, out=least)
+        np.maximum(v, out, out=v)
 
-    best, digits = _exact_scan(g, "balance ratio", CHEEGER_EXACT_CAP, 2, balance, block)
+    def value(terms, rows, out, v, least):
+        np.divide(least, v, out=out)
+
+    best, digits = _one(_exact_scan([g], "balance ratio", CHEEGER_EXACT_CAP, 2, lambda: arrays,
+                                    lambda g, arrays: (balance, block), den, value, 2))
     return CheegerResult(value=best, witness=Bipartition.of(g, np.flatnonzero(digits)))
 
 

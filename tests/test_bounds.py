@@ -504,16 +504,20 @@ def test_all_reports_compute_each_constant_once(monkeypatch):
     import lapspec.neighborhood
     import lapspec.partitions
     from lapspec.neighborhood import neighborhood_graph
+    from lapspec.partitions import _cheeger_scans, _dual_cheeger_scans
 
+    # the scans take several graphs at once: each graph counts as a call
     originals = {
-        fn.__name__: fn
-        for fn in (neighborhood_graph, cheeger_exact, dual_cheeger_exact, clustering_constants)
+        "neighborhood_graph": neighborhood_graph,
+        "cheeger_exact": _cheeger_scans,
+        "dual_cheeger_exact": _dual_cheeger_scans,
+        "clustering_constants": clustering_constants,
     }
     calls = dict.fromkeys(originals, 0)
 
     def counting(name):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name] += len(args[0]) if isinstance(args[0], list) else 1
             return originals[name](*args, **kwargs)
 
         return wrapper
@@ -601,14 +605,15 @@ def test_improvement_trivial_at_order_one():
 
 def test_improvement_at_order_one_computes_h_once(monkeypatch):
     import lapspec.bounds
+    from lapspec.partitions import _cheeger_scans
 
     calls = []
 
-    def counting(g):
-        calls.append(g.n)
-        return cheeger_exact(g)
+    def counting(graphs):
+        calls.extend(g.n for g in graphs)
+        return _cheeger_scans(graphs)
 
-    monkeypatch.setattr(lapspec.bounds, "cheeger_exact", counting)
+    monkeypatch.setattr(lapspec.bounds, "_cheeger_scans", counting)
     rep = improvement_predicates(complete_graph(4), 1)
     # Gamma[1] is g, so h[1] is h
     assert calls == [4]
@@ -670,16 +675,17 @@ def test_bound_curves_complete_needs_integral_size():
 
 def test_bound_curves_skips_h_where_hbar_is_refused(monkeypatch):
     # Past the dual Cheeger cap an odd order's row is blank, so h[l] is not
-    # computed for it: one cheeger_exact call per graph, for l = 2.
+    # computed for it: one graph scanned for h per graph, for l = 2.
     import lapspec.bounds
+    from lapspec.partitions import _cheeger_scans
 
     calls = []
 
-    def counting(g):
-        calls.append(g.n)
-        return cheeger_exact(g)
+    def counting(graphs):
+        calls.extend(g.n for g in graphs)
+        return _cheeger_scans(graphs)
 
-    monkeypatch.setattr(lapspec.bounds, "cheeger_exact", counting)
+    monkeypatch.setattr(lapspec.bounds, "_cheeger_scans", counting)
     sizes = range(DUAL_CHEEGER_EXACT_CAP + 1, CHEEGER_EXACT_CAP + 1)
     rows = bound_curves("complete", sizes, [1, 2, 3])
     assert calls == list(sizes)

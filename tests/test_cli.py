@@ -161,13 +161,18 @@ def test_command_computes_each_constant_once(capsys, monkeypatch, tmp_path, argv
 
     from lapspec import bounds, cml, partitions, random_walk  # noqa: F401 (loads each module)
 
-    constants = (partitions.cheeger_exact, partitions.dual_cheeger_exact,
-                 partitions.balance_ratio_exact, bounds.clustering_constants)
+    # h and hbar are counted in the scans that ``cheeger_exact`` and
+    # ``dual_cheeger_exact`` run, which take several graphs at once
+    constants = {partitions._cheeger_scans: "cheeger_exact",
+                 partitions._dual_cheeger_scans: "dual_cheeger_exact",
+                 partitions.balance_ratio_exact: "balance_ratio_exact",
+                 bounds.clustering_constants: "clustering_constants"}
     calls = Counter()
 
     def counting(fn):
         def wrapper(g):
-            calls[fn.__name__, g.n, g.weights.tobytes()] += 1
+            for x in g if isinstance(g, list) else [g]:
+                calls[constants[fn], x.n, x.weights.tobytes()] += 1
             return fn(g)
 
         return wrapper
@@ -433,7 +438,8 @@ def test_constants_refuses_before_enumerating(capsys, monkeypatch, tmp_path):
 
     calls = []
     scan = partitions._exact_scan
-    monkeypatch.setattr(partitions, "_exact_scan", lambda g, *args: calls.append(g.n) or scan(g, *args))
+    monkeypatch.setattr(partitions, "_exact_scan",
+                        lambda graphs, *args: calls.extend(g.n for g in graphs) or scan(graphs, *args))
     two_c12 = WeightedGraph(n=24, weights=np.kron(np.eye(2), cycle_graph(12).weights))
     cases = [
         (cycle_graph(25), "error[SizeCapExceeded]: Cheeger enumeration capped at 24 vertices, graph has 25\n"),

@@ -249,15 +249,20 @@ ORACLE_GRAPHS = _oracle_graphs()
 
 def _scores(monkeypatch, fn, g):
     """The chunk score that ``fn(g)`` scans with, and the lengths of its calls."""
-    calls, scores, scan = [], [], partitions._exact_scan
+    calls, scores, exact_scan = [], [], partitions._exact_scan
 
-    def recording_scan(g, what, cap, base, score, block):
-        def counted(codes, rows=slice(None)):
-            calls.append(len(codes))
-            return score(codes, rows)
+    def recording_scan(graphs, what, cap, base, chunk, scan, *split):
+        def recorded(g, arrays):
+            score, block = scan(g, arrays)
 
-        scores.append(score)
-        return scan(g, what, cap, base, counted, block)
+            def counted(codes, rows=slice(None)):
+                calls.append(len(codes))
+                return score(codes, rows)
+
+            scores.append(score)
+            return counted, block
+
+        return exact_scan(graphs, what, cap, base, chunk, recorded, *split)
 
     with monkeypatch.context() as m:
         m.setattr(partitions, "_exact_scan", recording_scan)
@@ -336,35 +341,37 @@ def _split_pass_run(monkeypatch, fn, g, patch=None):
     """``fn(g)``, with what each of its split passes screened and scored again.
 
     ``patch(tile, terms, rows, arrays, rescoring)``, if given, runs each
-    tile of a pass in place of ``tile(terms, rows, *arrays)``;
-    ``rescoring`` is true for the tiles of ``_first_kept``.  A chunk is
-    scored again if ``_first_kept`` builds its tile a second time, after
-    the tile of every chunk it was given.
+    tile of a pass in place of ``tile(terms, rows, *arrays)``, where
+    ``arrays[0]`` is the tile's output: in the screen ``tile`` is the
+    scan's ``value``, after its ``den``, and in ``_first_kept``, where
+    ``rescoring`` is true, both.  A chunk is scored again if
+    ``_first_kept`` builds its tile a second time, after the tile of every
+    chunk it was given.
     """
     candidates, first_kept, screens, passes = partitions._candidates, partitions._first_kept, [], []
     run = patch or (lambda tile, terms, rows, arrays, rescoring: tile(terms, rows, *arrays))
 
-    def screen(starts, stop, tol, err32, kept, tile, scratch, terms):
+    def screen(starts, stop, kept, den, value, scratch, *screened):
         dtypes = set()
 
-        def screen_tile(terms, rows, *arrays):
+        def screen_value(terms, rows, *arrays):
             dtypes.add(arrays[0].dtype.type)
-            run(tile, terms, rows, arrays, False)
+            run(value, terms, rows, arrays, False)
 
-        picked = candidates(starts, stop, tol, err32, kept, screen_tile, scratch, terms)
-        screens.append((picked.tolist(), dtypes))
+        picked = candidates(starts, stop, kept, den, screen_value, scratch, *screened)
+        screens.extend((p.tolist(), dtypes) for p in picked)
         return picked
 
-    def rescore(starts, stop, score, tol, kept, tile, scratch, terms):
+    def rescore(starts, stop, score, tol, kept, tile, terms, arrays):
         highs = []
 
         def rescore_tile(terms, rows, *arrays):
             highs.append(rows.start)
             run(tile, terms, rows, arrays, True)
 
-        res = first_kept(starts, stop, score, tol, kept, rescore_tile, scratch, terms)
+        res = first_kept(starts, stop, score, tol, kept, rescore_tile, terms, arrays)
         again = set(highs[len(starts):])
-        screened, dtypes = screens.pop()
+        screened, dtypes = screens.pop(0)
         passes.append(SplitPass(screened, [lo for lo in screened if lo // len(kept) in again],
                                 dtypes))
         return res
@@ -541,7 +548,9 @@ def test_screen_keeps_the_chunk_of_a_lone_maximum(err32, at):
         codes = np.arange(rows.start * span, rows.stop * span).reshape(len(out), span)
         out[...] = np.where(codes == 0, np.nan, codes == at)
 
-    picked = partitions._candidates(starts, stop, 0.0, err32, np.ones(span, dtype=bool), tile, 0, ())
+    dtype = np.float64 if err32 == np.inf else np.float32
+    (picked,) = partitions._candidates(starts, stop, np.ones(span, dtype=bool),
+                                       lambda shared, rows, out: None, tile, 0, dtype, (), [()], [0.0])
     sharing = {lo for lo in starts if lo // span <= at // span <= (lo + partitions._CHUNK - 1) // span}
     assert starts[(at - 1) // partitions._CHUNK] in picked and set(picked) <= sharing
 
