@@ -10,6 +10,10 @@ outputs are byte-identical print identical lines:
     python3 scripts/stdout_digests.py --root ../parent > parent.txt
     diff parent.txt change.txt
 
+BLAS runs with its default threads.  The benchmark's children run with one
+(``OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1``), and the digests must not
+depend on it: run both ways, they must be the same.
+
 The corpus is every benchmark invocation and warm-up at seeds 1 and 3, read
 from ``ROOT/perfbench/workloads.py``, plus the subcommands and orders the
 benchmark leaves out on a weighted looped edge list, K7 and C10, the
@@ -45,21 +49,14 @@ vertex 0 (``bounds`` and ``walk --l 2``).
 
 from __future__ import annotations
 
-import os
+import argparse
+import contextlib
+import hashlib
+import io
+import json
 import sys
-
-# One BLAS thread, as in the benchmark, so the eigensolver's rounding does
-# not depend on the host's core count.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import argparse  # noqa: E402
-import contextlib  # noqa: E402
-import hashlib  # noqa: E402
-import io  # noqa: E402
-import json  # noqa: E402
-import tempfile  # noqa: E402
-from pathlib import Path  # noqa: E402
+import tempfile
+from pathlib import Path
 
 SEEDS = (1, 3)
 

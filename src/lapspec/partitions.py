@@ -103,14 +103,15 @@ def _first_max(starts, stop: int, score) -> tuple[float, int]:
     return best_val, best_code
 
 
-def _first_kept(starts, stop: int, score, tol: float, kept, tile, terms, arrays):
+def _first_kept(starts, stop: int, score, tol: float, kept, tile, terms, buffers):
     """``_first_max`` over the chunks at ``starts`` that can hold the first optimum, from float64 tiles.
 
-    ``kept`` and ``terms`` are what the scan's ``block`` returned for its
-    graph (``_candidates``), and ``tile(terms, rows, out, *scratch)`` the
-    split pass's tile of that graph: its ``den`` and then its ``value``.
-    ``arrays`` holds ``out`` and the scratch arrays, flat, each of at
-    least the pairs of one chunk's highs; the scans of one call share it.
+    ``kept`` is what the scan's ``block`` returned (``_candidates``), and
+    ``tile(terms, rows, out, *scratch)`` the split pass's tile of one
+    graph, from its own terms and denominator terms ``terms``: its ``den``
+    and then its ``value``.  ``buffers`` holds ``out`` and the scratch
+    arrays, flat, each of at least the pairs of the highs of one chunk;
+    the graphs of a sweep share it (``_exact_scan``).
     Code = low + ``len(kept)`` * high, and a low that ``block`` drops only
     has codes that score -inf.  Each chunk's float64 tile values ``v``, on
     the highs it spans, give its maximum ``c``.  A chunk is scored only if
@@ -141,7 +142,7 @@ def _first_kept(starts, stop: int, score, tol: float, kept, tile, terms, arrays)
         hi = min(lo + _CHUNK, stop)
         h0, h1 = lo // span, -(-hi // span)
         size = (h1 - h0) * len(lows)
-        out, *scratch = arrays[:, :size].reshape(len(arrays), h1 - h0, -1)
+        out, *scratch = buffers[:, :size].reshape(len(buffers), h1 - h0, -1)
         with np.errstate(all="ignore"):
             tile(terms, slice(h0, h1), out, *scratch)
         # the chunk's pairs, in code order, from its first code's to its last one's
@@ -289,12 +290,10 @@ def _exact_scan(graphs, what: str, cap: int, base: int, chunk, scan, den, value,
         del terms, shared
         # one chunk's pairs: at most the highs it spans
         buffers = np.empty((1 + scratch, (-(-_CHUNK // len(kept)) + 1) * int(kept.sum())))
-        for i, starts_kept in reversed(list(zip(split, picked))):
-            kept, terms, own = made or scans[i][1](lo, hi)
+        for i, chunks in reversed(list(zip(split, picked))):
+            made = made or scans[i][1](lo, hi)
+            done[i] = _first_kept(chunks, stop, scans[i][0], tols[i], kept, tile, made[1:], buffers)
             made = None
-            done[i] = _first_kept(starts_kept, stop, scans[i][0], tols[i], kept, tile, (terms, own),
-                                  buffers)
-            del terms, own
         return [done[i] for i in range(len(graphs))]
 
     found = [res for graphs in _sweeps(graphs) for res in sweep(graphs)]

@@ -467,6 +467,18 @@ def test_infinite_tolerance_refuses_a_witness_the_sound_sums_disown():
         assert info.value.kind is GraphErrorKind.WEIGHT_RANGE
 
 
+def test_wide_weights_keep_the_dual_cheeger_constant():
+    # The unit triangle with a loop of 1e16 at vertex 0, whose h is refused
+    # (above): hbar's sums have only nonnegative terms, and its value and
+    # witness are the oracle's.
+    w = 1.0 - np.eye(3)
+    w[0, 0] = 1e16
+    g = WeightedGraph(n=3, weights=w)
+    res = dual_cheeger_exact(g)
+    assert res.value == oracle_dual_cheeger(g) == 0.5
+    assert (res.witness.v1, res.witness.v2) == oracle_dual_cheeger_witness(g)
+
+
 def _volume_at(g, e):
     """g times the power of two that puts its total volume in [2**(e - 1), 2**e)."""
     return _scaled(g, e - math.frexp(g.volume)[1])
@@ -628,16 +640,137 @@ def test_nan_tile_is_silent_and_kept(monkeypatch, capfd, fn):
         assert capfd.readouterr() == ("", ""), (in_first_kept, dtype)
 
 
+def _orders_of(g, orders=range(1, 6)):
+    """Gamma[l] of g at each of ``orders``."""
+    return [neighborhood_graph(g, l) for l in orders]
+
+
+def _weighted(rng, g, kind):
+    """g with unit weights, dyadic weights in {1/4, 1/2, 1, 2} or weights in [0.1, 10)."""
+    if kind == "unit":
+        return g
+    draw = (rng.choice([0.25, 0.5, 1.0, 2.0], size=(g.n, g.n)) if kind == "dyadic"
+            else rng.uniform(0.1, 10.0, size=(g.n, g.n)))
+    w = np.triu(g.weights * draw, 1)
+    return WeightedGraph(n=g.n, weights=w + w.T)
+
+
+def _several_orders_cases():
+    """Lists of graphs on the same vertices that ``_cheeger_scans`` or ``_dual_cheeger_scans`` take at once.
+
+    Gamma[1..5] of seeded G(n, 0.4) at n = 17-20 for h and n = 10-12 for
+    hbar, with unit, dyadic and continuous weights; Gamma[1..3] of K20 and
+    K14, whose Gamma[2] and Gamma[3] tie across chunks; and Gamma[1..3] of
+    a G(n, 0.4) with every weight times 2**-300 or 2**300, whose screen is
+    in float64.
+    """
+    rng = np.random.default_rng(20261020)
+    cases = {}
+    for scans, sizes in ((partitions._cheeger_scans, range(17, 21)),
+                         (partitions._dual_cheeger_scans, range(10, 13))):
+        for n in sizes:
+            g = _gnp(rng, n)
+            for kind in ("unit", "dyadic", "continuous"):
+                cases[f"{kind} G({n}, 0.4)[1..5]"] = (scans, _orders_of(_weighted(rng, g, kind)))
+        g = _gnp(rng, sizes[-1])
+        for k in (-300, 300):
+            cases[f"2^{k} G({g.n}, 0.4)[1..3]"] = (
+                scans, [_scaled(x, k) for x in _orders_of(g, range(1, 4))])
+    cases["K20[1..3]"] = (partitions._cheeger_scans, _orders_of(complete_graph(20), range(1, 4)))
+    cases["K14[1..3]"] = (partitions._dual_cheeger_scans, _orders_of(complete_graph(14), range(1, 4)))
+    return cases
+
+
+SEVERAL_ORDERS = _several_orders_cases()
+_LONE = {partitions._cheeger_scans: cheeger_exact, partitions._dual_cheeger_scans: dual_cheeger_exact}
+
+
+@pytest.mark.parametrize("name", list(SEVERAL_ORDERS))
+def test_scan_of_several_orders_is_each_order_scanned_alone(name):
+    # The orders share the sweeps' denominators, tile buffers and score
+    # arrays; each order's value bits and witness are those of a scan of
+    # its graph alone.
+    scans, graphs = SEVERAL_ORDERS[name]
+    together = scans(graphs)
+    for l, (g, res) in enumerate(zip(graphs, together), 1):
+        alone = _LONE[scans](g)
+        assert (res.value.hex(), res.witness) == (alone.value.hex(), alone.witness), l
+
+
+def test_sweeps_share_their_denominators_within_their_drift(monkeypatch):
+    # Gamma[1..5] of a G(20, 0.4) with continuous weights: two sweeps, of
+    # three orders and of two, each screening with its first graph's
+    # denominators.  The degrees of Gamma[l] drift from those of g by a few
+    # ulps, and each order's margin grows by twice its drift.
+    _, graphs = SEVERAL_ORDERS["continuous G(20, 0.4)[1..5]"]
+    assert [len(run) for run in partitions._sweeps(graphs)] == [3, 2]
+    drifts = [partitions._drift(g, graphs[0]) for g in graphs]
+    assert drifts[0] == 0.0 and 0.0 < max(drifts) < 1e-11
+    screens, candidates = [], partitions._candidates
+
+    def recording(starts, stop, kept, den, value, scratch, dtype, shared, terms, margins):
+        screens.append((len(terms), margins))
+        return candidates(starts, stop, kept, den, value, scratch, dtype, shared, terms, margins)
+
+    monkeypatch.setattr(partitions, "_candidates", recording)
+    partitions._cheeger_scans(graphs)
+    assert [count for count, _ in screens] == [3, 2]
+    alone = [partitions._tolerance(g) + 2 * partitions._tolerance32(g, partitions._tolerance(g))
+             for g in graphs]
+    grown = [m - a for m, a in zip(screens[0][1] + screens[1][1], alone)]
+    want = drifts[:3] + [partitions._drift(g, graphs[3]) for g in graphs[3:]]
+    assert np.allclose(grown, [2 * d for d in want], rtol=1e-6, atol=1e-18)
+
+
+def test_an_order_with_an_infinite_tolerance_is_scored_in_full(monkeypatch):
+    # Where Gamma[2]'s tolerance is infinite, its every chunk is scored,
+    # beside the screen of g and Gamma[3] in the same sweep, with the same
+    # bits as the pass would give it.
+    _, graphs = SEVERAL_ORDERS["continuous G(20, 0.4)[1..5]"]
+    graphs = graphs[:3]
+    alone = [cheeger_exact(g) for g in graphs]
+    tolerance = partitions._tolerance
+    monkeypatch.setattr(partitions, "_tolerance",
+                        lambda g: np.inf if g is graphs[1] else tolerance(g))
+    screened = []
+    candidates = partitions._candidates
+
+    def recording(*args):
+        screened.append(len(args[-2]))
+        return candidates(*args)
+
+    monkeypatch.setattr(partitions, "_candidates", recording)
+    together = partitions._cheeger_scans(graphs)
+    assert screened == [2]
+    for res, want in zip(together, alone):
+        assert (res.value.hex(), res.witness) == (want.value.hex(), want.witness)
+
+
+def test_refusals_of_several_orders_are_kept_per_order():
+    # A graph on which no cut scores a number is refused on its own; the
+    # other graphs of the call keep their results.
+    w = np.zeros((2, 2))
+    w[0, 0], w[0, 1], w[1, 0] = 1e17, 1.0, 1.0
+    wide = WeightedGraph(n=2, weights=w)
+    plain = complete_graph(2)
+    res = partitions._cheeger_scans([plain, wide, plain])
+    assert res[0] == res[2] == cheeger_exact(plain)
+    assert isinstance(res[1], GraphError) and res[1].kind is GraphErrorKind.WEIGHT_RANGE
+    with pytest.raises(GraphError) as info:
+        partitions._cheeger_scans([cycle_graph(CHEEGER_EXACT_CAP + 1)] * 2)
+    assert info.value.kind is GraphErrorKind.SIZE_CAP_EXCEEDED
+
+
 _FAULT_PROBE = """
 import resource, sys
 import numpy as np
 from lapspec.graphs import WeightedGraph
 from lapspec import partitions
 
-w = np.load(sys.argv[1])
-g = WeightedGraph(n=len(w), weights=w)
+graphs = [WeightedGraph(n=len(w), weights=w) for w in np.load(sys.argv[1])]
+fn = getattr(partitions, sys.argv[2])
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-getattr(partitions, sys.argv[2])(g)
+fn(graphs) if sys.argv[2].endswith("_scans") else fn(graphs[0])
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -652,6 +785,21 @@ _FAULT_PROBE_GRAPHS = {
 }
 
 
+def _probe(tmp_path, probe, weights, *args):
+    """The last line of ``probe`` in a fresh process, given a file of ``weights`` and ``args``.
+
+    One BLAS thread, as in the benchmark's children: each thread faults in
+    its own buffers.
+    """
+    np.save(tmp_path / "w.npy", np.array(weights))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(partitions.__file__)),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "w.npy"), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt as on Linux")
 @pytest.mark.parametrize("name", list(_FAULT_PROBE_GRAPHS))
 def test_split_pass_reuses_its_buffers(tmp_path, name):
@@ -663,14 +811,47 @@ def test_split_pass_reuses_its_buffers(tmp_path, name):
     # about 5,300.
     pytest.importorskip("resource")
     fn, graph = _FAULT_PROBE_GRAPHS[name]
-    np.save(tmp_path / "w.npy", graph().weights)
-    # one BLAS thread, as in the benchmark's children: each thread faults in its own buffers
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(partitions.__file__)),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE, str(tmp_path / "w.npy"), fn],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 10_000
+    assert int(_probe(tmp_path, _FAULT_PROBE, [graph().weights], fn)) < 10_000
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt as on Linux")
+def test_split_pass_of_three_orders_shares_its_buffers(tmp_path):
+    # g, Gamma[2] and Gamma[3] of a G(24, 0.4) in one sweep share the tile
+    # buffers and the score arrays: about 1,800 pages, against about 1,500
+    # for the scan of Gamma[2] alone and 2,900 for the three scans apart.
+    pytest.importorskip("resource")
+    g = _FAULT_PROBE_GRAPHS["G(24, 0.4)"][1]()
+    weights = [x.weights for x in _orders_of(g, range(1, 4))]
+    alone = int(_probe(tmp_path, _FAULT_PROBE, weights[1:2], "cheeger_exact"))
+    together = int(_probe(tmp_path, _FAULT_PROBE, weights, "_cheeger_scans"))
+    assert together < 2 * alone, (together, alone)
+
+
+# The peak resident memory of this process alone, in kB: ``ru_maxrss`` would
+# count the test process's own memory, copied at the fork.
+_PEAK_PROBE = """
+import sys
+import numpy as np
+from lapspec.cli import main
+from lapspec.graphs import WeightedGraph, write_graph
+
+(w,) = np.load(sys.argv[1])
+write_graph(WeightedGraph(n=len(w), weights=w), sys.argv[1] + ".json")
+main(["bounds", "--input", sys.argv[1] + ".json", "--l-list", sys.argv[2]])
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM as on Linux")
+def test_long_order_lists_take_the_memory_of_three(tmp_path):
+    # ``bounds`` screens at most three orders of Gamma[l] in one sweep, so
+    # 32 orders of a G(24, 0.4) peak within 1 MB of two (l = 1, 2, 3): the
+    # terms of every order held at once would take about 30 MB more.
+    w = _FAULT_PROBE_GRAPHS["G(24, 0.4)"][1]().weights
+    few = int(_probe(tmp_path, _PEAK_PROBE, [w], "2,3"))
+    many = int(_probe(tmp_path, _PEAK_PROBE, [w], ",".join(map(str, range(1, 33)))))
+    assert many - few < 1024, (many, few)
 
 
 # ---------------------------------------------------------------------------
