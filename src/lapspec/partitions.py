@@ -464,6 +464,16 @@ def _tolerance32(g: WeightedGraph, tol: float) -> float:
     and the screen cannot tell chunks apart: ``err32`` is then infinite.
     Below 1, ``T / d_min < 2**17``, so ``d_min > 2**-83`` is in float32's
     normal range, as the bound assumes.
+
+    A screen of several graphs divides every graph's products by the
+    denominators of its first graph (``_exact_scan``), whose ``T`` and
+    ``d_min`` differ from this graph's by less than ``_TOL`` relative
+    (``_sweeps``), well inside the room above; the same count bounds the
+    float32 value's gap from the float64 quotient with those denominators,
+    and that quotient lies within ``_drift`` of the graph's own float64
+    tile value, which ``_candidates`` adds to the margin.  The screen only
+    picks chunks, so a graph's value bits and witness stay those of a scan
+    of it alone (``_first_kept``).
     """
     if not tol < np.inf or abs(math.frexp(g.volume)[1]) > 64:
         return np.inf
