@@ -669,7 +669,7 @@ def _constants(g: WeightedGraph, orders: Mapping):
     """``const(fn, l)`` is ``fn(Gamma[l])``, or ``None`` where a size cap refuses it.
 
     Builds each ``Gamma[l]`` (``Gamma[1]`` is ``g``) and computes each
-    constant at most once; other errors are raised.  ``fn`` is
+    constant at most once; other refusals are raised.  ``fn`` is
     ``clustering_constants``, or a scan of the partitions module that takes
     a list of graphs (``_cheeger_scans``, ``_dual_cheeger_scans``) and is a
     key of ``orders``.  Such a scan is computed together at its orders,
@@ -677,9 +677,10 @@ def _constants(g: WeightedGraph, orders: Mapping):
     the order asked for and at every order of ``orders[fn]`` not computed
     yet, in one call, which screens them together
     (``partitions._exact_scan``).  Each order keeps its result, or the
-    error that building its graph or scanning it raised, and the error is
-    raised only when that order is asked for: the refusals surface in the
-    order of the requests, as if each order were computed on its own.
+    ``GraphError`` or ``ValueError`` that building its graph or scanning it
+    raised, and the error is raised only when that order is asked for: the
+    refusals surface in the order of the requests, as if each order were
+    computed on its own.
     """
     gamma = cache(lambda l: g if l == 1 else neighborhood_graph(g, l))
     table = {}
@@ -691,18 +692,18 @@ def _constants(g: WeightedGraph, orders: Mapping):
                 if (fn, x) not in table:
                     try:
                         graphs[x] = gamma(x)
-                    except Exception as err:
+                    except (GraphError, ValueError) as err:
                         table[fn, x] = err
             if graphs:
                 try:
                     found = fn(list(graphs.values())) if fn in orders else [fn(graphs[l])]
-                except Exception as err:
+                except (GraphError, ValueError) as err:
                     found = [err] * len(graphs)
                 table.update(zip(((fn, x) for x in graphs), found))
         res = table[fn, l]
         if isinstance(res, GraphError) and res.kind is GraphErrorKind.SIZE_CAP_EXCEEDED:
             return None
-        if isinstance(res, Exception):
+        if isinstance(res, (GraphError, ValueError)):
             raise res
         return res
 
