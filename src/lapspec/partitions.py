@@ -267,34 +267,38 @@ def _exact_scan(graphs, what: str, cap: int, base: int, chunk, scan, den, value,
         scans = [scan(g, arrays) for g in graphs]
         tols = [_tolerance(g) if len(starts) > 1 else np.inf for g in graphs]
         split = [i for i, tol in enumerate(tols) if tol < np.inf]
-        done = {i: _first_max(starts, stop, scans[i][0]) for i, tol in enumerate(tols) if tol == np.inf}
-        if not split:
-            return [done[i] for i in range(len(graphs))]
-        lo, hi = _digits(0, base**k, base, k), _digits(0, base ** (m - k), base, m - k)
-        # The screen's terms, in float32 where every err32 is finite.  The
-        # last graph's float64 terms are kept: it is scored again first, and
-        # every other graph with its terms built again, so that the score
-        # arrays are held with one graph's terms, as in a scan of it alone.
-        err32 = [_tolerance32(graphs[i], tols[i]) for i in split]
-        single = all(e < np.inf for e in err32)
-        terms = []
-        for i in split:
-            made = scans[i][1](lo, hi)
-            terms.append(_single(made[1]) if single else made[1])
-            if i == split[0]:
-                kept, shared = made[0], _single(made[2]) if single else made[2]
-        picked = _candidates(starts, stop, kept, den, value, scratch,
-                             np.float32 if single else np.float64, shared, terms,
-                             [tols[i] + 2 * (_drift(graphs[i], graphs[split[0]]) + (e if single else 0))
-                              for i, e in zip(split, err32)])
-        del terms, shared
-        # one chunk's pairs: at most the highs it spans
-        buffers = np.empty((1 + scratch, (-(-_CHUNK // len(kept)) + 1) * int(kept.sum())))
-        for i, chunks in reversed(list(zip(split, picked))):
-            made = made or scans[i][1](lo, hi)
-            done[i] = _first_kept(chunks, stop, scans[i][0], tols[i], kept, tile, made[1:], buffers)
-            made = None
-        return [done[i] for i in range(len(graphs))]
+        done = {}
+        if split:
+            lo, hi = _digits(0, base**k, base, k), _digits(0, base ** (m - k), base, m - k)
+            # The screen's terms, in float32 where every err32 is finite.  A
+            # lone graph keeps its float64 terms for its scoring again, as the
+            # scan of one graph always did; several graphs build theirs again,
+            # one graph at a time, so that neither the screen nor the scoring
+            # again holds more memory than a scan of one graph.
+            err32 = [_tolerance32(graphs[i], tols[i]) for i in split]
+            single = all(e < np.inf for e in err32)
+            terms = []
+            for i in split:
+                made = scans[i][1](lo, hi)
+                terms.append(_single(made[1]) if single else made[1])
+                if i == split[0]:
+                    kept, shared = made[0], _single(made[2]) if single else made[2]
+            if len(split) > 1:
+                made = None
+            picked = _candidates(starts, stop, kept, den, value, scratch,
+                                 np.float32 if single else np.float64, shared, terms,
+                                 [tols[i] + 2 * (_drift(graphs[i], graphs[split[0]]) + (e if single else 0))
+                                  for i, e in zip(split, err32)])
+            del terms, shared
+            # one chunk's pairs: at most the highs it spans
+            buffers = np.empty((1 + scratch, (-(-_CHUNK // len(kept)) + 1) * int(kept.sum())))
+            for i, chunks in zip(split, picked):
+                made = made or scans[i][1](lo, hi)
+                done[i] = _first_kept(chunks, stop, scans[i][0], tols[i], kept, tile, made[1:], buffers)
+                made = None
+        # the graphs the pass cannot screen score every chunk, after the screen
+        return [done[i] if i in done else _first_max(starts, stop, scans[i][0])
+                for i in range(len(graphs))]
 
     found = [res for graphs in _sweeps(graphs) for res in sweep(graphs)]
     return [GraphError(
@@ -701,16 +705,17 @@ def _dual_cheeger_scans(graphs) -> list:
         w = g.weights
 
         def ratio(codes, rows=slice(None)):
-            digits, ind, prod, cross, vols = arrays(codes)
-            # ind holds the indicator of V1 or V2, then of V1; the rows asked for
-            # take their indicator of V2 first, as the product overwrites the digits
+            digits, ind, prod, vols = arrays(codes)
+            # ind holds the indicator of V1 or V2, then of V1, then the cross
+            # weights; the rows asked for take their indicator of V2 first, as
+            # the product overwrites the digits
             two = digits[rows] == 2
             np.not_equal(digits, 0, out=ind, casting="unsafe")
             np.matmul(ind, d, out=vols)
             np.equal(digits, 1, out=ind, casting="unsafe")
             np.matmul(ind, w, out=prod)
             # row by row from here, on the rows asked for
-            codes, prod, vols, cross = codes[rows], prod[rows], vols[rows], cross[: len(two)]
+            codes, prod, vols, cross = codes[rows], prod[rows], vols[rows], ind.reshape(-1)[: len(two)]
             prod *= two
             prod.sum(axis=1, out=cross)
             with np.errstate(invalid="ignore", divide="ignore"):
@@ -761,7 +766,7 @@ def _dual_cheeger_scans(graphs) -> list:
         out[np.ix_(no2_hi[rows], no2_lo)] = -np.inf
         out[not1_hi[rows], 0] = -np.inf
 
-    chunk = functools.partial(_chunk_arrays, 3, n, 2, 2, digits_in_last=True)
+    chunk = functools.partial(_chunk_arrays, 3, n, 2, 1, digits_in_last=True)
     found = _exact_scan(graphs, "dual Cheeger constant", DUAL_CHEEGER_EXACT_CAP, 3, chunk, scan, den,
                         value, 1)
     # same ulp guard as in cheeger_exact: hbar <= 1 holds mathematically

@@ -722,6 +722,40 @@ def test_sweeps_share_their_denominators_within_their_drift(monkeypatch):
     assert np.allclose(grown, [2 * d for d in want], rtol=1e-6, atol=1e-18)
 
 
+def test_shared_denominators_move_values_within_the_drift(monkeypatch):
+    # In float64 screens, every screened value of Gamma[2] and Gamma[3]
+    # divided by g's denominators is within _drift of the value divided by
+    # their own, as in a scan of each alone; the two differ somewhere.
+    _, graphs = SEVERAL_ORDERS["continuous G(20, 0.4)[1..5]"]
+    graphs = graphs[:3]
+    monkeypatch.setattr(partitions, "_tolerance32", lambda g, tol: np.inf)
+
+    def screened(run):
+        """Each graph's screened values, tile after tile, in a call of ``run``."""
+        values, candidates = {}, partitions._candidates
+
+        def recording(starts, stop, kept, den, value, *rest):
+            def recorded(terms, rows, out, *arrays):
+                value(terms, rows, out, *arrays)
+                values.setdefault(rows.start, []).append(out.copy())
+
+            return candidates(starts, stop, kept, den, recorded, *rest)
+
+        with monkeypatch.context() as m:
+            m.setattr(partitions, "_candidates", recording)
+            run()
+        tiles = [t for _, t in sorted(values.items())]
+        return [np.concatenate([t[i] for t in tiles]) for i in range(len(tiles[0]))]
+
+    together = screened(lambda: partitions._cheeger_scans(graphs))
+    for l, x in ((2, graphs[1]), (3, graphs[2])):
+        (alone,) = screened(lambda: cheeger_exact(x))
+        finite = np.isfinite(alone)
+        assert np.array_equal(np.isfinite(together[l - 1]), finite), l
+        gap = np.abs(together[l - 1][finite] - alone[finite])
+        assert 0 < gap.max() <= partitions._drift(x, graphs[0]), (l, gap.max())
+
+
 def test_an_order_with_an_infinite_tolerance_is_scored_in_full(monkeypatch):
     # Where Gamma[2]'s tolerance is infinite, its every chunk is scored,
     # beside the screen of g and Gamma[3] in the same sweep, with the same
