@@ -263,11 +263,12 @@ def _exact_scan(graphs, what: str, cap: int, base: int, chunk, scan, den, value,
 
     def sweep(graphs):
         """``(value, code)`` of each of ``graphs``, on one set of arrays, freed on return."""
-        arrays = chunk()
-        scans = [scan(g, arrays) for g in graphs]
-        tols = [_tolerance(g) if len(starts) > 1 else np.inf for g in graphs]
-        split = [i for i, tol in enumerate(tols) if tol < np.inf]
-        done = {}
+        arrays, scans, tols, split, done = chunk(), [], [], [], {}
+        for i, g in enumerate(graphs):
+            scans.append(scan(g, arrays))
+            tols.append(_tolerance(g) if len(starts) > 1 else np.inf)
+            if tols[i] < np.inf:
+                split.append(i)
         if split:
             lo, hi = _digits(0, base**k, base, k), _digits(0, base ** (m - k), base, m - k)
             # The screen's terms, in float32 where every err32 is finite.  A
@@ -276,19 +277,18 @@ def _exact_scan(graphs, what: str, cap: int, base: int, chunk, scan, den, value,
             # one graph at a time, so that neither the screen nor the scoring
             # again holds more memory than a scan of one graph.
             err32 = [_tolerance32(graphs[i], tols[i]) for i in split]
-            single = all(e < np.inf for e in err32)
-            terms = []
-            for i in split:
+            single = max(err32) < np.inf
+            terms, margins = [], []
+            for i, err in zip(split, err32):
                 made = scans[i][1](lo, hi)
                 terms.append(_single(made[1]) if single else made[1])
+                margins.append(tols[i] + 2 * (_drift(graphs[i], graphs[split[0]]) + (err if single else 0)))
                 if i == split[0]:
                     kept, shared = made[0], _single(made[2]) if single else made[2]
             if len(split) > 1:
                 made = None
             picked = _candidates(starts, stop, kept, den, value, scratch,
-                                 np.float32 if single else np.float64, shared, terms,
-                                 [tols[i] + 2 * (_drift(graphs[i], graphs[split[0]]) + (e if single else 0))
-                                  for i, e in zip(split, err32)])
+                                 np.float32 if single else np.float64, shared, terms, margins)
             del terms, shared
             # one chunk's pairs: at most the highs it spans
             buffers = np.empty((1 + scratch, (-(-_CHUNK // len(kept)) + 1) * int(kept.sum())))
@@ -297,14 +297,19 @@ def _exact_scan(graphs, what: str, cap: int, base: int, chunk, scan, den, value,
                 done[i] = _first_kept(chunks, stop, scans[i][0], tols[i], kept, tile, made[1:], buffers)
                 made = None
         # the graphs the pass cannot screen score every chunk, after the screen
-        return [done[i] if i in done else _first_max(starts, stop, scans[i][0])
-                for i in range(len(graphs))]
+        for i, (score, _) in enumerate(scans):
+            if i not in done:
+                done[i] = _first_max(starts, stop, score)
+        return [done[i] for i in range(len(graphs))]
 
-    found = [res for graphs in _sweeps(graphs) for res in sweep(graphs)]
-    return [GraphError(
-        GraphErrorKind.WEIGHT_RANGE,
-        f"no labeling gives the {what} a finite value: the weights span too wide a range",
-    ) if code < 0 else (best, _digits(code, 1, base, m)[0]) for best, code in found]
+    found = []
+    for run in _sweeps(graphs):
+        for best, code in sweep(run):
+            found.append(GraphError(
+                GraphErrorKind.WEIGHT_RANGE,
+                f"no labeling gives the {what} a finite value: the weights span too wide a range",
+            ) if code < 0 else (best, _digits(code, 1, base, m)[0]))
+    return found
 
 
 def _candidates(starts, stop: int, kept, den, value, scratch: int, dtype, shared, terms, margins):
