@@ -308,7 +308,7 @@ def _exact_scan(graphs, what: str, cap: int, base: int, chunk, scan, den, value,
             found.append(GraphError(
                 GraphErrorKind.WEIGHT_RANGE,
                 f"no labeling gives the {what} a finite value: the weights span too wide a range",
-            ) if code < 0 else (best, _digits(code, 1, base, m)[0]))
+            ) if code < 0 else (best, _digits(code, 1, base, m)[0].copy()))
     return found
 
 
