@@ -44,7 +44,10 @@ the default ``bounds`` on K20, whose Gamma[2] ties across chunks, and the
 where several orders fail and the first refusal met is printed: a unit
 triangle with a loop of 1e16 at vertex 0 (``constants``, ``bounds`` and
 ``bounds --l-list 1``) and the seed-1 G(20, 0.4) with a loop of 1e17 at
-vertex 0 (``bounds`` and ``walk --l 2``).
+vertex 0 (``bounds`` and ``walk --l 2``).  Weights near the bottom of the
+normal range: ``bounds --l-list 2,3,4`` and ``walk --l 2`` on a 5-vertex
+graph with weights 1e-300 to 1e-307, whose Gamma[2] and Gamma[3] hold
+subnormal entries.
 """
 
 from __future__ import annotations
@@ -139,6 +142,12 @@ TRIANGLE_LOOP_ARGS = {"constants": ["constants"], "bounds": ["bounds"],
                       "bounds-l1": ["bounds", "--l-list", "1"]}
 G20_LOOP_ARGS = {"bounds": ["bounds"], "walk": ["walk", "--l", "2"]}
 
+#: A 5-vertex graph with weights 1e-300, 1e-301, ..., 1e-307 in edge order,
+#: all normal, whose Gamma[2] and Gamma[3] hold subnormal entries, and the
+#: subcommands run on it.
+TINY_EDGES = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 3), (2, 4))
+TINY_ARGS = {"bounds": ["bounds", "--l-list", "2,3,4"], "walk": ["walk", "--l", "2"]}
+
 #: Inputs refused as malformed or non-finite.
 BROKEN_INPUTS = {"n0.json": '{"n": 0}', "nan-weight.txt": "a b 1\nb c nan\n"}
 
@@ -201,7 +210,10 @@ def corpus(workloads, workdir: Path):
              ({"k20.json": unit_graph(*workloads.complete_graph(20))}, K20_ARGS),
              ({"triangle-1e16.json": looped_graph(*workloads.complete_graph(3), 1e16)},
               TRIANGLE_LOOP_ARGS),
-             ({"g20-1e17.json": looped_graph(*workloads.gnp_graph(1, 20), 1e17)}, G20_LOOP_ARGS))
+             ({"g20-1e17.json": looped_graph(*workloads.gnp_graph(1, 20), 1e17)}, G20_LOOP_ARGS),
+             ({"g5-tiny.json": json.dumps({"n": 5, "edges": [[i, j, float(f"1e-{300 + e}")]
+                                                             for e, (i, j) in enumerate(TINY_EDGES)]})},
+              TINY_ARGS))
     for files, arg_sets in cases:
         for fname, text in files.items():
             (workdir / fname).write_text(text)
