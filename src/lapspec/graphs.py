@@ -136,7 +136,10 @@ def build_graph(n: int, edges) -> WeightedGraph:
 
     Each unordered pair may appear once; ``(i, i, w)`` entries are loops.
     Weights must be strictly positive and every vertex must end up with
-    positive degree.  ``n`` above ``GENERATOR_SIZE_CAP`` is refused.
+    positive degree.  ``n`` above ``GENERATOR_SIZE_CAP`` is refused, and so
+    is a subnormal weight, below ``2**-1022``: its square, and with it the
+    norm of an eigenfunction, underflows to 0.  Graphs derived from normal
+    weights, such as Gamma[l], may hold subnormal ones.
     """
     _check_cap(n)
     w = np.zeros((n, n))
@@ -153,6 +156,11 @@ def build_graph(n: int, edges) -> WeightedGraph:
             raise GraphError(
                 GraphErrorKind.NEGATIVE_WEIGHT,
                 f"edge {key} has non-positive weight {weight}",
+            )
+        if weight < np.finfo(float).tiny:
+            raise GraphError(
+                GraphErrorKind.WEIGHT_RANGE,
+                f"edge {key} has subnormal weight {weight}, below {np.finfo(float).tiny}",
             )
         w[i, j] = weight
         w[j, i] = weight

@@ -107,11 +107,11 @@ def _first_kept(starts, stop: int, score, tol: float, kept, tile, terms, buffers
     """``_first_max`` over the chunks at ``starts`` that can hold the first optimum, from float64 tiles.
 
     ``kept`` is what the scan's ``block`` returned (``_candidates``), and
-    ``tile(terms, rows, out, *scratch)`` the split pass's tile of one
-    graph, from its own terms and denominator terms ``terms``: its ``den``
-    and then its ``value``.  ``buffers`` holds ``out`` and the scratch
-    arrays, flat, each of at least the pairs of the highs of one chunk;
-    the graphs of a sweep share it (``_exact_scan``).
+    ``tile(terms, rows, out, v)`` the split pass's tile of one graph, from
+    its own terms and denominator terms ``terms``: its ``den`` and then its
+    ``value``.  ``buffers`` holds ``out`` and ``v``, flat, each of at least
+    the pairs of the highs of one chunk; the graphs of a sweep share it
+    (``_exact_scan``).
     Code = low + ``len(kept)`` * high, and a low that ``block`` drops only
     has codes that score -inf.  Each chunk's float64 tile values ``v``, on
     the highs it spans, give its maximum ``c``.  A chunk is scored only if
@@ -142,9 +142,9 @@ def _first_kept(starts, stop: int, score, tol: float, kept, tile, terms, buffers
         hi = min(lo + _CHUNK, stop)
         h0, h1 = lo // span, -(-hi // span)
         size = (h1 - h0) * len(lows)
-        out, *scratch = buffers[:, :size].reshape(len(buffers), h1 - h0, -1)
+        out, v = buffers[:, :size].reshape(2, h1 - h0, -1)
         with np.errstate(all="ignore"):
-            tile(terms, slice(h0, h1), out, *scratch)
+            tile(terms, slice(h0, h1), out, v)
         # the chunk's pairs, in code order, from its first code's to its last one's
         p0 = np.searchsorted(lows, lo - h0 * span)
         return out.reshape(-1)[p0 : size - len(lows) + np.searchsorted(lows, hi - (h1 - 1) * span)], p0, h0
@@ -220,7 +220,7 @@ def _sweeps(graphs):
     yield run
 
 
-def _exact_scan(graphs, what: str, cap: int, base: int, chunk, scan, den, value, scratch: int):
+def _exact_scan(graphs, what: str, cap: int, base: int, scan, den, value):
     """The first largest score over every labeling of each of ``graphs``, and its digits.
 
     The graphs have the same number n of vertices, and are refused as
@@ -229,9 +229,8 @@ def _exact_scan(graphs, what: str, cap: int, base: int, chunk, scan, den, value,
     always 0) from code 1, base 3 labels all n from code 0.  ``scan(g,
     arrays)`` gives g's ``score`` and ``block``: ``score(codes, rows)``
     the values of ``rows`` (every row by default) of the chunk ``codes``,
-    written into ``arrays``, which ``chunk()`` makes (``_chunk_arrays``),
-    and ``block`` as in ``_candidates``, with ``den``, ``value`` and
-    ``scratch``.
+    written into ``arrays`` (``_chunk_arrays``), and ``block`` as in
+    ``_candidates``, with ``den`` and ``value``.
 
     The graphs are taken in sweeps (``_sweeps``), which share one set of
     score arrays and of tile buffers.  A range of one chunk is scored in
@@ -257,13 +256,13 @@ def _exact_scan(graphs, what: str, cap: int, base: int, chunk, scan, den, value,
     starts = np.arange(start, stop, _CHUNK)
     k = (m + 1) // 2
 
-    def tile(terms, rows, out, *scratch):
-        den(terms[1], rows, out, *scratch)
-        value(terms[0], rows, out, *scratch)
+    def tile(terms, rows, out, v):
+        den(terms[1], rows, out, v)
+        value(terms[0], rows, out, v)
 
     def sweep(graphs):
         """``(value, code)`` of each of ``graphs``, on one set of arrays, freed on return."""
-        arrays, scans, tols, split, done = chunk(), [], [], [], {}
+        arrays, scans, tols, split, done = _chunk_arrays(base, m), [], [], [], {}
         for i, g in enumerate(graphs):
             scans.append(scan(g, arrays))
             tols.append(_tolerance(g) if len(starts) > 1 else np.inf)
@@ -287,11 +286,11 @@ def _exact_scan(graphs, what: str, cap: int, base: int, chunk, scan, den, value,
                     kept, shared = made[0], _single(made[2]) if single else made[2]
             if len(split) > 1:
                 made = None
-            picked = _candidates(starts, stop, kept, den, value, scratch,
-                                 np.float32 if single else np.float64, shared, terms, margins)
+            picked = _candidates(starts, stop, kept, den, value, np.float32 if single else np.float64,
+                                 shared, terms, margins)
             del terms, shared
             # one chunk's pairs: at most the highs it spans
-            buffers = np.empty((1 + scratch, (-(-_CHUNK // len(kept)) + 1) * int(kept.sum())))
+            buffers = np.empty((2, (-(-_CHUNK // len(kept)) + 1) * int(kept.sum())))
             for i, chunks in zip(split, picked):
                 made = made or scans[i][1](lo, hi)
                 done[i] = _first_kept(chunks, stop, scans[i][0], tols[i], kept, tile, made[1:], buffers)
@@ -312,7 +311,7 @@ def _exact_scan(graphs, what: str, cap: int, base: int, chunk, scan, den, value,
     return found
 
 
-def _candidates(starts, stop: int, kept, den, value, scratch: int, dtype, shared, terms, margins):
+def _candidates(starts, stop: int, kept, den, value, dtype, shared, terms, margins):
     """For each graph, the chunk starts whose maximum may be within ``tol`` of the best chunk's.
 
     The split pass scores every code approximately by splitting the digits
@@ -320,14 +319,15 @@ def _candidates(starts, stop: int, kept, den, value, scratch: int, dtype, shared
     every low and every high labeling as digit matrices and returns the
     lows to keep, the graph's terms and its denominator terms, in float64.
     The lows kept depend only on the labels, the same for every graph.
-    ``den(shared, rows, out, *arrays)`` writes the ``scratch`` arrays for
+    ``den(shared, rows, out, v)`` writes into ``v`` the denominators of
     the pairs of the highs at ``rows`` with the kept lows, using ``out``,
-    and ``value(terms, rows, out, *arrays)`` then writes their values into
-    ``out``, reading the arrays.  The terms are only read by the tiles.  A
-    value is one product: each high's and each low's own term ride in it
-    as two more columns ``[term_hi, 1]`` of the highs and rows ``[1;
-    term_lo]`` of the lows, then one division by the denominators.  Code =
-    low + ``len(kept)`` * high, so a tile read row by row is in code order.
+    and ``value(terms, rows, out, v)`` then writes their values into
+    ``out``, reading ``v``.  The terms are only read by the tiles.  An
+    ``h`` or ``hbar`` value is one product: each high's and each low's own
+    term ride in it as two more columns ``[term_hi, 1]`` of the highs and
+    rows ``[1; term_lo]`` of the lows, then one division by the
+    denominators (``_quotient``).  Code = low + ``len(kept)`` * high, so a
+    tile read row by row is in code order.
 
     ``terms`` holds each graph's terms and ``shared`` the denominator terms
     of one of them, all in the tiles' ``dtype``: float64, or float32 in
@@ -356,14 +356,14 @@ def _candidates(starts, stop: int, kept, den, value, scratch: int, dtype, shared
     span, lows = len(kept), np.flatnonzero(kept)
     rows, highs = _TILE // len(lows), stop // span  # highs per float64 tile: about _TILE pairs
     rows = min(rows if dtype == np.float64 else 2 * rows, highs)
-    buf, tmp = np.empty((rows, len(lows)), dtype), np.empty((scratch, rows, len(lows)), dtype)
+    buffers = np.empty((2, rows, len(lows)), dtype)
     hmax = np.empty((len(terms), highs), dtype)  # each high's largest value, per graph
     with np.errstate(all="ignore"):
         for h0 in range(0, highs, rows):
-            out, arrays, at = buf[: highs - h0], tmp[:, : highs - h0], slice(h0, min(h0 + rows, highs))
-            den(shared, at, out, *arrays)
+            (out, v), at = buffers[:, : highs - h0], slice(h0, min(h0 + rows, highs))
+            den(shared, at, out, v)
             for t, hm in zip(terms, hmax):
-                value(t, at, out, *arrays)
+                value(t, at, out, v)
                 if h0 == 0:  # the pairs before the first code of the scan
                     out[0, : np.searchsorted(lows, starts[0])] = -np.inf
                 out.max(axis=1, out=hm[at])
@@ -391,12 +391,15 @@ def _tolerance(g: WeightedGraph) -> float:
     ones (the Cheeger ``(I - V)`` terms) to at least ``-total``.
 
     Otherwise both sides round ratios of sums.  For ``hbar`` and the balance
-    ratio the terms are nonnegative, which costs a few ulps.  The Cheeger
-    ratio ``(vol - internal) / min(vol, total - vol)`` cancels.  Its
-    numerator is, in a chunk, a few sums of at most n terms, and in a tile
-    one product of at most ``n/2 + 2`` terms (the high digits' cross terms,
-    the high term and the low term), each at most ``total`` and itself a sum
-    of at most n/2 terms.  So each side's numerator is off by a small
+    ratio the terms are nonnegative, which costs a few ulps; the balance
+    ratio's tile divides by ``T - min`` where its chunk divides by ``max(vol,
+    T - vol)``, one more rounding, of at most an ulp of ``T``, on a value
+    of at least ``T / 2``.  The Cheeger ratio ``(vol - internal) /
+    min(vol, total - vol)`` cancels.  Its numerator is, in a chunk, a few
+    sums of at most n terms, and in a tile one product of at most ``n/2 +
+    2`` terms (the high digits' cross terms, the high term and the low
+    term), each at most ``total`` and itself a sum of at most n/2 terms.
+    So each side's numerator is off by a small
     multiple of ``n * eps * total``, and its ratio by that over ``d_min <=
     min(vol, total - vol)``: inside ``16 * n * eps * total / d_min``.
     Beyond 1 the pass cannot tell chunks apart, and every chunk is scored.
@@ -455,7 +458,10 @@ def _tolerance32(g: WeightedGraph, tol: float) -> float:
       additions rounds by at most ``u T``.  In all, at most ``(n + 5) u T``.
     * The denominator rounds the two volumes, their sum, ``T`` and ``T -
       vol``, each at most T: at most ``6 u T``, with ``2 u d_min`` for
-      the volumes below the normal range.
+      the volumes below the normal range.  The balance ratio's numerator
+      is that denominator, ``min(vol, T - vol)``, and its own, ``T -
+      min``, rounds once more, by at most ``u T`` on a value of at least
+      ``T / 2``: far inside the count for a product.
     * So with ``X = (n + 11) u T / d_min`` the ratio ``N / D``, at most 1,
       moves by at most ``(|dN| + |dD|) / (D - |dD|) <= X / (1 - X) <= 2 X``
       for ``X <= 1/2``, and the division adds ``u`` of a value below ``1 +
@@ -536,32 +542,48 @@ def _label_flags(j: int) -> tuple[np.ndarray, np.ndarray]:
     return flags
 
 
-def _chunk_arrays(base: int, k: int, mats: int, vecs: int, digits_in_last: bool = False):
+def _chunk_arrays(base: int, k: int):
     """``arrays(codes)``: the digits of the consecutive ``codes`` (``_digits``),
-    then ``mats`` float arrays of shape ``(c, k)`` and ``vecs`` of ``(c,)``.
+    then two float matrices of shape ``(c, k)`` and a vector of ``(c,)``.
 
     All are views of arrays allocated for the longest chunk so far: fresh
     arrays of several MB per chunk go back to the OS when freed and are
     page-faulted in again by the next chunk.  Each float array is
     contiguous, with the strides of a fresh array of its shape, so a
     product into it rounds the same.  The matrices lie in one array, for
-    which numpy asks the OS for huge pages from 4 MB on.  The digits have
-    an array of their own, or, with ``digits_in_last``, lie in the bytes of
-    the last matrix, if the score reads them before it writes that one.
+    which numpy asks the OS for huge pages from 4 MB on.  The digits lie in
+    the bytes of the second matrix: every score reads them before it
+    writes that one, and the balance ratio never writes it.
     """
-    mat, vec, digit_rows = np.empty((mats, 0, k)), np.empty((vecs, 0)), None
+    mat, vec, digit_rows = np.empty((2, 0, k)), np.empty(0), None
 
     def arrays(codes):
         nonlocal mat, vec, digit_rows
         c = len(codes)
         if mat.shape[1] < c:
-            mat, vec = np.empty((mats, c, k)), np.empty((vecs, c))
+            mat, vec = np.empty((2, c, k)), np.empty(c)
             rows = c + 2 * base ** ((k + 1) // 2)
-            digit_rows = (mat[-1].view(np.uint8).reshape(-1)[: rows * k].reshape(rows, k)
-                          if digits_in_last else np.empty((rows, k), dtype=np.uint8))
-        return [_digits(int(codes[0]), c, base, k, digit_rows), *mat[:, :c], *vec[:, :c]]
+            digit_rows = mat[1].view(np.uint8).reshape(-1)[: rows * k].reshape(rows, k)
+        return _digits(int(codes[0]), c, base, k, digit_rows), mat[0, :c], mat[1, :c], vec[:c]
 
     return arrays
+
+
+def _smaller_volume(terms, rows, out, v):
+    """``v``: the denominators ``min(vol, T - vol)`` of ``h`` and the balance ratio, using ``out``.
+
+    ``vol = vol_hi + vol_lo`` for the pairs of the highs at ``rows``, from
+    ``terms = (vol_hi, vol_lo, T)``.
+    """
+    vol_hi, vol_lo, total = terms
+    np.add(vol_hi[rows, None], vol_lo, out=v)
+    np.minimum(v, np.subtract(total, v, out=out), out=v)
+
+
+def _quotient(terms, rows, out, v):
+    """``out``: the product of the high terms at ``rows`` and the low terms, ``terms[:2]``, over ``v``."""
+    np.matmul(terms[0][rows], terms[1], out=out)
+    out /= v
 
 
 def cheeger_exact(g: WeightedGraph) -> CheegerResult:
@@ -626,18 +648,7 @@ def _cheeger_scans(graphs) -> list:
 
         return neg_ratio, block
 
-    def den(terms, rows, out, v):
-        vol_hi, vol_lo, total = terms
-        np.add(vol_hi[rows, None], vol_lo, out=v)
-        np.minimum(v, np.subtract(total, v, out=out), out=v)
-
-    def value(terms, rows, out, v):
-        hi_terms, lo_terms = terms
-        np.matmul(hi_terms[rows], lo_terms, out=out)
-        out /= v
-
-    chunk = functools.partial(_chunk_arrays, 2, n - 1, 2, 1, digits_in_last=True)
-    found = _exact_scan(graphs, "Cheeger constant", CHEEGER_EXACT_CAP, 2, chunk, scan, den, value, 1)
+    found = _exact_scan(graphs, "Cheeger constant", CHEEGER_EXACT_CAP, 2, scan, _smaller_volume, _quotient)
     return [res if isinstance(res, GraphError) else _cheeger_result(g, *res)
             for g, res in zip(graphs, found)]
 
@@ -765,15 +776,12 @@ def _dual_cheeger_scans(graphs) -> list:
         np.add(vol_hi[rows], vol_lo, out=v)
 
     def value(terms, rows, out, v):
-        hi_terms, lo_terms, no2_hi, no2_lo, not1_hi = terms
-        np.matmul(hi_terms[rows], lo_terms, out=out)
-        out /= v
+        no2_hi, no2_lo, not1_hi = terms[2:]
+        _quotient(terms, rows, out, v)
         out[np.ix_(no2_hi[rows], no2_lo)] = -np.inf
         out[not1_hi[rows], 0] = -np.inf
 
-    chunk = functools.partial(_chunk_arrays, 3, n, 2, 1, digits_in_last=True)
-    found = _exact_scan(graphs, "dual Cheeger constant", DUAL_CHEEGER_EXACT_CAP, 3, chunk, scan, den,
-                        value, 1)
+    found = _exact_scan(graphs, "dual Cheeger constant", DUAL_CHEEGER_EXACT_CAP, 3, scan, den, value)
     # same ulp guard as in cheeger_exact: hbar <= 1 holds mathematically
     return [res if isinstance(res, GraphError) else CheegerResult(
         value=min(res[0], 1.0),
@@ -827,37 +835,40 @@ def balance_ratio_exact(g: WeightedGraph) -> CheegerResult:
 
     Same codes, cap, witness rule, split pass and scoring again as
     ``cheeger_exact``, with ``vol = V_lo + V_hi`` across the block boundary
-    and one product, ``memb @ d``, on the whole chunk.
+    and one product, ``memb @ d``, on the whole chunk.  A chunk scores
+    ``min(vol, T - vol) / max(vol, T - vol)`` and a tile ``min / (T -
+    min)``, on ``cheeger_exact``'s denominators.
+
+    The value is within about ``8 n eps`` of the ratio of the exact
+    degrees, whatever the weights: the error is absolute, like ``h``'s.
+    Every sum has nonnegative terms, so each volume, ``T`` and ``T - vol``
+    is off by at most about ``2 n eps T``, and the larger side's volume is
+    at least ``T / 2``.  Where a vertex's degree swallows another's, the
+    witness may be a split that only ties with the optimum in floats.
     """
-    n = g.n
-    d = g.degrees[: n - 1]
-    total = g.volume
 
-    arrays = _chunk_arrays(2, n - 1, 1, 1)
+    def scan(g, arrays):
+        d = g.degrees[: g.n - 1]
+        total = g.volume
 
-    def balance(codes, rows=slice(None)):
-        digits, memb, vol = arrays(codes)
-        memb[...] = digits
-        vol = np.matmul(memb, d, out=vol)[rows]
-        return np.minimum(vol, total - vol) / np.maximum(vol, total - vol)
+        def balance(codes, rows=slice(None)):
+            digits, memb, _, vol = arrays(codes)
+            memb[...] = digits
+            vol = np.matmul(memb, d, out=vol)[rows]
+            return np.minimum(vol, total - vol) / np.maximum(vol, total - vol)
 
-    def block(lo, hi):
-        k = lo.shape[1]
-        vol_lo, vol_hi = lo.astype(float) @ d[:k], hi.astype(float) @ d[k:]
-        return np.ones(len(lo), dtype=bool), (), (vol_hi, vol_lo, total)
+        def block(lo, hi):
+            k = lo.shape[1]
+            vol_lo, vol_hi = lo.astype(float) @ d[:k], hi.astype(float) @ d[k:]
+            return np.ones(len(lo), dtype=bool), (total,), (vol_hi, vol_lo, total)
 
-    def den(terms, rows, out, v, least):
-        vol_hi, vol_lo, total = terms
-        np.add(vol_hi[rows, None], vol_lo, out=v)
-        np.subtract(total, v, out=out)
-        np.minimum(v, out, out=least)
-        np.maximum(v, out, out=v)
+        return balance, block
 
-    def value(terms, rows, out, v, least):
-        np.divide(least, v, out=out)
+    def value(terms, rows, out, v):
+        np.divide(v, np.subtract(terms[0], v, out=out), out=out)
 
-    best, digits = _one(_exact_scan([g], "balance ratio", CHEEGER_EXACT_CAP, 2, lambda: arrays,
-                                    lambda g, arrays: (balance, block), den, value, 2))
+    best, digits = _one(_exact_scan([g], "balance ratio", CHEEGER_EXACT_CAP, 2, scan, _smaller_volume,
+                                    value))
     return CheegerResult(value=best, witness=Bipartition.of(g, np.flatnonzero(digits)))
 
 

@@ -25,6 +25,7 @@ from lapspec.graphs import (
     read_graph,
     write_graph,
 )
+from lapspec.neighborhood import neighborhood_graph
 from lapspec.partitions import OddWalkFamily, default_odd_walk_family
 
 
@@ -616,6 +617,45 @@ def test_non_finite_weight_exit_1(capsys, tmp_path, weight):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, edges, refused",
+    [
+        (["spectrum"], "0 1 5e-324\n", "edge (0, 1) has subnormal weight 5e-324"),
+        (["bounds"], "0 1 5e-324\n", "edge (0, 1) has subnormal weight 5e-324"),
+        (["constants"], "0 1 1\n1 2 1\n0 2 1e-310\n", "edge (0, 2) has subnormal weight 1e-310"),
+    ],
+)
+def test_subnormal_weight_exit_1(capsys, tmp_path, argv, edges, refused):
+    # A subnormal weight squares to 0, so K2's eigenfunctions would print as
+    # +-0.0, and the triangle's xi as Infinity, after numpy warnings: the
+    # input is refused, in one line, with no warning.
+    path = tmp_path / "g.txt"
+    path.write_text(edges)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, *argv, "--input", str(path))
+    assert [str(w.message) for w in caught] == []
+    assert (code, out) == (1, "")
+    assert err == f"error[WeightRange]: {refused}, below 2.2250738585072014e-308\n"
+
+
+def test_subnormal_weights_of_gamma_l_are_not_refused(capsys, tmp_path):
+    # Normal weights from 1e-300 to 1e-307 on 5 vertices: Gamma[2] and
+    # Gamma[3] hold subnormal entries, which are not input, and are kept.
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 3), (2, 4)]
+    path = tmp_path / "g.txt"
+    path.write_text("".join(f"{i} {j} 1e-{300 + e}\n" for e, (i, j) in enumerate(edges)))
+    w = neighborhood_graph(read_graph(path), 2).weights
+    assert ((0 < w) & (w < np.finfo(float).tiny)).any()
+    for argv in (["bounds", "--l-list", "2,3,4"], ["walk", "--l", "2"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = _run(capsys, *argv, "--input", str(path))
+        assert [str(w.message) for w in caught] == []
+        assert (code, err) == (0, ""), argv
+        assert out
+
+
 def test_oversized_graph_exit_1(capsys, tmp_path):
     # refused before the dense n x n matrix is allocated
     path = tmp_path / "huge.json"
@@ -663,7 +703,8 @@ _edge_lines = st.lists(
     st.tuples(
         st.sampled_from("abcdef"),
         st.sampled_from("abcdef"),
-        st.sampled_from(["1", "0.25", "0", "-1", "1e308", "1e400", "nan", "inf", "x"]),
+        st.sampled_from(["1", "0.25", "0", "-1", "1e308", "1e400", "5e-324", "1e-310", "nan",
+                         "inf", "x"]),
     ).map(" ".join),
     max_size=10,
 ).map("\n".join)

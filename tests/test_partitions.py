@@ -251,7 +251,7 @@ def _scores(monkeypatch, fn, g):
     """The chunk score that ``fn(g)`` scans with, and the lengths of its calls."""
     calls, scores, exact_scan = [], [], partitions._exact_scan
 
-    def recording_scan(graphs, what, cap, base, chunk, scan, *split):
+    def recording_scan(graphs, what, cap, base, scan, *split):
         def recorded(g, arrays):
             score, block = scan(g, arrays)
 
@@ -262,7 +262,7 @@ def _scores(monkeypatch, fn, g):
             scores.append(score)
             return counted, block
 
-        return exact_scan(graphs, what, cap, base, chunk, recorded, *split)
+        return exact_scan(graphs, what, cap, base, recorded, *split)
 
     with monkeypatch.context() as m:
         m.setattr(partitions, "_exact_scan", recording_scan)
@@ -351,14 +351,14 @@ def _split_pass_run(monkeypatch, fn, g, patch=None):
     candidates, first_kept, screens, passes = partitions._candidates, partitions._first_kept, [], []
     run = patch or (lambda tile, terms, rows, arrays, rescoring: tile(terms, rows, *arrays))
 
-    def screen(starts, stop, kept, den, value, scratch, *screened):
+    def screen(starts, stop, kept, den, value, *screened):
         dtypes = set()
 
         def screen_value(terms, rows, *arrays):
             dtypes.add(arrays[0].dtype.type)
             run(value, terms, rows, arrays, False)
 
-        picked = candidates(starts, stop, kept, den, screen_value, scratch, *screened)
+        picked = candidates(starts, stop, kept, den, screen_value, *screened)
         screens.extend((p.tolist(), dtypes) for p in picked)
         return picked
 
@@ -479,6 +479,30 @@ def test_wide_weights_keep_the_dual_cheeger_constant():
     assert (res.witness.v1, res.witness.v2) == oracle_dual_cheeger_witness(g)
 
 
+def test_wide_weights_keep_the_balance_ratio_within_its_bound():
+    # The unit triangle with a loop of 1e16 at vertex 0, and G(20, 0.4)
+    # with a loop of 1e17 there: vertex 0 outweighs the rest, so {0} against
+    # the rest is the most balanced split, with ratio (T - d_0) / d_0.  On
+    # the triangle and the first G(20) the witness is {0}; on the second,
+    # d_0 + d_19 rounds to d_0, and another split scores at least as high
+    # in floats.  The sums round by a few ulps of T, and the value is within
+    # 8 n eps of the exact optimum on all three.
+    w = 1.0 - np.eye(3)
+    w[0, 0] = 1e16
+    graphs = [WeightedGraph(n=3, weights=w)]
+    for seed in (1, 2):
+        w = _gnp(np.random.default_rng(seed), 20).weights.copy()
+        w[0, 0] = 1e17
+        graphs.append(WeightedGraph(n=20, weights=w))
+    assert oracle_balance_ratio(graphs[0]) == Fraction(2, 5 * 10**15 + 1)
+    for i, g in enumerate(graphs):
+        res = balance_ratio_exact(g)
+        d = [sum(map(Fraction, row)) for row in g.weights]
+        exact = (sum(d) - d[0]) / d[0]
+        assert i == 2 or res.witness.side == frozenset({0}), i
+        assert abs(Fraction(res.value) - exact) <= 8 * g.n * np.finfo(float).eps, i
+
+
 def _volume_at(g, e):
     """g times the power of two that puts its total volume in [2**(e - 1), 2**e)."""
     return _scaled(g, e - math.frexp(g.volume)[1])
@@ -556,13 +580,13 @@ def test_screen_keeps_the_chunk_of_a_lone_maximum(err32, at):
     span, stop = 2**10, 2**19
     starts = np.arange(1, stop, partitions._CHUNK)
 
-    def tile(terms, rows, out):
+    def tile(terms, rows, out, v):
         codes = np.arange(rows.start * span, rows.stop * span).reshape(len(out), span)
         out[...] = np.where(codes == 0, np.nan, codes == at)
 
     dtype = np.float64 if err32 == np.inf else np.float32
     (picked,) = partitions._candidates(starts, stop, np.ones(span, dtype=bool),
-                                       lambda shared, rows, out: None, tile, 0, dtype, (), [()], [0.0])
+                                       lambda shared, rows, out, v: None, tile, dtype, (), [()], [0.0])
     sharing = {lo for lo in starts if lo // span <= at // span <= (lo + partitions._CHUNK - 1) // span}
     assert starts[(at - 1) // partitions._CHUNK] in picked and set(picked) <= sharing
 
@@ -708,9 +732,9 @@ def test_sweeps_share_their_denominators_within_their_drift(monkeypatch):
     assert drifts[0] == 0.0 and 0.0 < max(drifts) < 1e-11
     screens, candidates = [], partitions._candidates
 
-    def recording(starts, stop, kept, den, value, scratch, dtype, shared, terms, margins):
+    def recording(starts, stop, kept, den, value, dtype, shared, terms, margins):
         screens.append((len(terms), margins))
-        return candidates(starts, stop, kept, den, value, scratch, dtype, shared, terms, margins)
+        return candidates(starts, stop, kept, den, value, dtype, shared, terms, margins)
 
     monkeypatch.setattr(partitions, "_candidates", recording)
     partitions._cheeger_scans(graphs)
@@ -816,6 +840,11 @@ _FAULT_PROBE_GRAPHS = {
     "K13[3]": ("dual_cheeger_exact", lambda: neighborhood_graph(complete_graph(13), 3)),
     # 19 float32 tiles; 28 of the 146 chunks are scored again
     "K14[3]": ("dual_cheeger_exact", lambda: neighborhood_graph(complete_graph(14), 3)),
+    # the balance ratio's split pass, whose tiles and chunks have h's layout
+    "balance G(24, 0.4)": ("balance_ratio_exact", lambda: _gnp(np.random.default_rng(24), 24)),
+    # ties across chunks
+    "balance G(24, 0.4)[2]": ("balance_ratio_exact",
+                              lambda: neighborhood_graph(_gnp(np.random.default_rng(24), 24), 2)),
 }
 
 
