@@ -10,6 +10,7 @@ and every vertex must have ``d_i > 0``.
 from __future__ import annotations
 
 import json
+import sys
 from collections import deque
 from enum import Enum
 from pathlib import Path
@@ -137,9 +138,10 @@ def build_graph(n: int, edges) -> WeightedGraph:
     Each unordered pair may appear once; ``(i, i, w)`` entries are loops.
     Weights must be strictly positive and every vertex must end up with
     positive degree.  ``n`` above ``GENERATOR_SIZE_CAP`` is refused, and so
-    is a subnormal weight, below ``2**-1022``: its square, and with it the
-    norm of an eigenfunction, underflows to 0.  Graphs derived from normal
-    weights, such as Gamma[l], may hold subnormal ones.
+    is a subnormal weight, below ``2**-1022``: eigenfunctions of size ``1 /
+    sqrt(d)`` overflow when squared, and ``xi``, over a weight, overflows.
+    Graphs derived from normal weights, such as Gamma[l], may hold
+    subnormal ones.
     """
     _check_cap(n)
     w = np.zeros((n, n))
@@ -157,10 +159,10 @@ def build_graph(n: int, edges) -> WeightedGraph:
                 GraphErrorKind.NEGATIVE_WEIGHT,
                 f"edge {key} has non-positive weight {weight}",
             )
-        if weight < np.finfo(float).tiny:
+        if weight < sys.float_info.min:
             raise GraphError(
                 GraphErrorKind.WEIGHT_RANGE,
-                f"edge {key} has subnormal weight {weight}, below {np.finfo(float).tiny}",
+                f"edge {key} has subnormal weight {weight}, below {sys.float_info.min}",
             )
         w[i, j] = weight
         w[j, i] = weight

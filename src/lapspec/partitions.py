@@ -108,24 +108,24 @@ def _first_kept(starts, stop: int, score, tol: float, kept, tile, terms, buffers
 
     ``kept`` is what the scan's ``block`` returned (``_candidates``), and
     ``tile(terms, rows, out, v)`` the split pass's tile of one graph, from
-    its own terms and denominator terms ``terms``: its ``den`` and then its
-    ``value``.  ``buffers`` holds ``out`` and ``v``, flat, each of at least
-    the pairs of the highs of one chunk; the graphs of a sweep share it
-    (``_exact_scan``).
+    its own terms and denominator terms ``terms``: its ``den`` into ``v``
+    and then its ``value`` into ``out``.  ``buffers`` holds ``out`` and
+    ``v``, flat, each of at least the pairs of the highs of one chunk; the
+    graphs of a sweep share it (``_exact_scan``).
     Code = low + ``len(kept)`` * high, and a low that ``block`` drops only
-    has codes that score -inf.  Each chunk's float64 tile values ``v``, on
+    has codes that score -inf.  Each chunk's float64 tile values ``t``, on
     the highs it spans, give its maximum ``c``.  A chunk is scored only if
     its ``c`` is within ``tol`` of the best one's and more than ``tol``
     above every earlier one's; a NaN maximum fails every comparison it
     enters, so it keeps its chunk and every later one.  In a chunk, only
-    the codes with ``~(v + tol < c)`` are scored again: ``score(codes,
+    the codes with ``~(t + tol < c)`` are scored again: ``score(codes,
     rows)`` scores the ``rows`` of the chunk's ``codes`` from products
     formed on the whole chunk, so its values are the bits of the full
     scan's.  With ``tol`` 0 the tile values are the chunk values, the sign
     of a zero aside, and are the result: nothing is scored again.  Returns
     ``(value, code)``.
 
-    The bits are those of the scan over every chunk.  Every code's ``v``
+    The bits are those of the scan over every chunk.  Every code's ``t``
     is within ``tol / 2`` of its chunk value (``_tolerance``).  Let ``x``
     be the first optimum's value, in the chunk ``C``: every chunk has ``c
     <= x + tol / 2``, with ``c < x + tol / 2`` before ``C``, and ``C`` has

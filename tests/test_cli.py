@@ -626,9 +626,10 @@ def test_non_finite_weight_exit_1(capsys, tmp_path, weight):
     ],
 )
 def test_subnormal_weight_exit_1(capsys, tmp_path, argv, edges, refused):
-    # A subnormal weight squares to 0, so K2's eigenfunctions would print as
-    # +-0.0, and the triangle's xi as Infinity, after numpy warnings: the
-    # input is refused, in one line, with no warning.
+    # K2's eigenfunctions, of size 1 / sqrt(d), overflow when squared and
+    # would print as +-0.0, and the triangle's xi, over a weight, as
+    # Infinity, after numpy warnings: a subnormal input weight is refused,
+    # in one line, with no warning.
     path = tmp_path / "g.txt"
     path.write_text(edges)
     with warnings.catch_warnings(record=True) as caught:

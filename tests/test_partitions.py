@@ -480,18 +480,24 @@ def test_wide_weights_keep_the_dual_cheeger_constant():
 
 
 def test_wide_weights_keep_the_balance_ratio_within_its_bound():
-    # The unit triangle with a loop of 1e16 at vertex 0, and G(20, 0.4)
+    # The unit triangle with a loop of 1e16 at vertex 0, and two G(20, 0.4)
     # with a loop of 1e17 there: vertex 0 outweighs the rest, so {0} against
-    # the rest is the most balanced split, with ratio (T - d_0) / d_0.  On
-    # the triangle and the first G(20) the witness is {0}; on the second,
+    # the rest is the most balanced split, with ratio (T - d_0) / d_0.  The
+    # first G(20) is the benchmark's seed-1 draw, d_0 = 1e17 + 9 and T - d_0
+    # = 159.  On the triangle and on it the witness is {0}; on the second,
     # d_0 + d_19 rounds to d_0, and another split scores at least as high
     # in floats.  The sums round by a few ulps of T, and the value is within
     # 8 n eps of the exact optimum on all three.
     w = 1.0 - np.eye(3)
     w[0, 0] = 1e16
     graphs = [WeightedGraph(n=3, weights=w)]
-    for seed in (1, 2):
-        w = _gnp(np.random.default_rng(seed), 20).weights.copy()
+    iu, ju = np.triu_indices(20, 1)
+    keep = np.random.default_rng([1, 20]).random(iu.size) < 0.4
+    w = np.zeros((20, 20))
+    w[iu[keep], ju[keep]] = 1.0
+    w += w.T
+    assert (w[0].sum(), w[1:].sum()) == (9.0, 159.0)
+    for w in (w, _gnp(np.random.default_rng(2), 20).weights.copy()):
         w[0, 0] = 1e17
         graphs.append(WeightedGraph(n=20, weights=w))
     assert oracle_balance_ratio(graphs[0]) == Fraction(2, 5 * 10**15 + 1)
